@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import BlockFamily, nullspace
+from .decomposition import BlockFamily, numerical_rank
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -55,7 +55,7 @@ def locus_geometry(blocks: BlockFamily, tol: float = 1e-9) -> LocusGeometry:
     if blocks.k_prime == 0:
         N = np.eye(blocks.k)
     else:
-        N, _, _ = nullspace(np.vstack([blocks.C0, blocks.C1]), tol)
+        N = numerical_rank(np.vstack([blocks.C0, blocks.C1]), tol).basis
     return LocusGeometry(blocks, N, blocks.k, blocks.k_prime)
 
 
@@ -64,17 +64,19 @@ def _outputs(blocks: BlockFamily, x):
     return blocks.C0 @ x, blocks.C1 @ x
 
 
+def _colinear_opposed(u, v, tol: float) -> bool:
+    """||u ∧ v|| and <u, v> both at most tol * (1 + ||u|| ||v||)."""
+    scale = tol * (1.0 + np.linalg.norm(u) * np.linalg.norm(v))
+    return bool(np.linalg.norm(wedge(u, v)) <= scale and float(u @ v) <= scale)
+
+
 def in_F(blocks: BlockFamily, x, tol: float = 1e-9) -> bool:
     """Membership in the cone F: C0 x, C1 x colinear and opposed.
 
     Tested as ||C0 x ∧ C1 x|| small (relative) together with
     <C0 x, C1 x> <= tol; see in_F_dual for the equivalent one-liner.
     """
-    c0, c1 = _outputs(blocks, x)
-    scale = tol * (1.0 + np.linalg.norm(c0) * np.linalg.norm(c1))
-    return bool(
-        np.linalg.norm(wedge(c0, c1)) <= scale and float(c0 @ c1) <= scale
-    )
+    return _colinear_opposed(*_outputs(blocks, x), tol)
 
 
 def in_F_dual(blocks: BlockFamily, x, tol: float = 1e-9) -> bool:
@@ -134,12 +136,7 @@ def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
         w0 = _g_expression(blocks, x, 0.0)
         w1 = _g_expression(blocks, x, 1.0)
         n0, n1 = np.linalg.norm(w0), np.linalg.norm(w1)
-        scale = tol * (1.0 + n0 * n1)
-        ok = (
-            np.linalg.norm(wedge(w0, w1)) <= scale
-            and float(w0 @ w1) <= scale
-        )
-        if not ok:
+        if not _colinear_opposed(w0, w1, tol):
             return False, float(min(n0, n1)), None
         lam = n0 / (n0 + n1) if n0 + n1 > 0 else 0.0
         resid = float(np.linalg.norm((1.0 - lam) * w0 + lam * w1))
@@ -372,11 +369,9 @@ def kpetit_classify(
         )
         return KPetitVerdict(verdict, case)
     # k == 2 diagnostics
-    s0 = np.linalg.svd(blocks.C0, compute_uv=False) if blocks.C0.size else np.zeros(1)
-    s1 = np.linalg.svd(blocks.C1, compute_uv=False) if blocks.C1.size else np.zeros(1)
-    notes = f"rank C0 margin {s0[0]:.2e}, rank C1 margin {s1[0]:.2e}"
-    n0, _, _ = nullspace(blocks.C0, tol)
-    n1, _, _ = nullspace(blocks.C1, tol)
+    r0, r1 = numerical_rank(blocks.C0, tol), numerical_rank(blocks.C1, tol)
+    notes = f"rank C0 margin {r0.margin:.2e}, rank C1 margin {r1.margin:.2e}"
+    n0, n1 = r0.basis, r1.basis
     if n0.shape[1] == 1 and n1.shape[1] == 1 and (
         abs(float(n0[:, 0] @ n1[:, 0])) > 1.0 - 1e-9
     ):

@@ -1,7 +1,8 @@
 """Command-line front end: `guas-cert analyze | simulate | example`.
 
 Exit codes: 0 GUAS certified, 1 not GUAS, 2 inconclusive, 3 precondition
-failure (not Hurwitz / no common weak Lyapunov), 4 I/O or parse error.
+failure (not Hurwitz / no common weak Lyapunov), 4 I/O or parse error,
+non-finite input, or a bad simulation setup.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     GuasCertError,
     NoCommonWeakLyapunov,
+    NonFiniteInput,
     NotHurwitz,
     NotPositiveDefinite,
     UnknownExample,
@@ -69,9 +71,7 @@ def save_problem(pair: MatrixPair, path: str) -> None:
 
 
 def parse_signal(spec: str) -> SwitchingSignal:
-    """Parse `binary:1=0,2=1`, `relaxed:1=0.3,...`, `worst` or `badlocus`."""
-    if spec in ("worst", "badlocus"):
-        return spec  # handled by the caller: these need more context
+    """Parse `binary:1=0,2=1` or `relaxed:1=0.3,...`."""
     try:
         kind, _, body = spec.partition(":")
         segments = []
@@ -142,6 +142,9 @@ def cmd_analyze(args) -> int:
     except _PRECONDITION_ERRORS as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except NonFiniteInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     _print_verdict(verdict, args.json)
     return _verdict_exit_code(verdict)
 
@@ -150,19 +153,24 @@ def cmd_simulate(args) -> int:
     try:
         pair = load_problem(args.path)
         x0 = np.array([float(v) for v in args.x0.split(",")])
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 has a non-finite entry")
     except (OSError, ValueError, json.JSONDecodeError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     T = args.T if args.T is not None else 10.0
     dt = args.dt if args.dt is not None else 1e-3
     try:
-        signal = parse_signal(args.signal)
         npair = normalize(pair)
-        if signal == "worst":
+        if args.signal == "worst":
             traj = worst_case_switching(npair, x0, T, dt)
-        elif signal == "badlocus":
-            decomp = common_kernel(npair)
-            blocks = block_form(npair, decomp)
+        elif args.signal == "badlocus":
+            blocks = block_form(npair, common_kernel(npair))
+            if len(x0) != blocks.k:
+                raise DimensionMismatch(
+                    f"badlocus takes x0 in the coordinates of K: "
+                    f"length {blocks.k}, got {len(x0)}"
+                )
             geometry = locus_geometry(blocks)
             run = bad_feedback_trajectory(blocks, geometry, x0, T, dt)
             traj = run.trajectory
@@ -171,7 +179,7 @@ def cmd_simulate(args) -> int:
             else:
                 print(f"status: {run.status}")
         else:
-            traj = integrate(npair, signal, x0, T, dt)
+            traj = integrate(npair, parse_signal(args.signal), x0, T, dt)
     except _PRECONDITION_ERRORS as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -180,7 +188,7 @@ def cmd_simulate(args) -> int:
         return EXIT_IO
     traj.to_csv(args.out)
     print(f"final norm ratio: {traj.final_ratio():.6e}")
-    if traj.T >= 2.0 * (traj.T / 4.0) and len(traj.times) > 4:
+    if len(traj.times) > 4:
         r, plateaued = estimate_omega_limit(traj, window=traj.T / 4.0)
         print(f"limit radius estimate: {r:.6e} (plateaued: {plateaued})")
     print(f"trajectory written to {args.out}")
@@ -227,6 +235,9 @@ def cmd_example(args) -> int:
     except _PRECONDITION_ERRORS as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except NonFiniteInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     _print_verdict(verdict, args.json)
 
     if args.name == "mason":
@@ -264,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--signal", required=True,
         help="binary:d=v,... | relaxed:d=v,... | worst | badlocus",
     )
-    ps.add_argument("--x0", required=True, help="comma-separated initial state")
+    ps.add_argument(
+        "--x0", required=True,
+        help="comma-separated initial state (for badlocus: in the coordinates of K)",
+    )
     ps.add_argument("--T", type=float, default=None)
     ps.add_argument("--dt", type=float, default=None)
     ps.add_argument("--out", default="trajectory.csv")

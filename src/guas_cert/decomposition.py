@@ -14,7 +14,7 @@ uniform observability is equivalent to GUAS of the switched pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +36,42 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def nullspace(M: np.ndarray, tol: float = 1e-9):
-    """Orthonormal null-space basis of M by singular value thresholding.
+@dataclass(frozen=True)
+class NumericalRank:
+    """A numerical rank decision on M, with what it rests on."""
 
-    Singular values below tol * sigma_max * sqrt(n) count as zero.  Returns
-    (basis, complement_basis, rank_margin) where rank_margin is the ratio of
-    the smallest kept to the largest discarded singular value (inf when one
-    of the two groups is empty).
+    basis: np.ndarray            # n x (n - rank), orthonormal null space
+    complement: np.ndarray       # n x rank, orthonormal row space
+    singular_values: np.ndarray  # padded with zeros to n
+    threshold: float             # singular values <= threshold count as zero
+    margin: float                # smallest kept / largest discarded value
+
+
+def numerical_rank(M: np.ndarray, tol: float = 1e-9) -> NumericalRank:
+    """Rank of M by singular value thresholding: the one rank rule.
+
+    Singular values at or below tol * sigma_max * sqrt(n) count as zero.
+    The margin is inf when one of the two groups is empty or the largest
+    discarded value is exactly 0.  An empty or all-zero M has the identity
+    as null-space basis, threshold 0 and margin inf.
     """
     M = np.atleast_2d(np.asarray(M, float))
     n = M.shape[1]
     if M.shape[0] == 0 or not np.any(M):
-        return np.eye(n), np.zeros((n, 0)), np.inf
+        return NumericalRank(np.eye(n), np.zeros((n, 0)), np.zeros(n), 0.0, np.inf)
     _, s, Vh = np.linalg.svd(M)
     s = np.concatenate([s, np.zeros(n - len(s))])
-    thresh = tol * s[0] * np.sqrt(n)
-    null_mask = s <= thresh
-    basis = _fix_column_signs(Vh[null_mask].T)
-    comp = _fix_column_signs(Vh[~null_mask].T)
-    kept = s[~null_mask]
-    disc = s[null_mask]
-    if kept.size and disc.size and disc.max() > 0:
-        margin = float(kept.min() / disc.max())
+    threshold = float(tol * s[0] * np.sqrt(n))
+    null = s <= threshold
+    kept, discarded = s[~null], s[null]
+    if kept.size and discarded.size and discarded.max() > 0:
+        margin = float(kept.min() / discarded.max())
     else:
         margin = np.inf
-    return basis, comp, margin
+    return NumericalRank(
+        _fix_column_signs(Vh[null].T), _fix_column_signs(Vh[~null].T),
+        s, threshold, margin,
+    )
 
 
 @dataclass(frozen=True)
@@ -74,8 +85,6 @@ class KernelDecomposition:
     frame: np.ndarray         # [K_basis | Kperp_basis], orthogonal
     rank_margin: float        # kept/discarded singular value ratio
     threshold: float          # absolute singular value cutoff used
-    K0_basis: np.ndarray = field(repr=False, default=None)  # diagnostics only
-    K1_basis: np.ndarray = field(repr=False, default=None)
 
     @property
     def certifiable_rank(self) -> bool:
@@ -85,31 +94,18 @@ class KernelDecomposition:
 def common_kernel(pair: NormalizedPair, tol: float = 1e-9) -> KernelDecomposition:
     """Compute K = ker S0 ∩ ker S1 as the null space of the stacked [S0; S1].
 
-    k = 0 and k = d are both valid outcomes.  The individual kernels K0, K1
-    (which may strictly contain K) are attached for diagnostics.
+    k = 0 and k = d are both valid outcomes.
     """
-    S0, S1 = pair.S0, pair.S1
-    stacked = np.vstack([S0, S1])
-    K, Kperp, margin = nullspace(stacked, tol)
-    d = pair.d
-    # Re-orthonormalize defensively; SVD columns are orthonormal already.
-    if K.shape[1]:
-        K = _fix_column_signs(np.linalg.qr(K)[0])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    thresh = float(tol * (s[0] if s.size else 0.0) * np.sqrt(d))
-    frame = np.hstack([K, Kperp])
-    K0, _, _ = nullspace(S0, tol)
-    K1, _, _ = nullspace(S1, tol)
+    rank = numerical_rank(np.vstack([pair.S0, pair.S1]), tol)
+    K, Kperp = rank.basis, rank.complement
     return KernelDecomposition(
         K_basis=K,
         Kperp_basis=Kperp,
         k=K.shape[1],
         k_prime=Kperp.shape[1],
-        frame=frame,
-        rank_margin=margin,
-        threshold=thresh,
-        K0_basis=K0,
-        K1_basis=K1,
+        frame=np.hstack([K, Kperp]),
+        rank_margin=rank.margin,
+        threshold=rank.threshold,
     )
 
 
@@ -240,7 +236,7 @@ def verify_kernel_lemma(
             raise ValueError(f"lambda sample {lam} not strictly inside (0, 1)")
         S = pair.B(lam)
         S = S.T + S
-        N, _, _ = nullspace(S, tol=1e-9)
+        N = numerical_rank(S, tol=1e-9).basis
         dist = (
             subspace_distance(N, decomp.K_basis)
             if N.shape[1] == decomp.k

@@ -9,6 +9,10 @@ class DimensionMismatch(GuasCertError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteInput(GuasCertError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class NotPositiveDefinite(GuasCertError):
     """A candidate Lyapunov matrix is not symmetric positive definite."""
 

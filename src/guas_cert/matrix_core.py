@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     LambdaOutOfRange,
     NoCommonWeakLyapunov,
+    NonFiniteInput,
     NotPositiveDefinite,
 )
 
@@ -142,12 +143,21 @@ def check_weak_lyapunov(pair: MatrixPair, P=None, tol: float | None = None):
     return verdicts[0], verdicts[1]
 
 
+def require_finite(pair: MatrixPair, P=None) -> None:
+    """Raise NonFiniteInput when B0, B1 or P has a NaN or infinite entry."""
+    P = pair.P if P is None else P
+    for name, M in (("B0", pair.B0), ("B1", pair.B1), ("P", P)):
+        if M is not None and not np.all(np.isfinite(np.asarray(M, float))):
+            raise NonFiniteInput(f"{name} has a non-finite entry")
+
+
 def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
     """Reduce the pair to identity Lyapunov matrix: B -> P^{1/2} B P^{-1/2}.
 
     The transform is a similarity, so spectra are preserved, and
     B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.
     """
+    require_finite(pair, P)
     P = _check_spd(pair.lyapunov_or_identity() if P is None else np.asarray(P, float))
     v0, v1 = check_weak_lyapunov(pair, P)
     if not (v0.holds and v1.holds):

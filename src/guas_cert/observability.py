@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import BlockFamily, common_kernel, block_form
+from .decomposition import BlockFamily, block_form, common_kernel, numerical_rank
 from .errors import DimensionMismatch
 from .matrix_core import NormalizedPair, is_hurwitz, symmetric_part
 
@@ -59,19 +59,10 @@ def pair_observable(C, A, tol: float = 1e-9):
     numerical null space of the Kalman matrix (A-invariant, killed by C)
     when the pair is unobservable, and None otherwise.
     """
-    O = kalman_matrix(C, A)
-    k = O.shape[1]
-    if k == 0:
+    basis = numerical_rank(kalman_matrix(C, A), tol).basis
+    if basis.shape[1] == 0:
         return True, None
-    if not np.any(O):
-        return False, np.eye(k)
-    _, s, Vh = np.linalg.svd(O)
-    s = np.concatenate([s, np.zeros(k - len(s))])
-    thresh = tol * s[0] * np.sqrt(k)
-    null_mask = s <= thresh
-    if not np.any(null_mask):
-        return True, None
-    return False, Vh[null_mask].T
+    return False, basis
 
 
 @dataclass
@@ -163,14 +154,12 @@ def sweep_lambda(
             margin, lam_star = float(fx), float(x)
 
     if margin < tol_eff:
-        _, basis = pair_observable(
-            blocks.C(lam_star), blocks.A(lam_star), tol=tol
+        rank = numerical_rank(
+            kalman_matrix(blocks.C(lam_star), blocks.A(lam_star)), tol
         )
-        if basis is None:
-            # sigma_min is tiny but above the rank threshold; keep the
-            # closest-to-null direction as witness.
-            O = kalman_matrix(blocks.C(lam_star), blocks.A(lam_star))
-            basis = np.linalg.svd(O)[2][-1:].T
+        # sigma_min can be tiny but above the rank threshold; the witness is
+        # then the closest-to-null direction
+        basis = rank.basis if rank.basis.shape[1] else rank.complement[:, -1:]
         return ObservabilityReport(
             grid, sigma, "fails_at", margin, lam_star, basis,
             cert_threshold, tol_eff,

@@ -14,8 +14,7 @@ from guas_cert import (
     normalize,
     output_measure,
 )
-from guas_cert.analyzer import thread_budget
-from guas_cert.errors import NoCommonWeakLyapunov, NotHurwitz
+from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
 from guas_cert.gallery import kdeux, mason, shared_output, torus
 
 FAST = AnalyzerOptions(evidence_runs=4, evidence_T=20.0, evidence_dt=1e-2)
@@ -74,6 +73,45 @@ class TestBranches:
                           assemble(A, C1, -2.0 * np.eye(2)))
         v = analyze(pair, options=FAST)
         assert v.conclusion == "GUAS_G_discrete"
+
+    def test_off_grid_singular_C_is_not_C_injective(self):
+        """C_lam is singular at lam* = 1/1.7391, between the sweep grid points:
+        the C-injectivity bound must cover the gaps and decline."""
+        from guas_cert.gallery import assemble
+
+        w = (0.3, -1.1, 0.8)
+        A = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        pair = MatrixPair(assemble(A, np.eye(3), -np.eye(3)),
+                          assemble(A, np.diag([-0.7391, 1.0, 1.0]), -np.eye(3)))
+        v = analyze(pair, options=AnalyzerOptions(with_evidence=False,
+                                                  scan_resolution=16))
+        assert v.conclusion == "GUAS_G_discrete"
+        assert v.margins["C_injectivity_margin"] < v.margins["observability_margin"]
+        assert v.margins["C_injectivity_margin"] < 1e-9
+
+    def test_refuses_non_finite_entry(self):
+        B0 = -np.eye(3)
+        B0[1, 2] = np.nan
+        with pytest.raises(NonFiniteInput):
+            analyze(MatrixPair(B0, -np.eye(3)), options=FAST)
+        with pytest.raises(NonFiniteInput):
+            analyze(MatrixPair(-np.eye(2), -np.eye(2)), np.diag([1.0, np.inf]))
+
+    def test_weak_lyapunov_checked_once(self, monkeypatch):
+        import guas_cert.analyzer as analyzer_mod
+        import guas_cert.matrix_core as matrix_core
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = matrix_core.check_weak_lyapunov
+        monkeypatch.setattr(matrix_core, "check_weak_lyapunov", counted)
+        monkeypatch.setattr(analyzer_mod, "check_weak_lyapunov", counted)
+        analyze(mason(), mason().P, options=FAST)
+        assert len(calls) == 1
 
     def test_refuses_non_hurwitz_endpoint(self):
         skew3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -141,16 +179,3 @@ class TestVerdictSerialization:
             v = analyze(pair, P, options=FAST)
             jsonschema.validate(json.loads(v.to_json()), schema)
 
-
-class TestThreadBudget:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GUAS_CERT_THREADS", "3")
-        assert thread_budget() == 3
-
-    def test_invalid_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("GUAS_CERT_THREADS", "zero")
-        assert thread_budget() >= 1
-
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv("GUAS_CERT_THREADS", "0")
-        assert thread_budget() == 1

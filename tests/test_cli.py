@@ -27,6 +27,15 @@ def mason_file(tmp_path):
 
 
 @pytest.fixture
+def nan_file(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"B0": [[-1.0, NaN], [0.0, -1.0]], "B1": [[-1.0, 0.0], [0.0, -1.0]]}'
+    )
+    return str(path)
+
+
+@pytest.fixture
 def kdeux_pm_file(tmp_path):
     pair = kdeux(1.0, -1.0)
     path = tmp_path / "kdeux.json"
@@ -61,10 +70,6 @@ class TestParseSignal:
         sig = parse_signal("relaxed:0.5=0.25")
         assert sig.kind == "relaxed_piecewise"
 
-    def test_passthrough(self):
-        assert parse_signal("worst") == "worst"
-        assert parse_signal("badlocus") == "badlocus"
-
     def test_garbage(self):
         with pytest.raises(BadSignalSpec):
             parse_signal("sawtooth:1=0")
@@ -90,6 +95,10 @@ class TestAnalyzeCommand:
 
     def test_missing_file_is_io_error(self):
         assert main(["analyze", "/nonexistent/p.json"]) == EXIT_IO
+
+    def test_nan_entry_is_io_error(self, nan_file, capsys):
+        assert main(["analyze", nan_file]) == EXIT_IO
+        assert "non-finite" in capsys.readouterr().err
 
     def test_json_report_matches_schema(self, kdeux_pm_file, capsys):
         jsonschema = pytest.importorskip("jsonschema")
@@ -127,6 +136,39 @@ class TestSimulateCommand:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data[-1, 3] < data[0, 3]  # norm column decays
 
+    def test_badlocus_takes_x0_in_K(self, kdeux_pm_file, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        code = main([
+            "simulate", kdeux_pm_file, "--signal", "badlocus",
+            "--x0", "1,-1", "--T", "1", "--dt", "0.01", "--out", str(out),
+        ])
+        assert code == EXIT_GUAS
+        assert "final norm ratio" in capsys.readouterr().out
+        assert out.read_text().splitlines()[0].startswith("t,x_1,x_2,norm")
+
+    def test_badlocus_full_state_x0_is_io_error(self, kdeux_pm_file, tmp_path, capsys):
+        code = main([
+            "simulate", kdeux_pm_file, "--signal", "badlocus",
+            "--x0", "1,-1,0", "--T", "1", "--dt", "0.01",
+            "--out", str(tmp_path / "bad.csv"),
+        ])
+        assert code == EXIT_IO
+        assert "coordinates of K" in capsys.readouterr().err
+
+    def test_nan_entry_is_io_error(self, nan_file, tmp_path):
+        code = main([
+            "simulate", nan_file, "--signal", "worst", "--x0", "1,0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_IO
+
+    def test_nan_x0_is_io_error(self, mason_file, tmp_path):
+        code = main([
+            "simulate", mason_file, "--signal", "worst", "--x0", "nan,0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_IO
+
     def test_bad_signal_spec_is_io_error(self, mason_file, tmp_path):
         code = main([
             "simulate", mason_file, "--signal", "binary:1=7",
@@ -154,6 +196,9 @@ class TestExampleCommand:
     def test_torus_inconclusive(self):
         code = main(["example", "torus", "--T", "10", "--dt", "0.01"])
         assert code == EXIT_INCONCLUSIVE
+
+    def test_nan_parameter_is_io_error(self):
+        assert main(["example", "kdeux", "--a", "nan"]) == EXIT_IO
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):

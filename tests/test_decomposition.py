@@ -8,7 +8,7 @@ from guas_cert import (
     normalize,
     verify_kernel_lemma,
 )
-from guas_cert.decomposition import nullspace, subspace_distance
+from guas_cert.decomposition import numerical_rank, subspace_distance
 from guas_cert.errors import StructureViolation
 from guas_cert.gallery import assemble, kdeux, mason
 
@@ -16,33 +16,62 @@ from conftest import block_pair
 
 
 class TestNullspace:
+    """The null-space basis and complement that numerical_rank returns."""
+
     def test_rank_deficient(self):
         M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        basis, complement, margin = nullspace(M)
-        assert basis.shape == (3, 1)
-        np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
-        assert complement.shape == (3, 2)
-        assert margin > 1e6
+        rank = numerical_rank(M)
+        assert rank.basis.shape == (3, 1)
+        np.testing.assert_allclose(np.abs(rank.basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
+        assert rank.complement.shape == (3, 2)
+        assert rank.margin > 1e6
 
     def test_full_rank(self):
-        basis, complement, margin = nullspace(np.eye(4))
-        assert basis.shape == (4, 0)
-        assert complement.shape == (4, 4)
-        assert np.isinf(margin)
+        rank = numerical_rank(np.eye(4))
+        assert rank.basis.shape == (4, 0)
+        assert rank.complement.shape == (4, 4)
+        assert np.isinf(rank.margin)
 
     def test_zero_matrix(self):
-        basis, complement, _ = nullspace(np.zeros((3, 3)))
-        assert basis.shape == (3, 3)
-        assert complement.shape == (3, 0)
+        rank = numerical_rank(np.zeros((3, 3)))
+        assert rank.basis.shape == (3, 3)
+        assert rank.complement.shape == (3, 0)
+        np.testing.assert_array_equal(rank.singular_values, np.zeros(3))
+        assert rank.threshold == 0.0
+        assert np.isinf(rank.margin)
 
     def test_orthonormal_and_complementary(self):
         rng = np.random.default_rng(5)
         U = rng.standard_normal((5, 2))
         M = U @ U.T  # rank 2 symmetric PSD
-        basis, complement, _ = nullspace(M)
-        Q = np.hstack([basis, complement])
+        rank = numerical_rank(M)
+        Q = np.hstack([rank.basis, rank.complement])
         np.testing.assert_allclose(Q.T @ Q, np.eye(5), atol=1e-12)
-        np.testing.assert_allclose(M @ basis, 0.0, atol=1e-10)
+        np.testing.assert_allclose(M @ rank.basis, 0.0, atol=1e-10)
+
+
+class TestNumericalRank:
+    def test_threshold_rule(self):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((2, 5))  # wide: values padded with zeros to 5
+        tol = 1e-7
+        rank = numerical_rank(M, tol)
+        s = np.linalg.svd(M, compute_uv=False)
+        np.testing.assert_allclose(rank.singular_values, np.r_[s, 0.0, 0.0, 0.0])
+        assert rank.threshold == pytest.approx(tol * s[0] * np.sqrt(5), rel=1e-12)
+        assert rank.basis.shape == (5, 3)
+        assert np.isinf(rank.margin)  # the discarded values are exactly 0
+
+    def test_margin_is_smallest_kept_over_largest_discarded(self):
+        rank = numerical_rank(np.diag([2.0, 1.0, 1e-12]))
+        assert rank.basis.shape == (3, 1)
+        assert rank.margin == pytest.approx(1e12)
+
+    def test_common_kernel_threshold_is_the_rank_threshold(self, normalized_corpus):
+        for name, npair in normalized_corpus.items():
+            stacked = np.vstack([npair.S0, npair.S1])
+            rank = numerical_rank(stacked, 1e-9)
+            assert common_kernel(npair, 1e-9).threshold == rank.threshold, name
 
 
 class TestCommonKernel:
@@ -51,6 +80,19 @@ class TestCommonKernel:
         assert decomp.k == 0
         assert decomp.k_prime == 2
         assert decomp.certifiable_rank
+
+    def test_one_svd_per_call(self, monkeypatch):
+        npair = normalize(mason())
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        common_kernel(npair)
+        assert len(calls) == 1
 
     def test_kdeux_kernel_dimension(self):
         decomp = common_kernel(normalize(kdeux(1.0, 1.0)))
@@ -189,7 +231,6 @@ class TestKernelLemma:
             np.array([[-1.0]]),
         )
         npair = normalize(MatrixPair(B0, B1), np.eye(3))
-        decomp = common_kernel(npair)
-        assert decomp.K0_basis.shape[1] == 3
-        assert decomp.K1_basis.shape[1] == 2
-        assert decomp.k == 2
+        assert numerical_rank(npair.S0).basis.shape[1] == 3
+        assert numerical_rank(npair.S1).basis.shape[1] == 2
+        assert common_kernel(npair).k == 2

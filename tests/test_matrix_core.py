@@ -14,6 +14,7 @@ from guas_cert.errors import (
     DimensionMismatch,
     LambdaOutOfRange,
     NoCommonWeakLyapunov,
+    NonFiniteInput,
     NotPositiveDefinite,
 )
 from guas_cert.gallery import mason
@@ -128,6 +129,16 @@ class TestNormalize:
         pair = MatrixPair([[1.0]], [[-1.0]])
         with pytest.raises(NoCommonWeakLyapunov):
             normalize(pair, [[1.0]])
+
+
+    def test_rejects_non_finite_entries(self):
+        B0 = -np.eye(2)
+        B0[0, 1] = np.nan
+        pair = MatrixPair(B0, -np.eye(2))  # built, refused on use
+        with pytest.raises(NonFiniteInput):
+            normalize(pair)
+        with pytest.raises(NonFiniteInput):
+            normalize(MatrixPair(-np.eye(2), -np.eye(2)), np.diag([1.0, np.inf]))
 
 
 class TestIsHurwitz:
