@@ -37,7 +37,7 @@ from .matrix_core import (
     normalize,
     require_finite,
 )
-from .observability import sweep_lambda
+from .observability import sweep_lambda, weyl_bisection
 from .simulator import estimate_omega_limit, worst_case_switching
 
 CONCLUSIONS = (
@@ -182,7 +182,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
-    require_finite(pair, P)
+    require_finite(pair)
 
     for name, B in (("B0", pair.B0), ("B1", pair.B1)):
         hz = is_hurwitz(B, tol)
@@ -262,23 +262,22 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             grid=grid_info,
         ))
 
-    # injectivity of C_lam on all of [0, 1] (cheap certificate): sigma_k(C_lam)
-    # is Lipschitz in lam with constant ||C1 - C0||_2 (Weyl), which bounds it
-    # from below between grid points
+    # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz with
+    # constant ||C1 - C0||_2; a value below the threshold rules it out
     if blocks.k_prime >= blocks.k and sweep.verdict == "observable_for_all_lambda":
-        lam = sweep.grid[:, None, None]
-        C = (1.0 - lam) * blocks.C0 + lam * blocks.C1
-        sigma = np.linalg.svd(C, compute_uv=False)[:, blocks.k - 1]
-        lipschitz = np.linalg.norm(blocks.C1 - blocks.C0, 2)
-        bound = 0.5 * float(np.min(
-            sigma[:-1] + sigma[1:] - lipschitz * np.diff(sweep.grid)
-        ))
-        margins["C_injectivity_margin"] = bound
-        if bound > sweep.cert_threshold:
+        run = weyl_bisection(
+            lambda lams: np.linalg.svd(
+                blocks.C(lams[:, None, None]), compute_uv=False
+            )[:, blocks.k - 1],
+            np.linalg.norm(blocks.C1 - blocks.C0, 2),
+            sweep.grid, sweep.cert_threshold, sweep.cert_threshold,
+        )
+        margins["C_injectivity_margin"] = run.bound
+        if run.verdict == "certified":
             return finish(Verdict(
                 "GUAS_C_injective",
                 "ker C_lambda = {0} for all lambda: no output can vanish",
-                certificate={"min_sigma_C_lower_bound": bound},
+                certificate={"min_sigma_C_lower_bound": run.bound},
                 margins=margins,
                 tolerances=tolerances,
                 grid=grid_info,

@@ -278,25 +278,16 @@ def scan_G(
 ) -> GScanReport:
     """Sample the unit sphere, locate G, and decide its discreteness.
 
-    Certified verdicts require k <= 3; for larger k the scan degrades to
-    inconclusive with best-effort random samples attached (a sparse random
-    scan must never ground a GUAS certificate).
+    Certified verdicts require k <= 3; for larger k the scan is not run and
+    the verdict is inconclusive (sphere sampling cannot ground a GUAS
+    certificate there, so samples could not change the verdict).
     """
     k = geometry.k
     if k == 0:
         return GScanReport("discrete", note="empty state space")
     if k > 3:
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((100 * resolution, k))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        hits = [
-            x for x in pts if in_G(geometry.blocks, x, max(tol, 1e-3))[0]
-        ]
         return GScanReport(
             "inconclusive",
-            n_samples=len(pts),
-            n_hits=len(hits),
-            samples=np.array(hits).reshape(-1, k),
             note=f"k = {k} > 3: sphere sampling cannot certify discreteness",
         )
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 GUAS certified, 1 not GUAS, 2 inconclusive, 3 precondition
 failure (not Hurwitz / no common weak Lyapunov), 4 I/O or parse error,
-non-finite input, or a bad simulation setup.
+non-finite input, or a bad simulation setup, 5 internal error.  Codes 0-2
+come only from a verdict; `main` maps every exception to 3, 4 or 5.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -20,11 +22,13 @@ from .decomposition import block_form, common_kernel
 from .errors import (
     BadSignalSpec,
     DimensionMismatch,
-    GuasCertError,
+    LambdaOutOfRange,
     NoCommonWeakLyapunov,
     NonFiniteInput,
     NotHurwitz,
+    NotInF,
     NotPositiveDefinite,
+    StepTooLarge,
     UnknownExample,
 )
 from .matrix_core import MatrixPair, normalize, strict_lyapunov_2x2
@@ -42,8 +46,19 @@ EXIT_NOT_GUAS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
-_PRECONDITION_ERRORS = (NotHurwitz, NoCommonWeakLyapunov, NotPositiveDefinite)
+#: (exception classes, exit code, message prefix); the first match wins, so
+#: a LinAlgError, though a ValueError, is an internal error.
+_EXIT_CODES = (
+    ((NotHurwitz, NoCommonWeakLyapunov, NotPositiveDefinite),
+     EXIT_PRECONDITION, "precondition failed"),
+    ((np.linalg.LinAlgError,), EXIT_INTERNAL, "internal error"),
+    ((OSError, ValueError, DimensionMismatch, NonFiniteInput, BadSignalSpec,
+      UnknownExample, LambdaOutOfRange, NotInF, StepTooLarge),
+     EXIT_IO, "error"),
+    ((Exception,), EXIT_INTERNAL, "internal error"),
+)
 
 
 def load_problem(path: str) -> MatrixPair:
@@ -132,60 +147,37 @@ def _options_from_args(args) -> AnalyzerOptions:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        pair = load_problem(args.path)
-    except (OSError, ValueError, json.JSONDecodeError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        verdict = analyze(pair, options=_options_from_args(args))
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NonFiniteInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    verdict = analyze(load_problem(args.path), options=_options_from_args(args))
     _print_verdict(verdict, args.json)
     return _verdict_exit_code(verdict)
 
 
 def cmd_simulate(args) -> int:
-    try:
-        pair = load_problem(args.path)
-        x0 = np.array([float(v) for v in args.x0.split(",")])
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 has a non-finite entry")
-    except (OSError, ValueError, json.JSONDecodeError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    pair = load_problem(args.path)
+    x0 = np.array([float(v) for v in args.x0.split(",")])
+    if not np.all(np.isfinite(x0)):
+        raise NonFiniteInput("x0 has a non-finite entry")
     T = args.T if args.T is not None else 10.0
     dt = args.dt if args.dt is not None else 1e-3
-    try:
-        npair = normalize(pair)
-        if args.signal == "worst":
-            traj = worst_case_switching(npair, x0, T, dt)
-        elif args.signal == "badlocus":
-            blocks = block_form(npair, common_kernel(npair))
-            if len(x0) != blocks.k:
-                raise DimensionMismatch(
-                    f"badlocus takes x0 in the coordinates of K: "
-                    f"length {blocks.k}, got {len(x0)}"
-                )
-            geometry = locus_geometry(blocks)
-            run = bad_feedback_trajectory(blocks, geometry, x0, T, dt)
-            traj = run.trajectory
-            if run.exit_time is not None:
-                print(f"exited F at t = {run.exit_time:.6g}")
-            else:
-                print(f"status: {run.status}")
+    npair = normalize(pair)
+    if args.signal == "worst":
+        traj = worst_case_switching(npair, x0, T, dt)
+    elif args.signal == "badlocus":
+        blocks = block_form(npair, common_kernel(npair))
+        if len(x0) != blocks.k:
+            raise DimensionMismatch(
+                f"badlocus takes x0 in the coordinates of K: "
+                f"length {blocks.k}, got {len(x0)}"
+            )
+        geometry = locus_geometry(blocks)
+        run = bad_feedback_trajectory(blocks, geometry, x0, T, dt)
+        traj = run.trajectory
+        if run.exit_time is not None:
+            print(f"exited F at t = {run.exit_time:.6g}")
         else:
-            traj = integrate(npair, parse_signal(args.signal), x0, T, dt)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except GuasCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+            print(f"status: {run.status}")
+    else:
+        traj = integrate(npair, parse_signal(args.signal), x0, T, dt)
     traj.to_csv(args.out)
     print(f"final norm ratio: {traj.final_ratio():.6e}")
     if len(traj.times) > 4:
@@ -215,11 +207,7 @@ def cmd_example(args) -> int:
         params = {"q": args.q, "d0": args.d0, "d1": args.d1}
         if args.rates:
             params["rates"] = [float(v) for v in args.rates.split(",")]
-    try:
-        built = gallery.build(args.name, **params)
-    except UnknownExample as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    built = gallery.build(args.name, **params)
 
     if args.name == "hurwitz":
         report = hurwitz_observability_crosscheck(built)
@@ -230,14 +218,7 @@ def cmd_example(args) -> int:
         return EXIT_GUAS if report.agree else EXIT_INCONCLUSIVE
 
     print(f"expected : {_EXPECTED[args.name]}")
-    try:
-        verdict = analyze(built, options=_options_from_args(args))
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NonFiniteInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    verdict = analyze(built, options=_options_from_args(args))
     _print_verdict(verdict, args.json)
 
     if args.name == "mason":
@@ -304,7 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except Exception as exc:  # the one place exceptions become exit codes
+        code, prefix = next(
+            (code, prefix) for classes, code, prefix in _EXIT_CODES
+            if isinstance(exc, classes)
+        )
+        if code == EXIT_INTERNAL:
+            traceback.print_exc()
+        print(f"{prefix}: {exc}", file=sys.stderr)
     if argv is None:
         sys.exit(code)
     return code

@@ -44,6 +44,8 @@ def default_semidef_tol(S: np.ndarray) -> float:
 
 def _check_spd(P: np.ndarray, tol: float | None = None) -> np.ndarray:
     P = _as_square(P, "P")
+    if not np.all(np.isfinite(P)):
+        raise NonFiniteInput("P has a non-finite entry")
     if tol is None:
         tol = default_semidef_tol(P)
     if np.max(np.abs(P - P.T)) > tol:
@@ -143,11 +145,10 @@ def check_weak_lyapunov(pair: MatrixPair, P=None, tol: float | None = None):
     return verdicts[0], verdicts[1]
 
 
-def require_finite(pair: MatrixPair, P=None) -> None:
-    """Raise NonFiniteInput when B0, B1 or P has a NaN or infinite entry."""
-    P = pair.P if P is None else P
-    for name, M in (("B0", pair.B0), ("B1", pair.B1), ("P", P)):
-        if M is not None and not np.all(np.isfinite(np.asarray(M, float))):
+def require_finite(pair: MatrixPair) -> None:
+    """Raise NonFiniteInput when B0 or B1 has a NaN or infinite entry."""
+    for name, M in (("B0", pair.B0), ("B1", pair.B1)):
+        if not np.all(np.isfinite(M)):
             raise NonFiniteInput(f"{name} has a non-finite entry")
 
 
@@ -157,7 +158,7 @@ def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
     The transform is a similarity, so spectra are preserved, and
     B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.
     """
-    require_finite(pair, P)
+    require_finite(pair)
     P = _check_spd(pair.lyapunov_or_identity() if P is None else np.asarray(P, float))
     v0, v1 = check_weak_lyapunov(pair, P)
     if not (v0.holds and v1.holds):

@@ -4,6 +4,17 @@ import pytest
 from guas_cert import MatrixPair, normalize
 from guas_cert.gallery import assemble, kdeux, mason, shared_output, torus
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property suite skips itself
+    pass
+else:
+    # reproducible examples, and a bounded count that keeps the suite short
+    settings.register_profile(
+        "guas-cert", derandomize=True, deadline=None, max_examples=150
+    )
+    settings.load_profile("guas-cert")
+
 
 def skew(rng, n):
     M = rng.standard_normal((n, n))

@@ -11,8 +11,10 @@ from guas_cert import (
     block_form,
     common_kernel,
     integrate,
+    kalman_matrix,
     normalize,
     output_measure,
+    sweep_lambda,
 )
 from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
 from guas_cert.gallery import kdeux, mason, shared_output, torus
@@ -40,6 +42,19 @@ class TestBranches:
         assert lam == pytest.approx(0.5, abs=1e-6)
         w = np.asarray(v.certificate["witness"], float)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("b", [-1.7391, -3.7, -5.1])
+    def test_kdeux_off_grid_refuted(self, b):
+        """lam* = 1/(1 - b) lies between grid points; the sweep still finds it."""
+        v = analyze(kdeux(1.0, b), np.eye(3), options=FAST)
+        assert v.conclusion == "NOT_GUAS_constant_input"
+        lam = v.certificate["lambda_star"]
+        assert lam == pytest.approx(1.0 / (1.0 - b), abs=1e-8)
+        npair = normalize(kdeux(1.0, b), np.eye(3))
+        blocks = block_form(npair, common_kernel(npair))
+        O = kalman_matrix(blocks.C(lam), blocks.A(lam))
+        x = np.asarray(v.certificate["witness"], float)
+        assert np.linalg.norm(O @ x) <= sweep_lambda(blocks).tol
 
     def test_shared_output_injective(self):
         v = analyze(shared_output(), np.eye(4), options=FAST)

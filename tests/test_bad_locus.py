@@ -236,7 +236,9 @@ class TestScanG:
         npair = normalize(torus())
         blocks = block_form(npair, common_kernel(npair))
         report = scan_G(locus_geometry(blocks), resolution=48)
-        assert report.verdict in ("discrete", "not_discrete", "inconclusive")
+        # k = 4 > 3: no sample could ground a verdict, so none is taken
+        assert report.verdict == "inconclusive"
+        assert report.n_samples == 0
 
 
 class TestKPetit:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from guas_cert import MatrixPair
+from guas_cert import MatrixPair, cli
 from guas_cert.cli import (
     EXIT_GUAS,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_NOT_GUAS,
     EXIT_PRECONDITION,
@@ -15,7 +16,14 @@ from guas_cert.cli import (
     parse_signal,
     save_problem,
 )
-from guas_cert.errors import BadSignalSpec
+from guas_cert.errors import (
+    BadSignalSpec,
+    InternalInconsistency,
+    NonFiniteInput,
+    NotHurwitz,
+    StructureViolation,
+    UnsupportedDimension,
+)
 from guas_cert.gallery import kdeux, mason
 
 
@@ -100,6 +108,15 @@ class TestAnalyzeCommand:
         assert main(["analyze", nan_file]) == EXIT_IO
         assert "non-finite" in capsys.readouterr().err
 
+    def test_nan_in_P_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "nan_P.json"
+        path.write_text(
+            '{"B0": [[-1.0, 0.0], [0.0, -1.0]], "B1": [[-1.0, 0.0], [0.0, -1.0]],'
+            ' "P": [[NaN, 0.0], [0.0, 1.0]]}'
+        )
+        assert main(["analyze", str(path)]) == EXIT_IO
+        assert "non-finite" in capsys.readouterr().err
+
     def test_json_report_matches_schema(self, kdeux_pm_file, capsys):
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as res
@@ -111,6 +128,25 @@ class TestAnalyzeCommand:
         )
         jsonschema.validate(report, schema)
         assert report["conclusion"] == "NOT_GUAS_constant_input"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", [
+        (NotHurwitz("B0"), EXIT_PRECONDITION),
+        (NonFiniteInput("B0"), EXIT_IO),
+        (StructureViolation("C"), EXIT_INTERNAL),
+        (InternalInconsistency("run"), EXIT_INTERNAL),
+        (UnsupportedDimension("k"), EXIT_INTERNAL),
+        (np.linalg.LinAlgError("svd"), EXIT_INTERNAL),
+        (RuntimeError("bug"), EXIT_INTERNAL),
+    ])
+    def test_exception_maps_to_code(self, exc, code, mason_file, monkeypatch, capsys):
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "analyze", raising)
+        assert main(["analyze", mason_file]) == code
+        assert str(exc) in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -139,6 +139,8 @@ class TestNormalize:
             normalize(pair)
         with pytest.raises(NonFiniteInput):
             normalize(MatrixPair(-np.eye(2), -np.eye(2)), np.diag([1.0, np.inf]))
+        with pytest.raises(NonFiniteInput):
+            MatrixPair(-np.eye(2), -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestIsHurwitz:

@@ -11,6 +11,7 @@ from guas_cert import (
 )
 from guas_cert.decomposition import BlockFamily
 from guas_cert.gallery import assemble, kdeux, shared_output, torus
+from guas_cert.observability import weyl_bisection
 
 from conftest import block_pair, skew, stable_block
 
@@ -40,6 +41,15 @@ class TestKalmanMatrix:
         np.testing.assert_array_equal(M[:2], C)
         np.testing.assert_allclose(M[2:4], C @ A)
         np.testing.assert_allclose(M[-2:], C @ np.linalg.matrix_power(A, 3))
+
+    def test_stack_matches_slices(self):
+        rng = np.random.default_rng(3)
+        C = rng.standard_normal((5, 2, 3))
+        A = np.stack([skew(rng, 3) for _ in range(5)])
+        stacked = kalman_matrix(C, A)
+        assert stacked.shape == (5, 6, 3)
+        for i in range(5):
+            np.testing.assert_array_equal(stacked[i], kalman_matrix(C[i], A[i]))
 
     def test_kdeux_determinant_closed_form(self):
         """det [C_lam; C_lam A_lam] = (2 lam^2 - 2 lam + 1)((1-lam) a + lam b)."""
@@ -123,6 +133,31 @@ class TestSweepLambda:
         blocks_sh = __import__("guas_cert").block_form(npair, common_kernel(npair))
         report = sweep_lambda(blocks_sh)
         assert report.verdict == "observable_for_all_lambda"
+
+
+class TestWeylBisection:
+    def test_minimum_near_floor_ends_inconclusive(self):
+        """A positive minimum within rounding of the floor neither certifies
+        nor refutes; the number of intervals stays bounded."""
+        grid = np.linspace(0.0, 1.0, 257)
+        sizes = []
+
+        def f(lams):
+            sizes.append(len(lams))
+            return 1e-9 * (1 + 1e-7) + (lams - 0.3141592) ** 2
+
+        run = weyl_bisection(f, 2.0, grid, 1e-7, 1e-9)
+        assert run.verdict == "inconclusive"
+        assert max(sizes) <= len(grid)
+        assert run.bound <= run.value
+
+    def test_certified_bound_holds_between_points(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        f = lambda lams: 0.01 + np.abs(np.sin(7.0 * lams))  # noqa: E731
+        run = weyl_bisection(f, 7.0, grid, 1e-3, 1e-6)
+        assert run.verdict == "certified"
+        lams = np.linspace(0.0, 1.0, 100001)
+        assert f(lams).min() >= run.bound > 1e-3
 
 
 class TestCrosscheck:
