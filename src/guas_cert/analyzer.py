@@ -37,7 +37,7 @@ from .matrix_core import (
     normalize,
     require_finite,
 )
-from .observability import sweep_lambda, weyl_bisection
+from .observability import sigma_C_bisection, sweep_lambda
 from .simulator import estimate_omega_limit, worst_case_switching
 
 CONCLUSIONS = (
@@ -54,7 +54,7 @@ CONCLUSIONS = (
 class AnalyzerOptions:
     tol: float = 1e-9
     n_grid: int = 257
-    scan_resolution: int = 64
+    scan_resolution: int = 64  # read by nothing; perfbench/workloads.py still sets it
     evidence_runs: int = 32
     evidence_T: float = 100.0
     evidence_dt: float = 1e-3
@@ -195,7 +195,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     npair = normalize(pair, P)
     decomp = common_kernel(npair, tol)
     tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
-    grid_info = {"n_grid": opt.n_grid, "scan_resolution": opt.scan_resolution}
+    grid_info = {"n_grid": opt.n_grid}
 
     def finish(verdict: Verdict) -> Verdict:
         want = opt.with_evidence
@@ -265,13 +265,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz with
     # constant ||C1 - C0||_2; a value below the threshold rules it out
     if blocks.k_prime >= blocks.k and sweep.verdict == "observable_for_all_lambda":
-        run = weyl_bisection(
-            lambda lams: np.linalg.svd(
-                blocks.C(lams[:, None, None]), compute_uv=False
-            )[:, blocks.k - 1],
-            np.linalg.norm(blocks.C1 - blocks.C0, 2),
-            sweep.grid, sweep.cert_threshold, sweep.cert_threshold,
-        )
+        run = sigma_C_bisection(blocks, blocks.k, sweep)
         margins["C_injectivity_margin"] = run.bound
         if run.verdict == "certified":
             return finish(Verdict(
@@ -297,7 +291,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     scan = None
     if sweep.verdict == "observable_for_all_lambda":
         geometry = locus_geometry(blocks, tol)
-        scan = scan_G(geometry, opt.scan_resolution, tol)
+        scan = scan_G(geometry, sweep, tol)
         margins["scan_hits"] = scan.n_hits
         if scan.verdict == "discrete":
             return finish(Verdict(
@@ -305,9 +299,14 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                 "tangency set G is discrete and (C_lambda, A_lambda) is "
                 "observable for every lambda",
                 certificate={
+                    "rule": scan.rule,
+                    "degree": scan.degree,
+                    "g_margin": scan.margin,
+                    "roots": scan.roots,
+                    "points": scan.points,
+                    "sigma_C_lower_bound": scan.sigma_C_lower_bound,
                     "n_samples": scan.n_samples,
                     "n_hits": scan.n_hits,
-                    "spacing": scan.spacing,
                 },
                 margins=margins,
                 tolerances=tolerances,

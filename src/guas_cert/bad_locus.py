@@ -5,8 +5,10 @@ i.e. where some lam in [0, 1] kills the output C_lam x.  Off the common
 output kernel N = ker C0 ∩ ker C1 that lam is unique and analytic (the
 feedback lambda_of).  G collects the points of F on the unit sphere where
 the drift A_lam x is (weakly) tangent to F; discreteness of G certifies
-uniform observability.  The scan decides discreteness empirically by
-lattice sampling plus refinement shrinkage.
+uniform observability.  scan_G decides discreteness by algebra on the
+curve F ∩ S, whose points are kernel vectors of C_lam: the tangency
+residual along it is a polynomial in lam, so a few values prove whether it
+vanishes identically.  in_F, in_F_dual and in_G are pointwise oracles.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .decomposition import BlockFamily, numerical_rank
 from .errors import (
@@ -22,23 +25,23 @@ from .errors import (
     DimensionTooLarge,
     InNullSpace,
     NotInF,
-    UnsupportedDimension,
 )
-from .observability import ObservabilityReport
+from .observability import CERT_FACTOR, ObservabilityReport, sigma_C_bisection
 
 
 def wedge(u, v) -> np.ndarray:
-    """Exterior product of two m-vectors as the vector of 2x2 minors.
+    """Exterior product of m-vectors as the vector of 2x2 minors.
 
-    Components u_i v_j - u_j v_i for i < j in lexicographic order; an empty
-    vector when m = 1 (colinearity is then vacuous).
+    Components u_i v_j - u_j v_i for i < j in lexicographic order, over the
+    last axis (leading axes are batch axes); empty when m = 1 (colinearity
+    is then vacuous).
     """
-    u = np.asarray(u, float).ravel()
-    v = np.asarray(v, float).ravel()
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
     if u.shape != v.shape:
         raise DimensionMismatch(f"wedge operands {u.shape} vs {v.shape}")
-    i, j = np.triu_indices(len(u), 1)
-    return u[i] * v[j] - u[j] * v[i]
+    i, j = np.triu_indices(u.shape[-1], 1)
+    return u[..., i] * v[..., j] - u[..., j] * v[..., i]
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,22 @@ def lambda_of(blocks: BlockFamily, x, tol: float = 1e-9) -> float:
     return lam
 
 
-def _g_expression(blocks: BlockFamily, x, lam: float) -> np.ndarray:
-    """The tangency residual C0 A_lam x ∧ C1 x + C0 x ∧ C1 A_lam x."""
-    x = np.asarray(x, float).ravel()
-    c0, c1 = blocks.C0 @ x, blocks.C1 @ x
-    Ax = blocks.A(lam) @ x
-    return wedge(blocks.C0 @ Ax, c1) + wedge(c0, blocks.C1 @ Ax)
+def _g_expression(blocks: BlockFamily, x, lam):
+    """The tangency residual C0 A_lam x ∧ C1 x + C0 x ∧ C1 A_lam x, and its scale.
+
+    Over leading batch axes shared by x (..., k) and lam (...).  The scale
+    1 + ||C0 A_lam x|| ||C1 x|| + ||C0 x|| ||C1 A_lam x|| is what in_G
+    measures the residual's norm against.
+    """
+    x = np.asarray(x, float)
+    lam = np.asarray(lam, float)[..., None]
+    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, lam.shape))
+    Ax = (1.0 - lam) * (x @ blocks.A0.T) + lam * (x @ blocks.A1.T)
+    c0, c1 = x @ blocks.C0.T, x @ blocks.C1.T
+    a0, a1 = Ax @ blocks.C0.T, Ax @ blocks.C1.T
+    norm = lambda v: np.linalg.norm(v, axis=-1)  # noqa: E731
+    scale = 1.0 + norm(a0) * norm(c1) + norm(c0) * norm(a1)
+    return wedge(a0, c1) + wedge(c0, a1), scale
 
 
 def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
@@ -133,8 +146,7 @@ def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
     if not in_F(blocks, x, tol):
         return False, np.nan, None
     if in_N(blocks, x, tol):
-        w0 = _g_expression(blocks, x, 0.0)
-        w1 = _g_expression(blocks, x, 1.0)
+        (w0, w1), _ = _g_expression(blocks, x, [0.0, 1.0])
         n0, n1 = np.linalg.norm(w0), np.linalg.norm(w1)
         if not _colinear_opposed(w0, w1, tol):
             return False, float(min(n0, n1)), None
@@ -144,183 +156,92 @@ def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
     try:
         lam = lambda_of(blocks, x, tol)
     except NotInF:
-        # loose scan tolerances admit near-boundary points whose killing
+        # a loose tolerance admits near-boundary points whose killing
         # lambda falls outside [0, 1]; those are not in F_0
         return False, np.nan, None
-    w = _g_expression(blocks, x, lam)
-    x = np.asarray(x, float).ravel()
-    Ax = blocks.A(lam) @ x
-    scale = 1.0 + (
-        np.linalg.norm(blocks.C0 @ Ax) * np.linalg.norm(blocks.C1 @ x)
-        + np.linalg.norm(blocks.C0 @ x) * np.linalg.norm(blocks.C1 @ Ax)
-    )
-    resid = float(np.linalg.norm(w)) if w.size else 0.0
-    return resid <= tol * scale, resid, lam
+    w, scale = _g_expression(blocks, x, lam)
+    resid = float(np.linalg.norm(w))
+    return bool(resid <= tol * scale), resid, lam
 
 
 # ---------------------------------------------------------------------------
-# Sphere scan for discreteness of G
+# Discreteness of G, decided on the curve F ∩ S
 # ---------------------------------------------------------------------------
 
-
-def sphere_samples(k: int, resolution: int) -> tuple[np.ndarray, float]:
-    """Quasi-uniform samples of S^(k-1) and their typical spacing."""
-    if k == 1:
-        return np.array([[1.0], [-1.0]]), 1.0
-    if k == 2:
-        n = max(8, 4 * resolution)
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)]), 2.0 * np.pi / n
-    if k == 3:
-        n = max(100, 8 * resolution * resolution)
-        i = np.arange(n)
-        phi = np.pi * (3.0 - np.sqrt(5.0)) * i  # golden angle lattice
-        z = 1.0 - (2.0 * i + 1.0) / n
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-        return pts, float(np.sqrt(4.0 * np.pi / n))
-    raise UnsupportedDimension(f"no certified sphere lattice for k = {k}")
+NODES = 0.5 - 0.5 * np.cos((2.0 * np.arange(11) + 1.0) * np.pi / 22.0)  # Chebyshev
 
 
-@dataclass
-class GCluster:
-    points: np.ndarray
-    centroid: np.ndarray
-    diameter: float
-    dimension_estimate: int
-    touches_N: bool
+def kernel_vector(C) -> np.ndarray:
+    """Signed maximal minors of (k-1) x k matrices (batched): C n = 0, and n
+    spans ker C when rank C = k - 1 (for k = 3, the cross product of rows)."""
+    return np.stack([(-1.0) ** i * np.linalg.det(np.delete(C, i, axis=-1))
+                     for i in range(C.shape[-1])], axis=-1)
 
 
 @dataclass
 class GScanReport:
-    """Outcome of a discreteness scan of G on the unit sphere of K.
-
-    The residual threshold used for hits is tied to the lattice spacing, so
-    the hit set is a tolerance band around G; the primary discreteness
-    criterion is whether clusters shrink proportionally when the lattice is
-    refined 2x, which a genuine curve does not do.
-    """
+    """Whether G is discrete, and why: n_samples counts lambdas evaluated, n_hits
+    the points of G located, and margin had to clear CERT_FACTOR * tol."""
 
     verdict: str  # discrete | not_discrete | inconclusive
-    clusters: list = field(default_factory=list)
-    fine_clusters: list = field(default_factory=list)
-    spacing: float = 0.0
-    fine_spacing: float = 0.0
     n_samples: int = 0
     n_hits: int = 0
-    samples: Optional[np.ndarray] = None  # hit points (coarse pass)
-    residuals: Optional[np.ndarray] = None
     note: str = ""
+    rule: str = ""  # curve (k' = k - 1) | finite_F (k' >= k)
+    degree: int = 0  # degree bound of the polynomial the rule rests on
+    margin: float = 0.0
+    roots: np.ndarray = field(default_factory=lambda: np.empty(0))
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    sigma_C_lower_bound: float = 0.0  # of sigma_(k-1)(C_lam) on [0, 1]
 
 
-def _cluster_hits(points: np.ndarray, spacing: float, geometry: LocusGeometry,
-                  tol: float) -> list[GCluster]:
-    """Group hits lying within a few lattice spacings of each other."""
-    from scipy.spatial import cKDTree
+def scan_G(geometry: LocusGeometry, obs: ObservabilityReport,
+           tol: float = 1e-9) -> GScanReport:
+    """Decide exactly whether G is discrete, for dim K <= 3 and N = {0}.
 
-    if len(points) == 0:
-        return []
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(2.5 * spacing)
-    parent = list(range(len(points)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(len(points)):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for idx in groups.values():
-        pts = points[idx]
-        centroid = pts.mean(axis=0)
-        radius = np.linalg.norm(pts - centroid, axis=1).max() if len(pts) else 0.0
-        diameter = 2.0 * float(radius)
-        # local PCA: count spreads that exceed a few lattice spacings
-        dim = 0
-        if len(pts) >= 3:
-            s = np.linalg.svd(pts - centroid, compute_uv=False)
-            stds = s / np.sqrt(len(pts))
-            cutoff = max(2.0 * spacing, 0.1 * (stds[0] if stds.size else 0.0))
-            dim = int(np.sum(stds > cutoff))
-        touches = any(
-            in_N(geometry.blocks, p, max(tol, 1e-6)) for p in pts[:16]
-        )
-        clusters.append(GCluster(pts, centroid, diameter, dim, touches))
-    return clusters
-
-
-def _scan_once(geometry: LocusGeometry, resolution: int, tol: float):
-    pts, spacing = sphere_samples(geometry.k, resolution)
-    # residual tolerance tied to the lattice: catches samples near G, not
-    # only exactly on it
-    scan_tol = max(tol, spacing)
-    hits, resids = [], []
-    for x in pts:
-        member, resid, _ = in_G(geometry.blocks, x, scan_tol)
-        if member:
-            hits.append(x)
-            resids.append(resid)
-    hits = np.array(hits).reshape(-1, geometry.k)
-    clusters = _cluster_hits(hits, spacing, geometry, tol)
-    return hits, np.array(resids), spacing, clusters, len(pts)
-
-
-def scan_G(
-    geometry: LocusGeometry, resolution: int = 64, tol: float = 1e-9
-) -> GScanReport:
-    """Sample the unit sphere, locate G, and decide its discreteness.
-
-    Certified verdicts require k <= 3; for larger k the scan is not run and
-    the verdict is inconclusive (sphere sampling cannot ground a GUAS
-    certificate there, so samples could not change the verdict).
+    With sigma_(k-1)(C_lam) > obs.cert_threshold proved on [0, 1], ker C_lam
+    is at most a line.  k' >= k: it is nonzero only at roots of det(C^T C),
+    of degree 2k, so F ∩ S is finite once sigma_k(C_lam) clearly is not 0.
+    k' = k - 1: F ∩ S is the curve ± n/||n||, n = kernel_vector(C_lam), on
+    which the tangency residual is a polynomial g(lam) of degree 2k - 1; G
+    is finite once g clearly is not 0 (as in_G scales it), else a curve.
     """
-    k = geometry.k
-    if k == 0:
-        return GScanReport("discrete", note="empty state space")
-    if k > 3:
-        return GScanReport(
-            "inconclusive",
-            note=f"k = {k} > 3: sphere sampling cannot certify discreteness",
-        )
-
-    hits, resids, spacing, clusters, n = _scan_once(geometry, resolution, tol)
-    hits2, _, spacing2, clusters2, n2 = _scan_once(
-        geometry, 2 * resolution, tol
-    )
-
-    report = GScanReport(
-        "inconclusive", clusters, clusters2, spacing, spacing2,
-        n + n2, len(hits) + len(hits2), hits, resids,
-    )
-    if any(c.touches_N for c in clusters + clusters2):
-        report.note = "a cluster touches N; weak tangency there is untested"
-
-    if not clusters and not clusters2:
-        report.verdict = "discrete"
+    k, blocks, threshold = geometry.k, geometry.blocks, CERT_FACTOR * tol
+    if k <= 1:
+        return GScanReport("discrete", note="F ∩ S has at most two points")
+    if k > 3 or geometry.N_basis.shape[1]:
+        why = f"k = {k} > 3" if k > 3 else "N = ker C0 ∩ ker C1 is nontrivial"
+        return GScanReport("inconclusive", note=why + ": discreteness of G undecided")
+    run = sigma_C_bisection(blocks, k - 1, obs)
+    report = GScanReport("inconclusive", run.n_evals, sigma_C_lower_bound=run.bound)
+    if run.verdict != "certified":
+        report.note = "ker C_lambda may be a plane (sigma_(k-1) not proved > 0)"
         return report
-    point_like = all(c.diameter <= 4.0 * spacing2 for c in clusters2)
-    if point_like and len(clusters2) <= max(1, 4 * len(clusters)):
-        report.verdict = "discrete"
+    report.n_samples += len(NODES)
+    C = blocks.C(NODES[:, None, None])
+    if geometry.k_prime >= k:
+        sigma = float(np.linalg.svd(C, compute_uv=False)[:, k - 1].max())
+        c = float(max(np.linalg.norm(blocks.C0, 2), np.linalg.norm(blocks.C1, 2)))
+        report.rule, report.degree, report.margin = "finite_F", 2 * k, sigma / (1 + c)
+        report.verdict = "discrete" if report.margin > threshold else "inconclusive"
         return report
-    for c2 in clusters2:
-        if c2.diameter <= 8.0 * spacing2 or c2.dimension_estimate < 1:
-            continue
-        # find a matching coarse cluster that did not shrink
-        for c in clusters:
-            near = np.linalg.norm(c.centroid - c2.centroid) <= (
-                c.diameter + c2.diameter + 4.0 * spacing
-            )
-            if near and c.diameter > 8.0 * spacing and c2.diameter > 0.6 * c.diameter:
-                report.verdict = "not_discrete"
-                return report
+    n = kernel_vector(C)
+    n_sq = np.sum(n * n, axis=-1)
+    g, scale = _g_expression(blocks, n / np.sqrt(n_sq)[:, None], NODES)
+    report.rule, report.degree = "curve", 2 * k - 1
+    report.margin = float(np.max(np.linalg.norm(g, axis=-1) / scale, initial=0.0))
+    if report.margin <= threshold:
+        report.verdict, report.note = "not_discrete", "g vanishes along F ∩ S"
+        return report
+    # roots locate G for the certificate only (k' = 2: g has one component);
+    # a rounding-level top coefficient is trimmed, its spurious root spoils all
+    fit = Polynomial.fit(NODES, n_sq * g[:, 0], report.degree)
+    r = fit.trim(1e-12 * np.abs(fit.coef).max()).roots()
+    r = r.real[(np.abs(r.imag) <= 1e-6) & (np.abs(r.real - 0.5) <= 0.5 + 1e-9)]
+    report.verdict, report.roots = "discrete", np.clip(np.sort(r), 0.0, 1.0)
+    x = kernel_vector(blocks.C(report.roots[:, None, None]))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    report.points, report.n_hits = np.concatenate([x, -x]), 2 * len(x)
     return report
 
 

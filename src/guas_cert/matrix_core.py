@@ -159,14 +159,15 @@ def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
     B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.
     """
     require_finite(pair)
-    P = _check_spd(pair.lyapunov_or_identity() if P is None else np.asarray(P, float))
-    v0, v1 = check_weak_lyapunov(pair, P)
+    P = pair.lyapunov_or_identity() if P is None else np.asarray(P, float)
+    v0, v1 = check_weak_lyapunov(pair, P)  # validates P as well
     if not (v0.holds and v1.holds):
         bad = [i for i, v in enumerate((v0, v1)) if not v.holds]
         raise NoCommonWeakLyapunov(
             f"B_i^T P + P B_i has positive eigenvalue for i in {bad} "
             f"(max eigenvalues {v0.max_eigenvalue:.3e}, {v1.max_eigenvalue:.3e})"
         )
+    P = 0.5 * (P + P.T)
     w, U = np.linalg.eigh(P)
     sqrt_P = (U * np.sqrt(w)) @ U.T
     inv_sqrt_P = (U / np.sqrt(w)) @ U.T

@@ -59,6 +59,7 @@ class Bisection:
     bound: float  # proved lower bound of the function on [0, 1]
     value: float  # smallest computed value
     lambda_star: float  # where the smallest computed value was found
+    n_evals: int  # lambdas at which sigma was evaluated
 
 
 def weyl_bisection(
@@ -86,6 +87,7 @@ def weyl_bisection(
     """
     budget = len(grid) - 1
     new_lams, new_vals = grid, sigma(grid) if values is None else values
+    n_evals = len(grid) if values is None else 0
     lo, hi, s_lo, s_hi = grid[:-1], grid[1:], new_vals[:-1], new_vals[1:]
     value, lam_star, settled, certifying = np.inf, 0.0, np.inf, True
     while True:
@@ -95,7 +97,7 @@ def weyl_bisection(
             value, lam_star = float(new_vals[i]), float(new_lams[i])
         lower = min(settled, float(bound.min()))
         if value < floor:
-            return Bisection("refuted", lower, value, lam_star)
+            return Bisection("refuted", lower, value, lam_star, n_evals)
         split = bound <= threshold
         certifying = certifying and value > threshold and split.sum() <= budget
         if not certifying:
@@ -105,12 +107,13 @@ def weyl_bisection(
         settled = min(settled, float(bound[~split].min(initial=np.inf)))
         if not np.any(split):
             verdict = "certified" if certifying else "inconclusive"
-            return Bisection(verdict, lower, value, lam_star)
+            return Bisection(verdict, lower, value, lam_star, n_evals)
         lo, hi, s_lo, s_hi = lo[split], hi[split], s_lo[split], s_hi[split]
         mid = 0.5 * (lo + hi)
         if np.any((mid <= lo) | (mid >= hi)):
-            return Bisection("inconclusive", lower, value, lam_star)
+            return Bisection("inconclusive", lower, value, lam_star, n_evals)
         new_lams, new_vals = mid, sigma(mid)
+        n_evals += len(mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         s_lo = np.concatenate([s_lo, new_vals])
         s_hi = np.concatenate([new_vals, s_hi])
@@ -128,6 +131,24 @@ class ObservabilityReport:
     witness: Optional[np.ndarray] = None  # orthonormal unobservable basis
     cert_threshold: float = 0.0
     tol: float = 0.0
+
+
+def sigma_C_bisection(
+    blocks: BlockFamily, j: int, obs: ObservabilityReport
+) -> Bisection:
+    """Prove sigma_j(C_lam) > obs.cert_threshold on all of [0, 1].
+
+    Every singular value of C_lam moves at most ||C1 - C0||_2 per unit of
+    lam (Weyl), so ``weyl_bisection`` runs from the sweep's grid with that
+    constant; a computed value below the threshold ends it as refuted.
+    """
+    return weyl_bisection(
+        lambda lams: np.linalg.svd(
+            blocks.C(lams[:, None, None]), compute_uv=False
+        )[:, j - 1],
+        np.linalg.norm(blocks.C1 - blocks.C0, 2),
+        obs.grid, obs.cert_threshold, obs.cert_threshold,
+    )
 
 
 def sweep_lambda(

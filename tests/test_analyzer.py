@@ -98,8 +98,7 @@ class TestBranches:
         A = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
         pair = MatrixPair(assemble(A, np.eye(3), -np.eye(3)),
                           assemble(A, np.diag([-0.7391, 1.0, 1.0]), -np.eye(3)))
-        v = analyze(pair, options=AnalyzerOptions(with_evidence=False,
-                                                  scan_resolution=16))
+        v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
         assert v.conclusion == "GUAS_G_discrete"
         assert v.margins["C_injectivity_margin"] < v.margins["observability_margin"]
         assert v.margins["C_injectivity_margin"] < 1e-9

@@ -14,9 +14,9 @@ from guas_cert import (
     sweep_lambda,
     wedge,
 )
-from guas_cert.bad_locus import in_F_dual, in_N, sphere_samples
+from guas_cert.bad_locus import in_F_dual, in_N
 from guas_cert.decomposition import BlockFamily
-from guas_cert.errors import InNullSpace, NotInF, UnsupportedDimension
+from guas_cert.errors import InNullSpace, NotInF
 from guas_cert.gallery import kdeux, torus
 
 from conftest import skew
@@ -170,34 +170,70 @@ class TestInG:
         assert not ok
 
 
-class TestSphereSamples:
-    def test_k1_is_two_points(self):
-        pts, spacing = sphere_samples(1, 16)
-        assert sorted(pts.ravel().tolist()) == [-1.0, 1.0]
+def frozen_k3_blocks():
+    w = np.array([0.6953031944582878, -1.344214547285082,
+                  -0.45761576104021817])
+    A = np.array([[0.0, -w[2], w[1]],
+                  [w[2], 0.0, -w[0]],
+                  [-w[1], w[0], 0.0]])
+    C0 = np.array([
+        [-1.901222739800844, -1.289537739784976, -1.8417350377917323],
+        [-0.23509113107468127, -1.2674464814437032, 0.2712643588217015],
+    ])
+    C1 = np.array([
+        [0.15675108662422516, -0.18693094462995438, -2.516759710820513],
+        [-0.5386928958466366, -0.04850094540107198, 0.11330898600330756],
+    ])
+    return BlockFamily(A0=A, A1=A, C0=C0, C1=C1,
+                       D0=-np.eye(2), D1=-2.0 * np.eye(2),
+                       k=3, k_prime=2, frame=np.eye(5))
 
-    def test_unit_norm(self):
-        for k in (2, 3):
-            pts, spacing = sphere_samples(k, 16)
-            np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-            assert spacing > 0
 
-    def test_spacing_shrinks_with_resolution(self):
-        _, s1 = sphere_samples(3, 16)
-        _, s2 = sphere_samples(3, 32)
-        assert s2 < s1
+def k3_blocks(A0, A1, C0, C1):
+    kp = C0.shape[0]
+    return BlockFamily(A0=A0, A1=A1, C0=C0, C1=C1, D0=-np.eye(kp),
+                       D1=-np.eye(kp), k=3, k_prime=kp, frame=np.eye(3 + kp))
 
-    def test_rejects_high_dimension(self):
-        with pytest.raises(UnsupportedDimension):
-            sphere_samples(4, 8)
+
+def scan(blocks):
+    return scan_G(locus_geometry(blocks), sweep_lambda(blocks))
+
+
+def no_drift():
+    """A0 = A1 = 0: the tangency residual vanishes on the whole curve."""
+    rng = np.random.default_rng(3)
+    Z = np.zeros((3, 3))
+    return k3_blocks(Z, Z, rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
+
+
+def rank_drop():
+    """The second row of C_lam vanishes at lam = 1/1.7391, off the grid:
+    ker C_lam is a plane there, while N = {0}."""
+    rng = np.random.default_rng(5)
+    C0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    C1 = np.array([[0.0, 0.0, 1.0], [0.0, -0.7391, 0.0]])
+    return k3_blocks(skew(rng, 3), skew(rng, 3), C0, C1)
+
+
+def nontrivial_N():
+    """k' = 1: e3 lies in ker C0 ∩ ker C1."""
+    rng = np.random.default_rng(7)
+    return k3_blocks(skew(rng, 3), skew(rng, 3),
+                     np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
+
+
+def off_grid_k3():
+    """k' = k = 3: C_lam is singular only at lam = 1/1.7391."""
+    w = (0.3, -1.1, 0.8)
+    A = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return k3_blocks(A, A, np.eye(3), np.diag([-0.7391, 1.0, 1.0]))
 
 
 class TestScanG:
     def test_equal_rates_kdeux_not_discrete(self):
         """Equal rotation rates leave whole arcs of tangency."""
-        geo = locus_geometry(kdeux_blocks(1.0, 1.0))
-        report = scan_G(geo, resolution=64)
+        report = scan(kdeux_blocks(1.0, 1.0))
         assert report.verdict == "not_discrete"
-        assert report.n_hits > 50
 
     def test_shared_output_cone_empty(self):
         blocks = BlockFamily(
@@ -205,38 +241,44 @@ class TestScanG:
             C0=np.eye(2), C1=np.eye(2) * 2.0,  # positively proportional outputs
             D0=-np.eye(2), D1=-np.eye(2), k=2, k_prime=2, frame=np.eye(4),
         )
-        report = scan_G(locus_geometry(blocks), resolution=32)
+        report = scan(blocks)
         assert report.verdict == "discrete"
         assert report.n_hits == 0
 
     def test_frozen_k3_discrete_instance(self):
-        """Regression: a 3-dimensional kernel whose tangency set is a finite
-        point set (certified by the two-resolution refinement test)."""
-        w = np.array([0.6953031944582878, -1.344214547285082,
-                      -0.45761576104021817])
-        A = np.array([[0.0, -w[2], w[1]],
-                      [w[2], 0.0, -w[0]],
-                      [-w[1], w[0], 0.0]])
-        C0 = np.array([
-            [-1.901222739800844, -1.289537739784976, -1.8417350377917323],
-            [-0.23509113107468127, -1.2674464814437032, 0.2712643588217015],
-        ])
-        C1 = np.array([
-            [0.15675108662422516, -0.18693094462995438, -2.516759710820513],
-            [-0.5386928958466366, -0.04850094540107198, 0.11330898600330756],
-        ])
-        blocks = BlockFamily(A0=A, A1=A, C0=C0, C1=C1,
-                             D0=-np.eye(2), D1=-2.0 * np.eye(2),
-                             k=3, k_prime=2, frame=np.eye(5))
-        report = scan_G(locus_geometry(blocks), resolution=64)
+        """Regression: a 3-dimensional kernel whose tangency set is the two
+        points ± n(lam) at the one root of the residual polynomial."""
+        blocks = frozen_k3_blocks()
+        report = scan(blocks)
         assert report.verdict == "discrete"
-        assert report.n_hits > 0
+        assert report.rule == "curve" and report.degree == 5
+        assert len(report.roots) == 1
+        assert report.roots[0] == pytest.approx(0.8107, abs=1e-3)
+        assert report.n_hits == len(report.points) == 2
+        for x in report.points:
+            member, residual, lam = in_G(blocks, x)
+            # A0 = A1, so g has degree 4 < 5: the root stays accurate to
+            # rounding only if the fit's rounding-level top term is dropped
+            assert member and residual < 1e-12
+            assert lam == pytest.approx(report.roots[0], abs=1e-9)
+
+    @pytest.mark.parametrize("make, verdict", [
+        (no_drift, "not_discrete"),
+        (rank_drop, "inconclusive"),
+        (nontrivial_N, "inconclusive"),
+        (off_grid_k3, "discrete"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_decision_rules(self, make, verdict):
+        report = scan(make())
+        assert report.verdict == verdict
+        if make is off_grid_k3:
+            assert report.rule == "finite_F"
 
     def test_torus_scan_does_not_crash_near_cone_boundary(self):
         npair = normalize(torus())
         blocks = block_form(npair, common_kernel(npair))
-        report = scan_G(locus_geometry(blocks), resolution=48)
-        # k = 4 > 3: no sample could ground a verdict, so none is taken
+        report = scan_G(locus_geometry(blocks), sweep_lambda(blocks))
+        # k = 4 > 3: no decision is taken
         assert report.verdict == "inconclusive"
         assert report.n_samples == 0
 

@@ -86,6 +86,22 @@ class TestNormalize:
         np.testing.assert_allclose(npair.B0n, pair.B0)
         np.testing.assert_allclose(npair.B1n, pair.B1)
 
+    @pytest.mark.parametrize("given_P", [False, True])
+    def test_P_validated_once(self, monkeypatch, given_P):
+        import guas_cert.matrix_core as matrix_core
+
+        pair = mason()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = matrix_core._check_spd
+        monkeypatch.setattr(matrix_core, "_check_spd", counted)
+        normalize(pair, pair.P if given_P else None)
+        assert len(calls) == 1
+
     def test_mason_kernels_become_transverse(self):
         npair = normalize(mason())
         stacked = np.vstack([npair.S0, npair.S1])

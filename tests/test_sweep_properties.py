@@ -1,18 +1,26 @@
-"""Property suite for the certified lambda sweep on random k <= 3 families.
+"""Property suites for the certified lambda sweep and the G decision.
 
 Every observable_for_all_lambda report must hold between its evaluation
 points, and every fails_at witness must be (numerically) unobservable.
 The families include C1 = -c C0, whose output vanishes at lam* = 1/(1 + c),
-and families built to be unobservable at a random lam* off the grid.
+and families built to be unobservable at a random lam* off the grid.  On
+random k = 3, k' = 2 families, the points of G that scan_G reports must
+pass in_G, and in_G along the curve F ∩ S must find no other point of G.
 """
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from guas_cert import kalman_matrix, sweep_lambda  # noqa: E402
+from guas_cert import (  # noqa: E402
+    in_G,
+    kalman_matrix,
+    locus_geometry,
+    scan_G,
+    sweep_lambda,
+)
 from guas_cert.decomposition import BlockFamily  # noqa: E402
 
 from conftest import skew  # noqa: E402
@@ -65,3 +73,27 @@ def test_sweep_verdicts_hold(kind, k, k_prime, seed, lam_star):
         O = kalman_matrix(blocks.C(report.lambda_star), blocks.A(report.lambda_star))
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(O @ x) <= report.tol
+
+
+#: in_G tolerance of the curve oracle.  A wider band also admits near
+#: misses (a complex root pair close to the real axis, a root just outside
+#: [0, 1]) far from every point of G.
+ORACLE_TOL = 1e-4
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scan_finds_every_tangency_point(seed):
+    blocks = family("random", 3, 2, seed, 0.5)
+    report = scan_G(locus_geometry(blocks), sweep_lambda(blocks))
+    if report.verdict != "discrete":
+        return
+    assert len(report.roots) <= report.degree
+    for x in report.points:
+        assert in_G(blocks, x, 1e-6)[0]
+    lams = np.linspace(0.0, 1.0, 401)
+    C = blocks.C(lams[:, None, None])
+    n = np.cross(C[:, 0], C[:, 1])  # spans ker C_lam
+    for lam, x in zip(lams, n / np.linalg.norm(n, axis=1, keepdims=True)):
+        if in_G(blocks, x, ORACLE_TOL)[0]:
+            assert np.min(np.abs(report.roots - lam), initial=np.inf) <= 1e-2
