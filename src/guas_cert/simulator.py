@@ -6,6 +6,12 @@ use classical RK4 with the feedback evaluated and frozen at each step start.
 Every full-system run is checked post hoc against the norm-nonincrease
 consequence of the weak Lyapunov bound, every reduced-system run against
 norm conservation (the drift is skew-symmetric).
+
+The greedy adversary comes in two forms.  ``worst_case_switching`` steps
+one state and keeps every state of the run.  ``worst_case_runs`` steps
+many runs as one (m, d) array and keeps only O(m d) numbers: each run's
+current state, its initial, window-start and final norms and its largest
+one-step norm increase.  Both are heuristic evidence, never a certificate.
 """
 
 from __future__ import annotations
@@ -140,12 +146,22 @@ def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.nda
     return lam
 
 
-def _check_full_norms(norms: np.ndarray, bound: float) -> None:
-    inc = np.diff(norms)
-    worst = float(inc.max(initial=0.0))
-    if worst > bound:
+def _exact_step_bound(initial_norm, n_steps: int):
+    """Allowed one-step norm increase of an expm-stepped run (rounding only)."""
+    return 1e-12 * (1.0 + initial_norm) * max(1.0, np.sqrt(n_steps))
+
+
+def _check_full_norms(worst_increase, bound) -> None:
+    """Raise StepTooLarge if a run's largest one-step norm increase exceeds
+    its bound; both arguments are scalars or per-run arrays."""
+    worst_increase, bound = np.broadcast_arrays(worst_increase, bound)
+    over = np.flatnonzero(worst_increase > bound)
+    if over.size:
+        i = over[0]
+        run = f" in run {i}" if worst_increase.ndim else ""
         raise StepTooLarge(
-            f"norm increased by {worst:.3e} > bound {bound:.3e}; shrink dt"
+            f"norm increased by {worst_increase.flat[i]:.3e}{run} > bound "
+            f"{bound.flat[i]:.3e}; shrink dt"
         )
 
 
@@ -202,8 +218,9 @@ def integrate(
     outputs = None
     if reduced and system.k_prime:
         lam_full = np.append(lam_used, lam_used[-1])
-        outputs = np.array(
-            [system.C(l) @ s for l, s in zip(lam_full, states)]
+        lam_col = lam_full[:, None]
+        outputs = (1.0 - lam_col) * (states @ system.C0.T) + lam_col * (
+            states @ system.C1.T
         )
 
     Bnorm = max(
@@ -212,7 +229,7 @@ def integrate(
         1e-30,
     )
     if exact_stepping:
-        bound = 1e-12 * (1.0 + norms[0]) * max(1.0, np.sqrt(n_steps))
+        bound = _exact_step_bound(norms[0], n_steps)
     else:
         # conservative RK4 local-error allowance, surfaced in meta
         bound = 10.0 * dt ** 4 * Bnorm ** 5 * T * max(norms[0], 1.0) + 1e-12
@@ -226,12 +243,17 @@ def integrate(
                 f"reduced-system norm drift {drift:.3e} exceeds bound; shrink dt"
             )
     else:
-        _check_full_norms(norms, bound)
+        _check_full_norms(np.diff(norms).max(initial=0.0), bound)
     return Trajectory(times, states, norms, outputs, lam_used, meta)
 
 
+#: Relative tolerance under which the greedy adversary treats its two
+#: quadratic forms as tied, and keeps its previous input.
+TIE_TOL = 1e-12
+
+
 def worst_case_switching(
-    pair: NormalizedPair, x0, T: float, dt: float, tie_tol: float = 1e-12
+    pair: NormalizedPair, x0, T: float, dt: float, tie_tol: float = TIE_TOL
 ) -> Trajectory:
     """Greedy adversarial switching: pick u maximizing the norm derivative.
 
@@ -258,11 +280,62 @@ def worst_case_switching(
         states[j + 1] = x
     norms = np.linalg.norm(states, axis=1)
     times = np.arange(n_steps + 1) * dt
-    bound = 1e-12 * (1.0 + norms[0]) * max(1.0, np.sqrt(n_steps))
-    _check_full_norms(norms, bound)
+    _check_full_norms(np.diff(norms).max(initial=0.0),
+                      _exact_step_bound(norms[0], n_steps))
     return Trajectory(
         times, states, norms, None, u_used, {"adversary": "greedy"}
     )
+
+
+def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
+    """The greedy rule of ``worst_case_switching`` from every row of
+    ``starts`` at once, as one (m, d) array of states.
+
+    Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  One
+    product x @ [S0 S1 I E0^T E1^T] per step gives both quadratic forms,
+    the squared norms and both candidate next states.  No per-step data is
+    kept: returns the arrays (initial, window_start, final) of each run's
+    norm at t = 0, at the first step of the last quarter of [0, T] (the
+    tail ``estimate_omega_limit`` reads with window T / 4) and at T.  Each
+    run's largest one-step norm increase is checked against a bound from
+    its own initial norm.  Heuristic evidence only, never a certificate.
+    """
+    x = np.array(starts, float, ndmin=2)
+    m, d = x.shape
+    if d != pair.d:
+        raise BadSignalSpec(f"x0 has length {d}, system dimension is {pair.d}")
+    n_steps = max(1, int(round(T / dt)))
+    times = np.arange(n_steps + 1) * dt
+    window_step = int(np.argmax(times >= times[-1] - T / 4.0))
+    E0, E1 = expm(pair.B0n * dt), expm(pair.B1n * dt)
+    W = np.hstack([pair.S0.T, pair.S1.T, np.eye(d), E0.T, E1.T])
+    Y = np.empty((m, 5 * d))
+    forms = Y[:, : 3 * d].reshape(m, 3, d)
+    rows = Y.reshape(5 * m, d)
+    after_u0 = 5 * np.arange(m) + 3  # row of E_0 x for each run
+    u = np.zeros(m, np.intp)
+    initial = np.linalg.norm(x, axis=1)
+    worst = np.zeros(m)
+    window_start = prev = None
+    for j in range(n_steps):
+        np.matmul(x, W, out=Y)
+        q0, q1, sq_norms = np.einsum("ikd,id->ki", forms, x)
+        diff = q0 - q1
+        strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
+        np.copyto(u, diff < 0.0, where=strict)
+        x = rows.take(after_u0 + u, axis=0)
+        norms = np.sqrt(sq_norms)  # before step j
+        if j == window_step:
+            window_start = norms
+        if j:
+            np.maximum(worst, norms - prev, out=worst)
+        prev = norms
+    final = np.linalg.norm(x, axis=1)
+    np.maximum(worst, final - prev, out=worst)
+    _check_full_norms(worst, _exact_step_bound(initial, n_steps))
+    if window_start is None:
+        window_start = final
+    return initial, window_start, final
 
 
 @dataclass
@@ -345,9 +418,15 @@ def estimate_omega_limit(
         raise ValueError("trajectory must last at least two windows")
     r = float(traj.norms[-1])
     tail = traj.norms[traj.times >= traj.T - window]
-    decrease = float(tail[0] - r)
-    collapsed = r <= 1e-12 * (1.0 + traj.norms[0])
-    return r, bool(collapsed or decrease <= tol_plateau * max(r, 1e-300))
+    return r, bool(plateau_rule(traj.norms[0], tail[0], r, tol_plateau))
+
+
+def plateau_rule(initial, window_start, final, tol_plateau: float = 1e-3):
+    """The plateau test, elementwise over runs: the norm fell by at most
+    tol_plateau * final over the last window, or collapsed to zero."""
+    decrease = window_start - final
+    collapsed = final <= 1e-12 * (1.0 + initial)
+    return collapsed | (decrease <= tol_plateau * np.maximum(final, 1e-300))
 
 
 def output_measure(traj: Trajectory, tol: float = 1e-9) -> float:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import guas_cert.simulator as simulator
 from guas_cert import (
+    MatrixPair,
+    NormalizedPair,
     SwitchingSignal,
     bad_feedback_trajectory,
     block_form,
     common_kernel,
+    empirical_evidence,
     estimate_omega_limit,
     integrate,
     locus_geometry,
@@ -13,8 +18,11 @@ from guas_cert import (
     output_measure,
     worst_case_switching,
 )
-from guas_cert.errors import BadSignalSpec, NoOutputs
-from guas_cert.gallery import kdeux, mason, torus
+from guas_cert.errors import BadSignalSpec, NoOutputs, StepTooLarge
+from guas_cert.gallery import assemble, kdeux, mason, torus
+from guas_cert.simulator import worst_case_runs
+
+from conftest import stable_block
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +93,14 @@ class TestIntegrate:
                          T=100.0, dt=1e-3)
         assert np.max(np.abs(traj.norms - 1.0)) < 1e-8
         assert traj.outputs is not None and traj.outputs.shape[1] == 1
+
+    def test_reduced_outputs_match_per_step_form(self, kdeux_reduced):
+        blocks, _ = kdeux_reduced
+        sig = SwitchingSignal.relaxed([(0.4, 0.2), (0.6, 0.9)])
+        traj = integrate(blocks, sig, [0.6, -0.8], T=1.0, dt=1e-2)
+        lam = np.append(traj.applied_lambda, traj.applied_lambda[-1])
+        per_step = np.array([blocks.C(l) @ s for l, s in zip(lam, traj.states)])
+        np.testing.assert_allclose(traj.outputs, per_step, rtol=0, atol=1e-14)
 
     def test_reduced_feedback_rk4_accuracy(self, kdeux_reduced):
         blocks, _ = kdeux_reduced
@@ -161,6 +177,100 @@ class TestWorstCase:
         traj = worst_case_switching(npair, x0, T=100.0, dt=1e-2)
         assert traj.final_ratio() < 1e-1
         assert np.all(np.diff(traj.norms) <= 1e-10)
+
+
+def switching_pair() -> MatrixPair:
+    """k = 2, k' = 3 pair with distinct random dissipative blocks D0, D1, so
+    the greedy input changes often, in a random orthonormal frame."""
+    rng = np.random.default_rng(2)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    a0, a1 = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+    C0, C1 = rng.standard_normal((2, 3, 2))
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    B0 = assemble(a0 * J, C0, stable_block(rng, 3))
+    B1 = assemble(a1 * J, C1, stable_block(rng, 3))
+    return MatrixPair(Q.T @ B0 @ Q, Q.T @ B1 @ Q)
+
+
+def invariant_plane_pair() -> MatrixPair:
+    """Both modes rotate a plane that no output sees: every run plateaus."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    zero = [[0.0, 0.0]]
+    return MatrixPair(assemble(J, zero, [[-1.0]]), assemble(2.0 * J, zero, [[-2.0]]))
+
+
+class TestWorstCaseRuns:
+    T, DT, N_RANDOM, SEED = 10.0, 1e-2, 6, 3
+
+    @pytest.mark.parametrize(
+        "pair, min_switches, min_non_decaying",
+        [(torus(2), 0, 0), (mason(), 0, 0), (switching_pair(), 100, 0),
+         (invariant_plane_pair(), 0, 1)],
+        ids=["torus", "mason", "switching", "invariant_plane"],
+    )
+    def test_matches_per_start_runs(self, pair, min_switches, min_non_decaying):
+        npair = normalize(pair)
+        K_basis = common_kernel(npair).K_basis
+        ev = empirical_evidence(npair, self.N_RANDOM, self.T, self.DT,
+                                self.SEED, K_basis)
+
+        rng = np.random.default_rng(self.SEED)
+        starts = rng.standard_normal((self.N_RANDOM, npair.d))
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        if K_basis.size:
+            starts = np.vstack([starts, K_basis.T])
+        ratios, plateaued, non_decaying, switches = [], [], 0, 0
+        for x0 in starts:
+            traj = worst_case_switching(npair, x0, self.T, self.DT)
+            r, p = estimate_omega_limit(traj, window=self.T / 4.0)
+            ratios.append(traj.final_ratio())
+            plateaued.append(p)
+            non_decaying += p and r > 1e-6 * traj.norms[0]
+            switches += np.count_nonzero(np.diff(traj.applied_lambda))
+
+        assert ev.n_runs == len(starts)
+        np.testing.assert_allclose(ev.final_ratios, ratios, rtol=0, atol=1e-12)
+        assert ev.plateaued == plateaued
+        assert ev.non_decaying_runs == non_decaying >= min_non_decaying
+        assert switches >= min_switches
+
+    @pytest.mark.parametrize("T, dt, tie_tol", [
+        (1.0, 0.1, 1e-12), (0.99, 0.03, 1e-12), (2.0, 5e-3, 1e-12), (10.0, 1e-2, 1e-3),
+    ])
+    def test_norms_match_full_trajectories(self, monkeypatch, T, dt, tie_tol):
+        npair = normalize(switching_pair())
+        starts = np.vstack([[0.6, -0.8, 0.0, 0.0, 0.0],
+                            np.random.default_rng(0).standard_normal((3, npair.d))])
+        monkeypatch.setattr(simulator, "TIE_TOL", tie_tol)
+        initial, window_start, final = worst_case_runs(npair, starts, T, dt)
+        for i, x0 in enumerate(starts):
+            traj = worst_case_switching(npair, x0, T, dt, tie_tol)
+            tail = traj.norms[traj.times >= traj.T - T / 4.0]
+            assert initial[i] == traj.norms[0]
+            assert window_start[i] == pytest.approx(tail[0], rel=1e-13)
+            assert final[i] == pytest.approx(traj.norms[-1], rel=1e-13)
+        if tie_tol > 1e-6:  # the loose tolerance makes ties that keep u
+            loose, strict = (worst_case_switching(npair, starts[0], T, dt, tol)
+                             for tol in (tie_tol, 1e-12))
+            assert np.count_nonzero(loose.applied_lambda != strict.applied_lambda) >= 100
+
+    def test_norm_check_uses_each_runs_own_bound(self, monkeypatch):
+        # a rotation plane, on which the norm is conserved, and a decaying axis
+        B = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        npair = NormalizedPair(B, B.copy())
+        starts = np.array([[0.0, 0.0, 1e6], [1.0, 0.0, 0.0]])
+        T, dt = 0.1, 1e-2
+        worst_case_runs(npair, starts, T, dt)
+
+        # inflate every step by 1e-9: only the run on the rotation plane,
+        # started at norm 1, grows; a bound pooled from the largest start
+        # (1e-12 * 1e6 * sqrt(10) ~ 3e-6) would let it pass
+        monkeypatch.setattr(simulator, "expm", lambda M: expm(M) * (1.0 + 1e-9))
+        worst_case_runs(npair, starts[:1], T, dt)
+        with pytest.raises(StepTooLarge, match="in run 1"):
+            worst_case_runs(npair, starts, T, dt)
+        with pytest.raises(StepTooLarge, match="in run 1"):  # the last step counts
+            worst_case_runs(npair, starts, dt, dt)
 
 
 class TestBadFeedback:
