@@ -8,12 +8,15 @@ the drift A_lam x is (weakly) tangent to F; discreteness of G certifies
 uniform observability.  scan_G decides discreteness by algebra on the
 curve F ∩ S, whose points are kernel vectors of C_lam: the tangency
 residual along it is a polynomial in lam, so a few values prove whether it
-vanishes identically.  in_F, in_F_dual and in_G are pointwise oracles.
+vanishes identically.  The oracles in_F, in_F_dual, in_N, in_G and
+lambda_of read one classification of C0 x, C1 x over points x (..., k).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -40,7 +43,8 @@ def wedge(u, v) -> np.ndarray:
     v = np.asarray(v, float)
     if u.shape != v.shape:
         raise DimensionMismatch(f"wedge operands {u.shape} vs {v.shape}")
-    i, j = np.triu_indices(u.shape[-1], 1)
+    m = np.arange(u.shape[-1])
+    i, j = np.nonzero(m[:, None] < m)  # np.triu_indices(m, 1), at a fifth of its cost
     return u[..., i] * v[..., j] - u[..., j] * v[..., i]
 
 
@@ -62,37 +66,79 @@ def locus_geometry(blocks: BlockFamily, tol: float = 1e-9) -> LocusGeometry:
     return LocusGeometry(blocks, N, blocks.k, blocks.k_prime)
 
 
-def _outputs(blocks: BlockFamily, x):
-    x = np.asarray(x, float).ravel()
-    return blocks.C0 @ x, blocks.C1 @ x
+_dot = partial(np.einsum, "...i,...i->...")  # <u, v> over the last axis
+_norm = partial(np.linalg.norm, axis=-1)
 
 
-def _colinear_opposed(u, v, tol: float) -> bool:
-    """||u ∧ v|| and <u, v> both at most tol * (1 + ||u|| ||v||)."""
-    scale = tol * (1.0 + np.linalg.norm(u) * np.linalg.norm(v))
-    return bool(np.linalg.norm(wedge(u, v)) <= scale and float(u @ v) <= scale)
+def _colinear_opposed(u, v, nu, nv, tol: float):
+    """||u ∧ v|| and <u, v> both at most tol * (1 + ||u|| ||v||), over the
+    last axis; nu and nv are the norms of u and v."""
+    scale = tol * (1.0 + nu * nv)
+    return (_norm(wedge(u, v)) <= scale) & (_dot(u, v) <= scale)
 
 
-def in_F(blocks: BlockFamily, x, tol: float = 1e-9) -> bool:
-    """Membership in the cone F: C0 x, C1 x colinear and opposed.
+#: C0 x, C1 x, their norms and the tests read off them over the leading axes
+#: of x: F and N as in_F, in_N report them, lam the killing lambda on F \ N
+#: (NaN where lambda_of raises), raw and resid what its last two checks test.
+_Locus = namedtuple("_Locus", "c0 c1 n0 n1 F N raw resid lam")
+
+
+def _locus(blocks: BlockFamily, x, tol: float) -> _Locus:
+    """Classify x of shape (..., k); the einsum contractions give a row the
+    same bits alone as inside a batch."""
+    x = np.asarray(x, float)
+    c0 = np.einsum("...j,ij->...i", x, blocks.C0)
+    c1 = np.einsum("...j,ij->...i", x, blocks.C1)
+    n0, n1 = _norm(c0), _norm(c1)
+    F = _colinear_opposed(c0, c1, n0, n1, tol)
+    N = n0 + n1 <= tol * (1.0 + _norm(x))
+    diff = c0 - c1
+    with np.errstate(invalid="ignore"):  # 0 / 0 where C0 x = C1 x, off F \ N
+        raw = _dot(diff, c0) / _dot(diff, diff)
+    lam = np.minimum(np.maximum(raw, 0.0), 1.0)
+    resid = _norm((1.0 - lam)[..., None] * c0 + lam[..., None] * c1)
+    ok = F & ~N & (-tol <= raw) & (raw <= 1.0 + tol) & (resid <= tol * (1.0 + n0 + n1))
+    return _Locus(c0, c1, n0, n1, F, N, raw, resid, np.where(ok, lam, np.nan))
+
+
+def _killing_lambda(loc: _Locus, tol: float) -> float:
+    """lambda_of for one classified point: its lam, or the failure behind NaN."""
+    if not loc.F:
+        raise NotInF("lambda_of requires x in the cone F")
+    if loc.N:
+        raise InNullSpace("x in ker C0 ∩ ker C1: lambda is not unique")
+    if not -tol <= loc.raw <= 1.0 + tol:
+        raise NotInF(f"computed lambda {float(loc.raw)} outside [0, 1]")
+    if np.isnan(loc.lam):
+        raise NotInF(f"postcondition failed: ||C_lam x|| = {float(loc.resid):.3e}")
+    return float(loc.lam)
+
+
+def _scalar(a):
+    """A result over no leading axes as a Python scalar; arrays pass through."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
+def in_F(blocks: BlockFamily, x, tol: float = 1e-9):
+    """Membership in the cone F of each x (..., k): C0 x, C1 x colinear and
+    opposed; a bool for a 1-D x, else a bool array over the leading axes.
 
     Tested as ||C0 x ∧ C1 x|| small (relative) together with
     <C0 x, C1 x> <= tol; see in_F_dual for the equivalent one-liner.
     """
-    return _colinear_opposed(*_outputs(blocks, x), tol)
+    return _scalar(_locus(blocks, x, tol).F)
 
 
-def in_F_dual(blocks: BlockFamily, x, tol: float = 1e-9) -> bool:
+def in_F_dual(blocks: BlockFamily, x, tol: float = 1e-9):
     """Equivalent characterization: <C0 x, C1 x> + ||C0 x|| ||C1 x|| = 0."""
-    c0, c1 = _outputs(blocks, x)
-    n0, n1 = np.linalg.norm(c0), np.linalg.norm(c1)
-    return bool(float(c0 @ c1) + n0 * n1 <= tol * (1.0 + n0 * n1))
+    c0, c1, n0, n1 = _locus(blocks, x, tol)[:4]
+    return _scalar(_dot(c0, c1) + n0 * n1 <= tol * (1.0 + n0 * n1))
 
 
-def in_N(blocks: BlockFamily, x, tol: float = 1e-9) -> bool:
-    c0, c1 = _outputs(blocks, x)
-    scale = 1.0 + float(np.linalg.norm(np.asarray(x, float)))
-    return bool(np.linalg.norm(c0) + np.linalg.norm(c1) <= tol * scale)
+def in_N(blocks: BlockFamily, x, tol: float = 1e-9):
+    """Membership in N = ker C0 ∩ ker C1 of each x (..., k), shaped as in_F:
+    ||C0 x|| + ||C1 x|| at most tol * (1 + ||x||)."""
+    return _scalar(_locus(blocks, x, tol).N)
 
 
 def lambda_of(blocks: BlockFamily, x, tol: float = 1e-9) -> float:
@@ -101,20 +147,7 @@ def lambda_of(blocks: BlockFamily, x, tol: float = 1e-9) -> float:
     lam(x) = <C0 x - C1 x, C0 x> / ||C0 x - C1 x||^2.  The result is
     postcondition-checked (||C_lam x|| small) and clamped to [0, 1].
     """
-    if not in_F(blocks, x, tol):
-        raise NotInF("lambda_of requires x in the cone F")
-    if in_N(blocks, x, tol):
-        raise InNullSpace("x in ker C0 ∩ ker C1: lambda is not unique")
-    c0, c1 = _outputs(blocks, x)
-    diff = c0 - c1
-    lam = float(diff @ c0) / float(diff @ diff)
-    if not -tol <= lam <= 1.0 + tol:
-        raise NotInF(f"computed lambda {lam} outside [0, 1]")
-    lam = min(max(lam, 0.0), 1.0)
-    resid = np.linalg.norm(blocks.C(lam) @ np.asarray(x, float).ravel())
-    if resid > tol * (1.0 + np.linalg.norm(c0) + np.linalg.norm(c1)):
-        raise NotInF(f"postcondition failed: ||C_lam x|| = {resid:.3e}")
-    return lam
+    return _killing_lambda(_locus(blocks, np.asarray(x, float).ravel(), tol), tol)
 
 
 def _g_expression(blocks: BlockFamily, x, lam):
@@ -130,38 +163,41 @@ def _g_expression(blocks: BlockFamily, x, lam):
     Ax = (1.0 - lam) * (x @ blocks.A0.T) + lam * (x @ blocks.A1.T)
     c0, c1 = x @ blocks.C0.T, x @ blocks.C1.T
     a0, a1 = Ax @ blocks.C0.T, Ax @ blocks.C1.T
-    norm = lambda v: np.linalg.norm(v, axis=-1)  # noqa: E731
-    scale = 1.0 + norm(a0) * norm(c1) + norm(c0) * norm(a1)
+    scale = 1.0 + _norm(a0) * _norm(c1) + _norm(c0) * _norm(a1)
     return wedge(a0, c1) + wedge(c0, a1), scale
 
 
 def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
-    """Membership in the tangency set G for a unit vector x.
+    """Membership in the tangency set G for unit vectors x (..., k).
 
     Returns (member, residual, lam_used).  For x in F \\ N the residual is
     evaluated at the unique lambda_of(x).  For x in N the expression is
     affine in lambda, and existence of a zero on [0, 1] reduces to the same
-    colinear-and-opposed test applied to its endpoint values.
+    colinear-and-opposed test applied to its endpoint values.  A 1-D x gives
+    (bool, float, float | None); a batch gives arrays over the leading axes,
+    with NaN for None.
     """
-    if not in_F(blocks, x, tol):
-        return False, np.nan, None
-    if in_N(blocks, x, tol):
-        (w0, w1), _ = _g_expression(blocks, x, [0.0, 1.0])
-        n0, n1 = np.linalg.norm(w0), np.linalg.norm(w1)
-        if not _colinear_opposed(w0, w1, tol):
-            return False, float(min(n0, n1)), None
-        lam = n0 / (n0 + n1) if n0 + n1 > 0 else 0.0
-        resid = float(np.linalg.norm((1.0 - lam) * w0 + lam * w1))
-        return resid <= tol * (1.0 + n0 + n1), resid, float(lam)
-    try:
-        lam = lambda_of(blocks, x, tol)
-    except NotInF:
-        # a loose tolerance admits near-boundary points whose killing
-        # lambda falls outside [0, 1]; those are not in F_0
-        return False, np.nan, None
-    w, scale = _g_expression(blocks, x, lam)
-    resid = float(np.linalg.norm(w))
-    return bool(resid <= tol * scale), resid, lam
+    x = np.asarray(x, float)
+    loc = _locus(blocks, x, tol)
+    # NaN off F \ N and where a loose tol admits a point whose killing lambda
+    # leaves [0, 1]; with k' = 1 the wedge is empty and its norm would read 0
+    w, scale = _g_expression(blocks, x, loc.lam)
+    resid, lam = np.where(np.isnan(loc.lam), np.nan, _norm(w)), loc.lam
+    member = resid <= tol * scale
+    on_N = loc.F & loc.N
+    if np.any(on_N):
+        w, _ = _g_expression(blocks, x[..., None, :], [0.0, 1.0])
+        w0, w1 = w[..., 0, :], w[..., 1, :]
+        n0, n1 = _norm(w0), _norm(w1)
+        opposed = on_N & _colinear_opposed(w0, w1, n0, n1, tol)
+        t = n0 / np.where(n0 + n1 > 0, n0 + n1, 1.0)
+        r = _norm((1.0 - t)[..., None] * w0 + t[..., None] * w1)
+        member = np.where(on_N, opposed & (r <= tol * (1.0 + n0 + n1)), member)
+        resid = np.where(opposed, r, np.where(on_N, np.minimum(n0, n1), resid))
+        lam = np.where(opposed, t, lam)
+    if x.ndim == 1:
+        return bool(member), float(resid), None if np.isnan(lam) else float(lam)
+    return member, resid, lam
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import gallery
 from .analyzer import AnalyzerOptions, Verdict, analyze
-from .bad_locus import locus_geometry
 from .decomposition import block_form, common_kernel
 from .errors import (
     BadSignalSpec,
@@ -169,8 +168,7 @@ def cmd_simulate(args) -> int:
                 f"badlocus takes x0 in the coordinates of K: "
                 f"length {blocks.k}, got {len(x0)}"
             )
-        geometry = locus_geometry(blocks)
-        run = bad_feedback_trajectory(blocks, geometry, x0, T, dt)
+        run = bad_feedback_trajectory(blocks, x0, T, dt)
         traj = run.trajectory
         if run.exit_time is not None:
             print(f"exited F at t = {run.exit_time:.6g}")

@@ -45,10 +45,6 @@ class NotInF(GuasCertError):
     """Point is not in the vanishing-output cone."""
 
 
-class UnsupportedDimension(GuasCertError):
-    """Sphere scan cannot certify in this dimension."""
-
-
 class DimensionTooLarge(GuasCertError):
     """Classification only applies to small kernel dimensions."""
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .bad_locus import LocusGeometry, in_F, in_N, lambda_of
+from .bad_locus import _killing_lambda, _locus, in_F
 from .decomposition import BlockFamily
 from .errors import BadSignalSpec, NoOutputs, NotInF, StepTooLarge
 from .matrix_core import NormalizedPair
@@ -349,7 +349,6 @@ class BadFeedbackRun:
 
 def bad_feedback_trajectory(
     blocks: BlockFamily,
-    geometry: LocusGeometry,
     x0,
     T: float,
     dt: float,
@@ -372,21 +371,21 @@ def bad_feedback_trajectory(
     prev_lam = None
     hold_tol = tol * (1.0 + np.linalg.norm(x0))
     for j in range(n_steps):
-        if in_N(blocks, x, tol):
+        loc = _locus(blocks, x, tol)
+        if loc.N:
             status = "reached_N"
             break
-        if not in_F(blocks, x, tol):
+        if not loc.F:
             exit_time = j * dt
             status = "exited_F"
             break
-        c0, c1 = blocks.C0 @ x, blocks.C1 @ x
-        if np.linalg.norm(c0 - c1) <= hold_tol and prev_lam is not None:
+        if np.linalg.norm(loc.c0 - loc.c1) <= hold_tol and prev_lam is not None:
             lam = prev_lam  # Eq-singular neighborhood: hold the last value
         else:
-            lam = lambda_of(blocks, x, tol)
+            lam = _killing_lambda(loc, tol)
         prev_lam = lam
         lam_used.append(lam)
-        outputs.append(blocks.C(lam) @ x)
+        outputs.append((1.0 - lam) * loc.c0 + lam * loc.c1)
         x = expm(blocks.A(lam) * dt) @ x
         states.append(x.copy())
     states = np.array(states)

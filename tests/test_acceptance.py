@@ -23,10 +23,9 @@ from guas_cert import (
     check_weak_lyapunov,
     common_kernel,
     in_F,
+    in_G,
     integrate,
     kalman_matrix,
-    lambda_of,
-    locus_geometry,
     normalize,
     output_measure,
     pair_observable,
@@ -185,6 +184,7 @@ def test_criterion_5_bad_locus(capsys):
         instances = [kdeux_blocks(1.0, 1.0), kdeux_blocks(2.0, -3.0), big]
         for blocks in instances:
             kp = blocks.k_prime
+            X = []
             for _ in range(1000):
                 y = rng.standard_normal(kp)
                 y /= np.linalg.norm(y)
@@ -193,18 +193,20 @@ def test_criterion_5_bad_locus(capsys):
                     x = np.linalg.solve(M, np.concatenate([y, -s * y]))
                 else:
                     x = np.array([y[0], -s * y[0]])
-                x /= np.linalg.norm(x)
-                lam = lambda_of(blocks, x)
-                assert 0.0 <= lam <= 1.0
-                assert np.linalg.norm(blocks.C(lam) @ x) < 1e-9
+                X.append(x / np.linalg.norm(x))
+            X = np.array(X)
+            # in_G's lam is lambda_of(x), NaN where lambda_of raises
+            lam = in_G(blocks, X)[2]
+            assert np.all((0.0 <= lam) & (lam <= 1.0))
+            outputs = blocks.C(lam[:, None, None]) @ X[:, :, None]
+            assert np.linalg.norm(outputs[:, :, 0], axis=1).max() < 1e-9
 
         disagreements = 0
         for blocks in instances:
             X = rng.standard_normal((4000, blocks.k))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            for x in X:
-                if in_F(blocks, x, tol=1e-9) != in_F_dual(blocks, x, tol=1e-9):
-                    disagreements += 1
+            disagreements += np.count_nonzero(
+                in_F(blocks, X, tol=1e-9) != in_F_dual(blocks, X, tol=1e-9))
         assert disagreements == 0
 
 
@@ -231,9 +233,8 @@ def test_criterion_6_simulator(capsys):
                          [0.6, -0.8], T=100.0, dt=1e-3)
         assert np.max(np.abs(traj.norms - traj.norms[0])) < 1e-8
 
-        geo = locus_geometry(blocks)
         x0 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        run = bad_feedback_trajectory(blocks, geo, x0, T=50.0, dt=1e-4)
+        run = bad_feedback_trajectory(blocks, x0, T=50.0, dt=1e-4)
         assert run.status == "exited_F"
         assert run.exit_time is not None and np.isfinite(run.exit_time)
         assert output_measure(run.trajectory, tol=1e-6) == 0.0

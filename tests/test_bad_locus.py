@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from guas_cert import (
     sweep_lambda,
     wedge,
 )
-from guas_cert.bad_locus import in_F_dual, in_N
+from guas_cert.bad_locus import in_F_dual, in_N, kernel_vector
 from guas_cert.decomposition import BlockFamily
 from guas_cert.errors import InNullSpace, NotInF
 from guas_cert.gallery import kdeux, torus
@@ -95,8 +97,7 @@ class TestConeMembership:
                        shared_C_blocks()):
             X = rng.standard_normal((10_000, blocks.k))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            for x in X:
-                assert in_F(blocks, x) == in_F_dual(blocks, x)
+            np.testing.assert_array_equal(in_F(blocks, X), in_F_dual(blocks, X))
 
 
 class TestLambdaOf:
@@ -110,15 +111,19 @@ class TestLambdaOf:
             )
 
     def test_kills_combined_output(self):
+        # in_G reports lambda_of(x) as its lam on F \ N (TestBatch checks
+        # the two agree), so one batched call covers the 1000 points
         rng = np.random.default_rng(77)
         blocks = kdeux_blocks(3.0, -1.0)
+        X = []
         for _ in range(1000):
             x = np.array([rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)])
-            if rng.random() < 0.5:
-                x = -x
-            lam = lambda_of(blocks, x)
-            assert 0.0 <= lam <= 1.0
-            assert np.linalg.norm(blocks.C(lam) @ x) < 1e-9
+            X.append(-x if rng.random() < 0.5 else x)
+        X = np.array(X)
+        lam = in_G(blocks, X)[2]
+        assert np.all((0.0 <= lam) & (lam <= 1.0))
+        outputs = blocks.C(lam[:, None, None]) @ X[:, :, None]
+        assert np.linalg.norm(outputs[:, :, 0], axis=1).max() < 1e-9
 
     def test_rejects_points_outside_cone(self):
         blocks = kdeux_blocks(1.0, 1.0)
@@ -166,8 +171,78 @@ class TestInG:
 
     def test_point_outside_cone_is_not_in_G(self):
         blocks = kdeux_blocks(1.0, 1.0)
-        ok, _, _ = in_G(blocks, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert not ok
+        ok, residual, lam = in_G(blocks, np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert not ok and np.isnan(residual) and lam is None
+
+
+def unit(X):
+    X = np.asarray(X, float)
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+def mixed_batches():
+    """(blocks, points, tol) batches mixing points of N, points outside F,
+    F \\ N points whose computed lambda leaves [0, 1] at a loose tol, the
+    kdeux tangency ray and generic cone points."""
+    rng = np.random.default_rng(31)
+    shared = shared_C_blocks()
+    near_e3 = unit([[0.05, 0.0, 1.0], [0.0, -0.05, 1.0], [0.03, 0.04, -1.0]])
+    mixed = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], near_e3,
+                       unit(rng.standard_normal((5, 3)))])
+    # C1 = C0 / 50: the computed lam = 50 / 49 misses [0, 1] by more than the
+    # loose tol while C_1 x stays small, so only lambda_of's range check
+    # rejects the near-e3 points (for C1 = C0, lam is 0 / 0)
+    scaled = replace(shared, C1=0.02 * shared.C0)
+    kdeux = kdeux_blocks(1.0, 1.0)
+    ray = unit([[1.0, -1.0], [-1.0, 1.0]])
+    cone = unit(rng.uniform(0.1, 2.0, (6, 2)) * [1.0, -1.0])
+    off_cone = unit(rng.uniform(0.1, 2.0, (4, 2)))
+    frozen = frozen_k3_blocks()
+    n = kernel_vector(frozen.C(np.linspace(0.0, 1.0, 7)[:, None, None]))
+    return [
+        (shared, mixed, 1e-9), (shared, mixed, 1e-2), (scaled, mixed, 1e-2),
+        (kdeux, np.vstack([ray, cone, -cone, off_cone]), 1e-9),
+        (frozen, np.vstack([unit(n), unit(rng.standard_normal((4, 3)))]), 1e-9),
+    ]
+
+
+class TestBatch:
+    def test_rows_match_single_points(self):
+        kinds = set()
+        for blocks, X, tol in mixed_batches():
+            oracles = (in_F, in_N, in_F_dual)
+            F, N, dual = (oracle(blocks, X, tol) for oracle in oracles)
+            member, residual, lam = in_G(blocks, X, tol)
+            for i, x in enumerate(X):
+                assert (F[i], N[i], dual[i]) == tuple(
+                    oracle(blocks, x, tol) for oracle in oracles)
+                m, r, l = in_G(blocks, x, tol)
+                assert member[i] == m
+                np.testing.assert_allclose(residual[i], r, rtol=1e-12, atol=1e-15)
+                assert np.isnan(lam[i]) == (l is None)
+                if l is not None:
+                    assert lam[i] == pytest.approx(l, rel=1e-12, abs=1e-15)
+                if F[i] and not N[i]:
+                    # the batched lam is lambda_of's answer, NaN where it raises
+                    if l is None:
+                        with pytest.raises(NotInF):
+                            lambda_of(blocks, x, tol)
+                        kinds.add("lambda rejected")
+                    else:
+                        assert lambda_of(blocks, x, tol) == lam[i]
+                        kinds.add("tangent" if m else "cone")
+                else:
+                    kinds.add("N" if N[i] else "outside F")
+        assert kinds == {"N", "outside F", "lambda rejected", "tangent", "cone"}
+
+    def test_batch_axes_are_kept(self):
+        X = unit(np.random.default_rng(2).standard_normal((2, 3, 2)))
+        blocks = kdeux_blocks(1.0, 1.0)
+        assert in_F(blocks, X).shape == in_N(blocks, X).shape == (2, 3)
+        assert all(a.shape == (2, 3) for a in in_G(blocks, X))
+        flat = in_G(blocks, X.reshape(6, 2))
+        for a, b in zip(in_G(blocks, X), flat):
+            np.testing.assert_array_equal(a.reshape(6), b)
 
 
 def frozen_k3_blocks():

@@ -22,7 +22,6 @@ from guas_cert.errors import (
     NonFiniteInput,
     NotHurwitz,
     StructureViolation,
-    UnsupportedDimension,
 )
 from guas_cert.gallery import kdeux, mason
 
@@ -136,7 +135,6 @@ class TestExitCodes:
         (NonFiniteInput("B0"), EXIT_IO),
         (StructureViolation("C"), EXIT_INTERNAL),
         (InternalInconsistency("run"), EXIT_INTERNAL),
-        (UnsupportedDimension("k"), EXIT_INTERNAL),
         (np.linalg.LinAlgError("svd"), EXIT_INTERNAL),
         (RuntimeError("bug"), EXIT_INTERNAL),
     ])

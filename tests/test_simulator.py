@@ -13,7 +13,6 @@ from guas_cert import (
     empirical_evidence,
     estimate_omega_limit,
     integrate,
-    locus_geometry,
     normalize,
     output_measure,
     worst_case_switching,
@@ -33,9 +32,7 @@ def mason_pair():
 @pytest.fixture(scope="module")
 def kdeux_reduced():
     npair = normalize(kdeux(1.0, 1.0))
-    decomp = common_kernel(npair)
-    blocks = block_form(npair, decomp)
-    return blocks, locus_geometry(blocks)
+    return block_form(npair, common_kernel(npair))
 
 
 class TestSwitchingSignal:
@@ -87,7 +84,7 @@ class TestIntegrate:
         assert np.linalg.norm(tb.states[-1] - tr.states[-1]) > 1e-3
 
     def test_reduced_constant_lambda_conserves_norm(self, kdeux_reduced):
-        blocks, _ = kdeux_reduced
+        blocks = kdeux_reduced
         x0 = np.array([0.6, -0.8])
         traj = integrate(blocks, SwitchingSignal.relaxed([(100.0, 0.3)]), x0,
                          T=100.0, dt=1e-3)
@@ -95,7 +92,7 @@ class TestIntegrate:
         assert traj.outputs is not None and traj.outputs.shape[1] == 1
 
     def test_reduced_outputs_match_per_step_form(self, kdeux_reduced):
-        blocks, _ = kdeux_reduced
+        blocks = kdeux_reduced
         sig = SwitchingSignal.relaxed([(0.4, 0.2), (0.6, 0.9)])
         traj = integrate(blocks, sig, [0.6, -0.8], T=1.0, dt=1e-2)
         lam = np.append(traj.applied_lambda, traj.applied_lambda[-1])
@@ -103,7 +100,7 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.outputs, per_step, rtol=0, atol=1e-14)
 
     def test_reduced_feedback_rk4_accuracy(self, kdeux_reduced):
-        blocks, _ = kdeux_reduced
+        blocks = kdeux_reduced
         x0 = np.array([1.0, 0.0])
         # constant feedback must agree with the exact expm run
         tf = integrate(blocks, SwitchingSignal.feedback(lambda x: 0.3), x0,
@@ -137,7 +134,7 @@ class TestCsv:
         np.testing.assert_allclose(data[:, 1:3], traj.states, rtol=1e-15)
 
     def test_reduced_header_includes_outputs(self, kdeux_reduced, tmp_path):
-        blocks, _ = kdeux_reduced
+        blocks = kdeux_reduced
         traj = integrate(blocks, SwitchingSignal.relaxed([(1.0, 0.5)]),
                          [1.0, 0.0], T=1.0, dt=0.1)
         path = tmp_path / "reduced.csv"
@@ -275,26 +272,26 @@ class TestWorstCaseRuns:
 
 class TestBadFeedback:
     def test_kdeux_exits_cone_in_quarter_turn(self, kdeux_reduced):
-        blocks, geo = kdeux_reduced
+        blocks = kdeux_reduced
         # start mid-cone: the rigid rotation reaches the boundary after an
         # eighth of a turn
         x0 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        run = bad_feedback_trajectory(blocks, geo, x0, T=10.0, dt=1e-4)
+        run = bad_feedback_trajectory(blocks, x0, T=10.0, dt=1e-4)
         assert run.status == "exited_F"
         assert run.exit_time == pytest.approx(np.pi / 4.0, abs=1e-3)
         # while inside the cone the chosen lambda silences the output
         assert output_measure(run.trajectory, tol=1e-6) == 0.0
 
     def test_norm_conserved_until_exit(self, kdeux_reduced):
-        blocks, geo = kdeux_reduced
+        blocks = kdeux_reduced
         x0 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        run = bad_feedback_trajectory(blocks, geo, x0, T=10.0, dt=1e-4)
+        run = bad_feedback_trajectory(blocks, x0, T=10.0, dt=1e-4)
         assert np.max(np.abs(run.trajectory.norms - 1.0)) < 1e-6
 
 
 class TestOmegaLimitAndMeasure:
     def test_plateau_detected_on_conserved_run(self, kdeux_reduced):
-        blocks, _ = kdeux_reduced
+        blocks = kdeux_reduced
         traj = integrate(blocks, SwitchingSignal.relaxed([(50.0, 0.5)]),
                          [1.0, 0.0], T=50.0, dt=1e-2)
         r, plateaued = estimate_omega_limit(traj, window=10.0)
@@ -308,7 +305,7 @@ class TestOmegaLimitAndMeasure:
         assert not plateaued or r < 1e-6
 
     def test_output_measure_positive_when_visible(self, kdeux_reduced):
-        blocks, _ = kdeux_reduced
+        blocks = kdeux_reduced
         traj = integrate(blocks, SwitchingSignal.relaxed([(10.0, 0.0)]),
                          [1.0, 0.0], T=10.0, dt=1e-2)
         assert output_measure(traj) > 0.9
