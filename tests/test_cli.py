@@ -18,6 +18,7 @@ from guas_cert.cli import (
 )
 from guas_cert.errors import (
     BadSignalSpec,
+    DimensionTooLarge,
     InternalInconsistency,
     NonFiniteInput,
     NotHurwitz,
@@ -135,6 +136,7 @@ class TestExitCodes:
         (NonFiniteInput("B0"), EXIT_IO),
         (StructureViolation("C"), EXIT_INTERNAL),
         (InternalInconsistency("run"), EXIT_INTERNAL),
+        (DimensionTooLarge("k"), EXIT_INTERNAL),
         (np.linalg.LinAlgError("svd"), EXIT_INTERNAL),
         (RuntimeError("bug"), EXIT_INTERNAL),
     ])
