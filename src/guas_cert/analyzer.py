@@ -195,10 +195,10 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     npair = normalize(pair, P)
     decomp = common_kernel(npair, tol)
-    tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
-    grid_info = {"n_grid": opt.n_grid}
 
     def finish(verdict: Verdict) -> Verdict:
+        verdict.tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
+        verdict.grid = {"n_grid": opt.n_grid}
         want = opt.with_evidence
         if want is None:
             want = verdict.conclusion == "INCONCLUSIVE"
@@ -220,8 +220,6 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             "INCONCLUSIVE",
             "kernel rank ambiguous",
             margins={"rank_margin": decomp.rank_margin},
-            tolerances=tolerances,
-            grid=grid_info,
             notes=(
                 f"singular values of [S0; S1] straddle the threshold "
                 f"(margin {decomp.rank_margin:.2e} < {RANK_MARGIN_FLOOR:.0e}); "
@@ -235,8 +233,6 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             "common kernel K = {0} forces decay for every switching law",
             certificate={"k": 0, "rank_margin": decomp.rank_margin},
             margins={"rank_margin": decomp.rank_margin},
-            tolerances=tolerances,
-            grid=grid_info,
         ))
 
     blocks = block_form(npair, decomp, tol)
@@ -259,8 +255,6 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                 "sigma_min": sweep.margin,
             },
             margins=margins,
-            tolerances=tolerances,
-            grid=grid_info,
         ))
 
     # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz with
@@ -274,8 +268,6 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                 "ker C_lambda = {0} for all lambda: no output can vanish",
                 certificate={"min_sigma_C_lower_bound": run.bound},
                 margins=margins,
-                tolerances=tolerances,
-                grid=grid_info,
             ))
 
     if blocks.k <= 2 and sweep.verdict == "observable_for_all_lambda":
@@ -285,8 +277,6 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             "dim K <= 2 and (C_lambda, A_lambda) observable for every lambda",
             certificate={"k": blocks.k, "case": kp.case},
             margins=margins,
-            tolerances=tolerances,
-            grid=grid_info,
         ))
 
     scan = None
@@ -310,8 +300,6 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                     "n_hits": scan.n_hits,
                 },
                 margins=margins,
-                tolerances=tolerances,
-                grid=grid_info,
             ))
 
     notes = ""
@@ -332,7 +320,5 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             "k": blocks.k,
         },
         margins=margins,
-        tolerances=tolerances,
-        grid=grid_info,
         notes=notes,
     ))

@@ -1,17 +1,19 @@
 """Fixed-step trajectory integration for the switched and reduced systems.
 
-Piecewise-constant signals are integrated by matrix-exponential stepping
-(exact per segment up to the expm accuracy target); state-feedback signals
-use classical RK4 with the feedback evaluated and frozen at each step start.
-Every full-system run is checked post hoc against the norm-nonincrease
-consequence of the weak Lyapunov bound, every reduced-system run against
-norm conservation (the drift is skew-symmetric).
+Every signal steps by the matrix exponential of A_lambda dt, with lambda
+frozen over the step: piecewise-constant signals read lambda from their
+segment table, state-feedback signals evaluate their rule at the step
+start.  Each run is checked post hoc: a full-system run against the
+norm-nonincrease consequence of the weak Lyapunov bound, a reduced-system
+run against norm conservation (the drift is skew-symmetric).  A norm that
+overflows or turns NaN fails the check.
 
-The greedy adversary comes in two forms.  ``worst_case_switching`` steps
-one state and keeps every state of the run.  ``worst_case_runs`` steps
-many runs as one (m, d) array and keeps only O(m d) numbers: each run's
-current state, its initial, window-start and final norms and its largest
-one-step norm increase.  Both are heuristic evidence, never a certificate.
+The greedy adversary comes in two forms.  ``worst_case_switching`` is a
+feedback rule of ``integrate`` and keeps every state of the run.
+``worst_case_runs`` steps many runs as one (m, d) array and keeps only
+O(m d) numbers: each run's current state, its initial, window-start and
+final norms and its largest one-step norm increase.  Both are heuristic
+evidence, never a certificate.
 """
 
 from __future__ import annotations
@@ -117,18 +119,9 @@ class Trajectory:
 
 def _matrix_at(system, lam: float) -> np.ndarray:
     if isinstance(system, NormalizedPair):
-        # direct affine combination; lam may come from a feedback rule and
-        # has already been validated
+        # lam may come from a feedback rule, already clamped to [0, 1]
         return (1.0 - lam) * system.B0n + lam * system.B1n
     return system.A(lam)
-
-
-def _rk4_step(M: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = M @ x
-    k2 = M @ (x + 0.5 * dt * k1)
-    k3 = M @ (x + 0.5 * dt * k2)
-    k4 = M @ (x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.ndarray:
@@ -153,12 +146,15 @@ def _exact_step_bound(initial_norm, n_steps: int):
 
 def _check_full_norms(worst_increase, bound) -> None:
     """Raise StepTooLarge if a run's largest one-step norm increase exceeds
-    its bound; both arguments are scalars or per-run arrays."""
+    its bound or is not finite; both arguments are scalars or per-run
+    arrays."""
     worst_increase, bound = np.broadcast_arrays(worst_increase, bound)
-    over = np.flatnonzero(worst_increase > bound)
+    over = np.flatnonzero(~(worst_increase <= bound))  # NaN fails too
     if over.size:
         i = over[0]
         run = f" in run {i}" if worst_increase.ndim else ""
+        if not np.isfinite(worst_increase.flat[i]):
+            raise StepTooLarge(f"norm is not finite{run}")
         raise StepTooLarge(
             f"norm increased by {worst_increase.flat[i]:.3e}{run} > bound "
             f"{bound.flat[i]:.3e}; shrink dt"
@@ -174,10 +170,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate the full system (NormalizedPair) or the reduced one (BlockFamily).
 
-    Piecewise-constant segments step by cached matrix exponentials; feedback
-    runs use RK4 with lambda frozen at step start.  Outputs C_lam x are
-    recorded for reduced runs.  Raises StepTooLarge when the post-hoc norm
-    check fails.
+    Every step applies expm(A_lambda dt), lambda frozen over the step: the
+    segment value of a piecewise signal, or the rule of a feedback signal
+    evaluated at the step start and clamped to [0, 1].  The exponential is
+    recomputed only when lambda changes.  Outputs C_lam x are recorded for
+    reduced runs.  Raises StepTooLarge when the post-hoc norm check fails,
+    including a norm that overflows or turns NaN.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -190,55 +188,34 @@ def integrate(
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, dim))
     states[0] = x0
-    lam_used = np.empty(n_steps)
 
-    exact_stepping = signal.kind != "feedback"
-    if exact_stepping:
-        lam_used[:] = _segment_lambdas(signal, n_steps, dt)
-        cache: dict[float, np.ndarray] = {}
-        x = x0.copy()
-        for j in range(n_steps):
-            lam = lam_used[j]
-            E = cache.get(lam)
-            if E is None:
-                E = expm(_matrix_at(system, lam) * dt)
-                cache[lam] = E
-            x = E @ x
-            states[j + 1] = x
-    else:
-        x = x0.copy()
-        for j in range(n_steps):
-            lam = float(signal.rule(x))
-            lam = min(max(lam, 0.0), 1.0)
-            lam_used[j] = lam
-            x = _rk4_step(_matrix_at(system, lam), x, dt)
-            states[j + 1] = x
+    feedback = signal.kind == "feedback"
+    lam_used = np.empty(n_steps) if feedback else _segment_lambdas(signal, n_steps, dt)
+    x, lam_E = x0, None  # lam_E: the lambda of the exponential E
+    for j in range(n_steps):
+        if feedback:
+            lam_used[j] = min(max(float(signal.rule(x)), 0.0), 1.0)
+        lam = lam_used[j]
+        if lam != lam_E:  # a NaN lambda never matches, and is recomputed
+            E, lam_E = expm(_matrix_at(system, lam) * dt), lam
+        x = E @ x
+        states[j + 1] = x
 
     norms = np.linalg.norm(states, axis=1)
     outputs = None
     if reduced and system.k_prime:
-        lam_full = np.append(lam_used, lam_used[-1])
-        lam_col = lam_full[:, None]
-        outputs = (1.0 - lam_col) * (states @ system.C0.T) + lam_col * (
-            states @ system.C1.T
-        )
+        lam = np.append(lam_used, lam_used[-1])[:, None]
+        outputs = (1.0 - lam) * (states @ system.C0.T) + lam * (states @ system.C1.T)
 
-    Bnorm = max(
-        np.linalg.norm(_matrix_at(system, 0.0), 2),
-        np.linalg.norm(_matrix_at(system, 1.0), 2),
-        1e-30,
-    )
-    if exact_stepping:
-        bound = _exact_step_bound(norms[0], n_steps)
-    else:
-        # conservative RK4 local-error allowance, surfaced in meta
-        bound = 10.0 * dt ** 4 * Bnorm ** 5 * T * max(norms[0], 1.0) + 1e-12
-    meta = {"norm_increase_bound": bound, "exact_stepping": exact_stepping}
+    bound = _exact_step_bound(norms[0], n_steps)
+    meta = {"norm_increase_bound": bound}
     if reduced:
         # skew drift: the norm is conserved, a fortiori nonincreasing
         drift = float(np.abs(norms - norms[0]).max())
         meta["norm_drift"] = drift
-        if drift > bound + 1e-10 * n_steps * (1.0 + norms[0]):
+        if not drift <= bound + 1e-10 * n_steps * (1.0 + norms[0]):
+            if not np.isfinite(drift):
+                raise StepTooLarge("reduced-system norm is not finite")
             raise StepTooLarge(
                 f"reduced-system norm drift {drift:.3e} exceeds bound; shrink dt"
             )
@@ -261,30 +238,17 @@ def worst_case_switching(
     form x^T (B_u^T + B_u) x is applied; ties keep the previous u to avoid
     chattering artifacts.  Heuristic evidence only, never a certificate.
     """
-    x0 = np.asarray(x0, float).ravel()
-    n_steps = max(1, int(round(T / dt)))
-    E = (expm(pair.B0n * dt), expm(pair.B1n * dt))
-    S = (pair.S0, pair.S1)
-    states = np.empty((n_steps + 1, pair.d))
-    states[0] = x0
-    u_used = np.empty(n_steps)
-    x = x0.copy()
-    u = 0
-    for j in range(n_steps):
-        q0 = float(x @ (S[0] @ x))
-        q1 = float(x @ (S[1] @ x))
+    S0, S1, u = pair.S0, pair.S1, 0
+
+    def greedy(x):
+        nonlocal u
+        q0 = float(x @ (S0 @ x))
+        q1 = float(x @ (S1 @ x))
         if abs(q0 - q1) > tie_tol * (1.0 + abs(q0) + abs(q1)):
             u = 0 if q0 > q1 else 1
-        u_used[j] = u
-        x = E[u] @ x
-        states[j + 1] = x
-    norms = np.linalg.norm(states, axis=1)
-    times = np.arange(n_steps + 1) * dt
-    _check_full_norms(np.diff(norms).max(initial=0.0),
-                      _exact_step_bound(norms[0], n_steps))
-    return Trajectory(
-        times, states, norms, None, u_used, {"adversary": "greedy"}
-    )
+        return u
+
+    return integrate(pair, SwitchingSignal.feedback(greedy), x0, T, dt)
 
 
 def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):

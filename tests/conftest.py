@@ -1,3 +1,11 @@
+import os
+
+# One BLAS/OpenMP thread, as perfbench/run.py runs its workloads: the
+# per-step loops multiply tiny matrices, and with a thread pool their wall
+# time depends on host load.  This must run before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

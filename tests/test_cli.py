@@ -205,6 +205,18 @@ class TestSimulateCommand:
         ])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("signal", ["worst", "binary:1=0,1=1"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_x0_is_io_error(self, mason_file, tmp_path, capsys, signal):
+        # finite entries whose norm overflows: the run's norms are inf or NaN
+        code = main([
+            "simulate", mason_file, "--signal", signal, "--x0", "1e308,1e308",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_IO
+        assert "not finite" in capsys.readouterr().err
+
     def test_bad_signal_spec_is_io_error(self, mason_file, tmp_path):
         code = main([
             "simulate", mason_file, "--signal", "binary:1=7",

@@ -99,15 +99,21 @@ class TestIntegrate:
         per_step = np.array([blocks.C(l) @ s for l, s in zip(lam, traj.states)])
         np.testing.assert_allclose(traj.outputs, per_step, rtol=0, atol=1e-14)
 
-    def test_reduced_feedback_rk4_accuracy(self, kdeux_reduced):
+    def test_reduced_feedback_matches_relaxed_run(self, kdeux_reduced):
         blocks = kdeux_reduced
         x0 = np.array([1.0, 0.0])
-        # constant feedback must agree with the exact expm run
+        # a constant feedback steps by the same exponential as the segment
         tf = integrate(blocks, SwitchingSignal.feedback(lambda x: 0.3), x0,
                        T=5.0, dt=1e-3)
         te = integrate(blocks, SwitchingSignal.relaxed([(5.0, 0.3)]), x0,
                        T=5.0, dt=1e-3)
-        assert np.linalg.norm(tf.states[-1] - te.states[-1]) < 1e-9
+        np.testing.assert_array_equal(tf.states, te.states)
+
+    def test_nan_feedback_rule_raises(self, mason_pair, kdeux_reduced):
+        nan_rule = SwitchingSignal.feedback(lambda x: np.nan)
+        for system in (mason_pair, kdeux_reduced):
+            with pytest.raises(StepTooLarge, match="not finite"):
+                integrate(system, nan_rule, [1.0, 0.0], T=1.0, dt=1e-2)
 
     def test_signal_shorter_than_horizon_extends_last_value(self, mason_pair):
         x0 = np.array([1.0, 1.0])
@@ -194,6 +200,26 @@ def invariant_plane_pair() -> MatrixPair:
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     zero = [[0.0, 0.0]]
     return MatrixPair(assemble(J, zero, [[-1.0]]), assemble(2.0 * J, zero, [[-2.0]]))
+
+
+class TestGreedyReplay:
+    @pytest.mark.parametrize("pair", [mason(), switching_pair()],
+                             ids=["mason", "switching"])
+    @pytest.mark.parametrize("T, dt", [(5.0, 1e-2), (2.0, 5e-3)])
+    def test_replay_as_binary_segments(self, pair, T, dt):
+        """The greedy run is a feedback signal of integrate: its own inputs,
+        replayed as piecewise segments, give bitwise the same states."""
+        npair = normalize(pair)
+        x0 = np.random.default_rng(0).standard_normal(npair.d)
+        greedy = worst_case_switching(npair, x0, T, dt)
+        u = greedy.applied_lambda
+        first = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+        lengths = np.diff(np.r_[first, len(u)])
+        segments = [(n * dt, int(u[i])) for i, n in zip(first, lengths)]
+        replay = integrate(npair, SwitchingSignal.binary(segments), x0, T, dt)
+        np.testing.assert_array_equal(replay.applied_lambda, u)
+        np.testing.assert_array_equal(replay.states, greedy.states)
+        np.testing.assert_array_equal(replay.norms, greedy.norms)
 
 
 class TestWorstCaseRuns:
