@@ -117,13 +117,6 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _matrix_at(system, lam: float) -> np.ndarray:
-    if isinstance(system, NormalizedPair):
-        # lam may come from a feedback rule, already clamped to [0, 1]
-        return (1.0 - lam) * system.B0n + lam * system.B1n
-    return system.A(lam)
-
-
 def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.ndarray:
     """Per-step lambda values with segment boundaries snapped to the grid."""
     lam = np.empty(n_steps)
@@ -172,10 +165,10 @@ def integrate(
 
     Every step applies expm(A_lambda dt), lambda frozen over the step: the
     segment value of a piecewise signal, or the rule of a feedback signal
-    evaluated at the step start and clamped to [0, 1].  The exponential is
-    recomputed only when lambda changes.  Outputs C_lam x are recorded for
-    reduced runs.  Raises StepTooLarge when the post-hoc norm check fails,
-    including a norm that overflows or turns NaN.
+    evaluated at the step start and clamped to [0, 1].  Exponentials are
+    cached by lambda, so a binary or greedy run computes at most two.
+    Outputs C_lam x are recorded for reduced runs.  Raises StepTooLarge
+    when the post-hoc norm check fails; a non-finite norm fails it.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -189,15 +182,22 @@ def integrate(
     states = np.empty((n_steps + 1, dim))
     states[0] = x0
 
+    # A_lam with no range check, so that a NaN lambda reaches the norm check
+    A0, A1 = (system.A0, system.A1) if reduced else (system.B0n, system.B1n)
     feedback = signal.kind == "feedback"
     lam_used = np.empty(n_steps) if feedback else _segment_lambdas(signal, n_steps, dt)
-    x, lam_E = x0, None  # lam_E: the lambda of the exponential E
+    x, cache = x0, {}
     for j in range(n_steps):
-        if feedback:
-            lam_used[j] = min(max(float(signal.rule(x)), 0.0), 1.0)
-        lam = lam_used[j]
-        if lam != lam_E:  # a NaN lambda never matches, and is recomputed
-            E, lam_E = expm(_matrix_at(system, lam) * dt), lam
+        if feedback:  # clamp to [0, 1], keeping a NaN
+            lam = float(signal.rule(x))
+            lam_used[j] = lam = 0.0 if lam < 0.0 else 1.0 if lam > 1.0 else lam
+        else:
+            lam = lam_used[j]
+        E = cache.get(lam)
+        if E is None:
+            if len(cache) == 64:  # bounds a rule with ever-new lambdas
+                cache.clear()
+            E = cache[lam] = expm(((1.0 - lam) * A0 + lam * A1) * dt)
         x = E @ x
         states[j + 1] = x
 

@@ -109,6 +109,19 @@ class TestIntegrate:
                        T=5.0, dt=1e-3)
         np.testing.assert_array_equal(tf.states, te.states)
 
+    def test_feedback_with_new_lambda_every_step(self, mason_pair):
+        """More distinct lambdas than integrate caches exponentials for: each
+        step still applies expm(A_lambda dt) of its own lambda."""
+        p, dt = mason_pair, 1e-2
+        rule = SwitchingSignal.feedback(lambda x: x[0] ** 2 / (x @ x))
+        traj = integrate(p, rule, [0.6, 0.8], T=1.0, dt=dt)
+        assert len(set(traj.applied_lambda)) > 64  # the size of the cache
+        x, states = traj.states[0], [traj.states[0]]
+        for lam in traj.applied_lambda:
+            x = expm(((1.0 - lam) * p.B0n + lam * p.B1n) * dt) @ x
+            states.append(x)
+        np.testing.assert_array_equal(traj.states, states)
+
     def test_nan_feedback_rule_raises(self, mason_pair, kdeux_reduced):
         nan_rule = SwitchingSignal.feedback(lambda x: np.nan)
         for system in (mason_pair, kdeux_reduced):
@@ -220,6 +233,13 @@ class TestGreedyReplay:
         np.testing.assert_array_equal(replay.applied_lambda, u)
         np.testing.assert_array_equal(replay.states, greedy.states)
         np.testing.assert_array_equal(replay.norms, greedy.norms)
+        # both runs against products of expm(B_u dt) built outside integrate
+        E = (expm(npair.B0n * dt), expm(npair.B1n * dt))
+        x, states = x0, [x0]
+        for uj in u.astype(int):
+            x = E[uj] @ x
+            states.append(x)
+        np.testing.assert_array_equal(greedy.states, states)
 
 
 class TestWorstCaseRuns:
