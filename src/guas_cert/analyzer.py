@@ -148,7 +148,8 @@ def empirical_evidence(
     """Greedy-adversary runs from random unit starts plus the K directions.
 
     All runs step together as one (n_runs, d) array (``worst_case_runs``),
-    so the stage keeps O(n_runs d) numbers, not the states of every step.
+    in blocks of at most L = 64 steps while no run switches, so the stage
+    keeps O(n_runs L d) numbers, not the states of every step.
     A run is non-decaying when its norm plateaus over the last quarter of
     [0, T] above 1e-6 of its start.  Heuristic evidence, never a certificate.
     """

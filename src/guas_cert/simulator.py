@@ -10,10 +10,11 @@ overflows or turns NaN fails the check.
 
 The greedy adversary comes in two forms.  ``worst_case_switching`` is a
 feedback rule of ``integrate`` and keeps every state of the run.
-``worst_case_runs`` steps many runs as one (m, d) array and keeps only
-O(m d) numbers: each run's current state, its initial, window-start and
-final norms and its largest one-step norm increase.  Both are heuristic
-evidence, never a certificate.
+``worst_case_runs`` steps many runs as one (m, d) array, in blocks of up
+to ``BLOCK_CAP`` steps while no run switches, and keeps O(m BLOCK_CAP d)
+numbers: the states of the current block, and per run its initial,
+window-start and final norms and its largest one-step norm increase.
+Both are heuristic evidence, never a certificate.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ def _check_full_norms(worst_increase, bound) -> None:
         )
 
 
+# overflow and NaN arithmetic in a run is left to the norm check
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     system,
     signal: SwitchingSignal,
@@ -251,18 +254,57 @@ def worst_case_switching(
     return integrate(pair, SwitchingSignal.feedback(greedy), x0, T, dt)
 
 
+#: Shortest and longest block of ``worst_case_runs``, in steps; its block
+#: temporaries hold O(m BLOCK_CAP d) numbers.
+BLOCK_MIN, BLOCK_CAP = 4, 64
+
+
+def _block_products(E0, E1, cap: int) -> dict:
+    """For L = 1, 2, 4, ..., cap the (d (L+1), 2d) matrix R_L that maps the
+    column [x 0] or [0 x], a run's state x in the half of its input u, to
+    the column of x, E_u x, ..., E_u^L x, coordinate-major.  The powers
+    are built by doubling."""
+    d = len(E0)
+    P = np.empty((2, cap + 1, d, d))
+    P[:, 0] = np.eye(d)
+    P[:, 1] = E0, E1
+    n = 1
+    while n < cap:  # E^(n+i) = E^n E^i
+        k = min(n, cap - n)
+        np.matmul(P[:, n, None], P[:, 1 : k + 1], out=P[:, n + 1 : n + k + 1])
+        n += k
+    R = P.transpose(2, 1, 0, 3)  # rows (a, i), columns (u, b)
+    products, L = {}, 1
+    while L <= cap:
+        products[L] = R[:, : L + 1].reshape(d * (L + 1), 2 * d)
+        L *= 2
+    return products
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     """The greedy rule of ``worst_case_switching`` from every row of
     ``starts`` at once, as one (m, d) array of states.
 
-    Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  One
-    product x @ [S0 S1 I E0^T E1^T] per step gives both quadratic forms,
-    the squared norms and both candidate next states.  No per-step data is
-    kept: returns the arrays (initial, window_start, final) of each run's
-    norm at t = 0, at the first step of the last quarter of [0, T] (the
-    tail ``estimate_omega_limit`` reads with window T / 4) and at T.  Each
-    run's largest one-step norm increase is checked against a bound from
-    its own initial norm.  Heuristic evidence only, never a certificate.
+    Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  A
+    single step is one product x @ [S0 S1 I E0^T E1^T], which gives both
+    quadratic forms, the squared norms and both candidate next states.  A
+    block advances every run L steps with its own u by one product with
+    the powers E_u^1..E_u^L, evaluates the greedy rule at the states inside
+    it, and rolls all runs back to the first state at which some run would
+    switch; that state takes a single step.  The switching sequence is the
+    per-step rule's.  L adapts to how often the runs switch: it doubles up
+    to ``BLOCK_CAP`` after a block that no run cut short and halves after
+    one that a run did, and after a cut block the number of single steps
+    before the next one doubles.
+
+    No per-step data is kept beyond the current block, O(m L d) numbers
+    with L at most ``BLOCK_CAP``.  Returns the arrays (initial,
+    window_start, final) of each run's norm at t = 0, at the first step of
+    the last quarter of [0, T] (the tail ``estimate_omega_limit`` reads
+    with window T / 4) and at T.  Each run's largest one-step norm increase
+    is checked against a bound from its own initial norm.  Heuristic
+    evidence only, never a certificate.
     """
     x = np.array(starts, float, ndmin=2)
     m, d = x.shape
@@ -278,22 +320,59 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     rows = Y.reshape(5 * m, d)
     after_u0 = 5 * np.arange(m) + 3  # row of E_0 x for each run
     u = np.zeros(m, np.intp)
+    ST = W[:, : 3 * d].T.copy()  # rows S0, S1, I
+    products = _block_products(E0, E1, min(BLOCK_CAP, n_steps))
+    L, wait, countdown = BLOCK_MIN, 1, 1  # a single step first, so prev is set
     initial = np.linalg.norm(x, axis=1)
     worst = np.zeros(m)
     window_start = prev = None
-    for j in range(n_steps):
-        np.matmul(x, W, out=Y)
-        q0, q1, sq_norms = np.einsum("ikd,id->ki", forms, x)
-        diff = q0 - q1
-        strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
-        np.copyto(u, diff < 0.0, where=strict)
-        x = rows.take(after_u0 + u, axis=0)
-        norms = np.sqrt(sq_norms)  # before step j
-        if j == window_step:
-            window_start = norms
-        if j:
-            np.maximum(worst, norms - prev, out=worst)
-        prev = norms
+    j = 0
+    while j < n_steps:
+        if countdown:  # a single step
+            np.matmul(x, W, out=Y)
+            q0, q1, sq_norms = np.einsum("ikd,id->ki", forms, x)
+            diff = q0 - q1
+            strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
+            np.copyto(u, diff < 0.0, where=strict)
+            x = rows.take(after_u0 + u, axis=0)
+            norms = np.sqrt(sq_norms)  # before step j
+            if j == window_step:
+                window_start = norms
+            if j:
+                np.maximum(worst, norms - prev, out=worst)
+            prev = norms
+            j += 1
+            countdown -= 1
+            continue
+
+        while j + L > n_steps:
+            L //= 2
+        # a block: z[:, i, r] = E_u^i x_r for i = 0..L, the rule at i < L
+        halves = np.where((u == ((0,), (1,)))[:, None], x.T, 0.0)
+        z = (products[L] @ halves.reshape(2 * d, m)).reshape(d, L + 1, m)
+        inner = z[:, :L].reshape(d, L * m)
+        q0, q1, sq_norms = np.einsum(
+            "kan,an->kn", (ST @ inner).reshape(3, d, L * m), inner
+        ).reshape(3, L, m)
+        # u = 0 switches when q1 - q0 passes the tie bound, u = 1 when q0 - q1 does
+        bound = 1.0 + np.abs(q0)
+        bound += np.abs(q1)
+        bound *= TIE_TOL
+        switches = ((q0 - q1) * (2.0 * u - 1.0) > bound).any(axis=1)
+        s = int(np.argmax(switches)) if switches.any() else L
+        if s:  # accept the states j .. j+s-1 and their steps
+            norms = np.sqrt(sq_norms[:s])
+            if j <= window_step < j + s:
+                window_start = norms[window_step - j]
+            increases = np.diff(norms, axis=0, prepend=prev[None])
+            np.maximum(worst, increases.max(axis=0), out=worst)
+            prev = norms[-1]
+            x = z[:, s].T.copy()
+            j += s
+        if s == L:  # the next block follows at once
+            L, wait = min(2 * L, BLOCK_CAP), 1
+        else:
+            L, countdown, wait = max(BLOCK_MIN, L // 2), wait, 2 * wait
     final = np.linalg.norm(x, axis=1)
     np.maximum(worst, final - prev, out=worst)
     _check_full_norms(worst, _exact_step_bound(initial, n_steps))

@@ -206,8 +206,7 @@ class TestSimulateCommand:
         assert code == EXIT_IO
 
     @pytest.mark.parametrize("signal", ["worst", "binary:1=0,1=1"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_x0_is_io_error(self, mason_file, tmp_path, capsys, signal):
         # finite entries whose norm overflows: the run's norms are inf or NaN
         code = main([

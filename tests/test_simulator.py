@@ -215,6 +215,14 @@ def invariant_plane_pair() -> MatrixPair:
     return MatrixPair(assemble(J, zero, [[-1.0]]), assemble(2.0 * J, zero, [[-2.0]]))
 
 
+def slow_rotation_pair() -> NormalizedPair:
+    """A unit-rate rotation that damps x_1 in mode 0 and x_2 in mode 1: the
+    greedy input switches where the state crosses a diagonal, a quarter turn
+    (about 157 steps of 1e-2) apart."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return NormalizedPair(J - np.diag([0.5, 0.0]), J - np.diag([0.0, 0.5]))
+
+
 class TestGreedyReplay:
     @pytest.mark.parametrize("pair", [mason(), switching_pair()],
                              ids=["mason", "switching"])
@@ -277,13 +285,21 @@ class TestWorstCaseRuns:
         assert ev.non_decaying_runs == non_decaying >= min_non_decaying
         assert switches >= min_switches
 
-    @pytest.mark.parametrize("T, dt, tie_tol", [
-        (1.0, 0.1, 1e-12), (0.99, 0.03, 1e-12), (2.0, 5e-3, 1e-12), (10.0, 1e-2, 1e-3),
+    @pytest.mark.parametrize("pair, T, dt, tie_tol, min_loose_changes", [
+        # the never-switching pairs run whole blocks; at T = 0.99, dt = 0.03
+        # the window starts inside one
+        pytest.param(pair, T, dt, tie_tol, changes, id=f"{name}{T}-{dt}-{tie_tol}")
+        for name, pair, changes in (("", switching_pair(), 100), ("torus-", torus(2), 0),
+                                    ("invariant_plane-", invariant_plane_pair(), 0))
+        for T, dt, tie_tol in ((1.0, 0.1, 1e-12), (0.99, 0.03, 1e-12),
+                               (2.0, 5e-3, 1e-12), (10.0, 1e-2, 1e-3))
     ])
-    def test_norms_match_full_trajectories(self, monkeypatch, T, dt, tie_tol):
-        npair = normalize(switching_pair())
-        starts = np.vstack([[0.6, -0.8, 0.0, 0.0, 0.0],
-                            np.random.default_rng(0).standard_normal((3, npair.d))])
+    def test_norms_match_full_trajectories(self, monkeypatch, pair, T, dt, tie_tol,
+                                           min_loose_changes):
+        npair = normalize(pair)
+        first = np.zeros(npair.d)
+        first[:2] = 0.6, -0.8
+        starts = np.vstack([first, np.random.default_rng(0).standard_normal((3, npair.d))])
         monkeypatch.setattr(simulator, "TIE_TOL", tie_tol)
         initial, window_start, final = worst_case_runs(npair, starts, T, dt)
         for i, x0 in enumerate(starts):
@@ -295,7 +311,30 @@ class TestWorstCaseRuns:
         if tie_tol > 1e-6:  # the loose tolerance makes ties that keep u
             loose, strict = (worst_case_switching(npair, starts[0], T, dt, tol)
                              for tol in (tie_tol, 1e-12))
-            assert np.count_nonzero(loose.applied_lambda != strict.applied_lambda) >= 100
+            changed = np.count_nonzero(loose.applied_lambda != strict.applied_lambda)
+            assert changed >= min_loose_changes
+
+    def test_switch_inside_a_block(self):
+        """Runs that keep u for tens of steps and then switch: a block that a
+        switch cuts short is rolled back to it."""
+        npair = slow_rotation_pair()
+        angles = np.linspace(0.1, 3.0, 6)
+        starts = np.column_stack([np.cos(angles), np.sin(angles)])
+        T, dt = 10.0, 1e-2
+        initial, window_start, final = worst_case_runs(npair, starts, T, dt)
+        longest_hold = 0
+        for i, x0 in enumerate(starts):
+            traj = worst_case_switching(npair, x0, T, dt)
+            tail = traj.norms[traj.times >= traj.T - T / 4.0]
+            assert initial[i] == traj.norms[0]
+            assert window_start[i] == pytest.approx(tail[0], rel=1e-13)
+            assert final[i] == pytest.approx(traj.norms[-1], rel=1e-13)
+            assert final[i] / initial[i] == pytest.approx(traj.final_ratio(), rel=0,
+                                                         abs=1e-12)
+            switch_steps = np.flatnonzero(np.diff(traj.applied_lambda)) + 1
+            if switch_steps.size:
+                longest_hold = max(longest_hold, np.diff(switch_steps, prepend=0).max())
+        assert longest_hold >= 8
 
     def test_norm_check_uses_each_runs_own_bound(self, monkeypatch):
         # a rotation plane, on which the norm is conserved, and a decaying axis
@@ -314,6 +353,12 @@ class TestWorstCaseRuns:
             worst_case_runs(npair, starts, T, dt)
         with pytest.raises(StepTooLarge, match="in run 1"):  # the last step counts
             worst_case_runs(npair, starts, dt, dt)
+        # over 200 steps the runs never switch, so most steps lie inside
+        # blocks; the check still sees one step's increase, not a block's
+        T = 2.0
+        worst_case_runs(npair, starts[:1], T, dt)
+        with pytest.raises(StepTooLarge, match=r"increased by 1\.000e-09 in run 1"):
+            worst_case_runs(npair, starts, T, dt)
 
 
 class TestBadFeedback:
