@@ -147,9 +147,9 @@ def empirical_evidence(
 ) -> EvidenceSummary:
     """Greedy-adversary runs from random unit starts plus the K directions.
 
-    All runs step together as one (n_runs, d) array (``worst_case_runs``),
-    in blocks of at most L = 64 steps while no run switches, so the stage
-    keeps O(n_runs L d) numbers, not the states of every step.
+    All runs step together as one (n_runs, d) array in ``worst_case_runs``,
+    the greedy engine of ``worst_case_switching`` keeping norms only, in
+    blocks of L <= 64 steps while no run switches: O(n_runs L d) numbers.
     A run is non-decaying when its norm plateaus over the last quarter of
     [0, T] above 1e-6 of its start.  Heuristic evidence, never a certificate.
     """

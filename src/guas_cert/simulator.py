@@ -1,26 +1,27 @@
 """Fixed-step trajectory integration for the switched and reduced systems.
 
 Every signal steps by the matrix exponential of A_lambda dt, with lambda
-frozen over the step: piecewise-constant signals read lambda from their
-segment table, state-feedback signals evaluate their rule at the step
-start.  Each run is checked post hoc: a full-system run against the
-norm-nonincrease consequence of the weak Lyapunov bound, a reduced-system
-run against norm conservation (the drift is skew-symmetric).  A norm that
-overflows or turns NaN fails the check.
+frozen over the step.  ``integrate`` reads lambda from the segment table
+of a piecewise-constant signal.  Each run is checked post hoc: a
+full-system run against the norm-nonincrease consequence of the weak
+Lyapunov bound, a reduced-system run against norm conservation (the drift
+is skew-symmetric).  A norm that overflows or turns NaN fails the check.
 
-The greedy adversary comes in two forms.  ``worst_case_switching`` is a
-feedback rule of ``integrate`` and keeps every state of the run.
-``worst_case_runs`` steps many runs as one (m, d) array, in blocks of up
-to ``BLOCK_CAP`` steps while no run switches, and keeps O(m BLOCK_CAP d)
-numbers: the states of the current block, and per run its initial,
-window-start and final norms and its largest one-step norm increase.
-Both are heuristic evidence, never a certificate.
+The greedy adversary has one engine, ``_greedy_stretches``.  It steps many
+runs as one (m, d) array, in blocks of up to ``BLOCK_CAP`` steps while no
+run switches, and hands the states out in stretches of constant input.
+``worst_case_runs`` keeps only norms from them: per run its initial,
+window-start and final norms and its largest one-step norm increase, with
+O(m BLOCK_CAP d) numbers in the current block.  ``worst_case_switching``
+keeps every state of one run.  Both are heuristic evidence, never a
+certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,33 +34,27 @@ from .matrix_core import NormalizedPair
 
 @dataclass(frozen=True)
 class SwitchingSignal:
-    """A switching law: piecewise-constant segments or a state feedback.
+    """A piecewise-constant switching law.
 
     ``segments`` is a list of (duration, value) pairs; for binary signals
     the values must be 0 or 1, for relaxed signals anywhere in [0, 1].
-    Feedback signals carry a callable state -> lambda.
     """
 
-    kind: str  # binary_piecewise | relaxed_piecewise | feedback
+    kind: str  # binary_piecewise | relaxed_piecewise
     segments: tuple = ()
-    rule: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind in ("binary_piecewise", "relaxed_piecewise"):
-            if not self.segments:
-                raise BadSignalSpec("piecewise signal needs at least one segment")
-            for dur, val in self.segments:
-                if dur <= 0:
-                    raise BadSignalSpec(f"non-positive duration {dur}")
-                if self.kind == "binary_piecewise" and val not in (0, 1):
-                    raise BadSignalSpec(f"binary value {val} not in {{0, 1}}")
-                if not 0.0 <= val <= 1.0:
-                    raise BadSignalSpec(f"value {val} outside [0, 1]")
-        elif self.kind == "feedback":
-            if self.rule is None:
-                raise BadSignalSpec("feedback signal needs a rule")
-        else:
+        if self.kind not in ("binary_piecewise", "relaxed_piecewise"):
             raise BadSignalSpec(f"unknown signal kind {self.kind!r}")
+        if not self.segments:
+            raise BadSignalSpec("piecewise signal needs at least one segment")
+        for dur, val in self.segments:
+            if dur <= 0:
+                raise BadSignalSpec(f"non-positive duration {dur}")
+            if self.kind == "binary_piecewise" and val not in (0, 1):
+                raise BadSignalSpec(f"binary value {val} not in {{0, 1}}")
+            if not 0.0 <= val <= 1.0:
+                raise BadSignalSpec(f"value {val} outside [0, 1]")
 
     @staticmethod
     def binary(segments) -> "SwitchingSignal":
@@ -68,10 +63,6 @@ class SwitchingSignal:
     @staticmethod
     def relaxed(segments) -> "SwitchingSignal":
         return SwitchingSignal("relaxed_piecewise", tuple(segments))
-
-    @staticmethod
-    def feedback(rule: Callable) -> "SwitchingSignal":
-        return SwitchingSignal("feedback", rule=rule)
 
 
 @dataclass
@@ -166,12 +157,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate the full system (NormalizedPair) or the reduced one (BlockFamily).
 
-    Every step applies expm(A_lambda dt), lambda frozen over the step: the
-    segment value of a piecewise signal, or the rule of a feedback signal
-    evaluated at the step start and clamped to [0, 1].  Exponentials are
-    cached by lambda, so a binary or greedy run computes at most two.
-    Outputs C_lam x are recorded for reduced runs.  Raises StepTooLarge
-    when the post-hoc norm check fails; a non-finite norm fails it.
+    Every step applies expm(A_lambda dt), lambda the signal's segment value
+    at the step start; one exponential is computed per distinct value, so a
+    binary run computes at most two.  Outputs C_lam x are recorded for
+    reduced runs.  Raises StepTooLarge when the post-hoc norm check fails;
+    a non-finite norm fails it.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -185,23 +175,13 @@ def integrate(
     states = np.empty((n_steps + 1, dim))
     states[0] = x0
 
-    # A_lam with no range check, so that a NaN lambda reaches the norm check
     A0, A1 = (system.A0, system.A1) if reduced else (system.B0n, system.B1n)
-    feedback = signal.kind == "feedback"
-    lam_used = np.empty(n_steps) if feedback else _segment_lambdas(signal, n_steps, dt)
-    x, cache = x0, {}
-    for j in range(n_steps):
-        if feedback:  # clamp to [0, 1], keeping a NaN
-            lam = float(signal.rule(x))
-            lam_used[j] = lam = 0.0 if lam < 0.0 else 1.0 if lam > 1.0 else lam
-        else:
-            lam = lam_used[j]
-        E = cache.get(lam)
-        if E is None:
-            if len(cache) == 64:  # bounds a rule with ever-new lambdas
-                cache.clear()
-            E = cache[lam] = expm(((1.0 - lam) * A0 + lam * A1) * dt)
-        x = E @ x
+    lam_used = _segment_lambdas(signal, n_steps, dt)
+    lams = lam_used.tolist()
+    E = {lam: expm(((1.0 - lam) * A0 + lam * A1) * dt) for lam in set(lams)}
+    x = x0
+    for j, lam in enumerate(lams):
+        x = E[lam] @ x
         states[j + 1] = x
 
     norms = np.linalg.norm(states, axis=1)
@@ -231,30 +211,7 @@ def integrate(
 #: quadratic forms as tied, and keeps its previous input.
 TIE_TOL = 1e-12
 
-
-def worst_case_switching(
-    pair: NormalizedPair, x0, T: float, dt: float, tie_tol: float = TIE_TOL
-) -> Trajectory:
-    """Greedy adversarial switching: pick u maximizing the norm derivative.
-
-    At each step the input u in {0, 1} with the least-negative quadratic
-    form x^T (B_u^T + B_u) x is applied; ties keep the previous u to avoid
-    chattering artifacts.  Heuristic evidence only, never a certificate.
-    """
-    S0, S1, u = pair.S0, pair.S1, 0
-
-    def greedy(x):
-        nonlocal u
-        q0 = float(x @ (S0 @ x))
-        q1 = float(x @ (S1 @ x))
-        if abs(q0 - q1) > tie_tol * (1.0 + abs(q0) + abs(q1)):
-            u = 0 if q0 > q1 else 1
-        return u
-
-    return integrate(pair, SwitchingSignal.feedback(greedy), x0, T, dt)
-
-
-#: Shortest and longest block of ``worst_case_runs``, in steps; its block
+#: Shortest and longest block of the greedy adversary, in steps; its block
 #: temporaries hold O(m BLOCK_CAP d) numbers.
 BLOCK_MIN, BLOCK_CAP = 4, 64
 
@@ -281,13 +238,27 @@ def _block_products(E0, E1, cap: int) -> dict:
     return products
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
-    """The greedy rule of ``worst_case_switching`` from every row of
-    ``starts`` at once, as one (m, d) array of states.
+def _window_step(n_steps: int, dt: float, window: float) -> int:
+    """The first step j of the grid np.arange(n_steps + 1) * dt with
+    j dt >= n_steps dt - window, in the grid's floating-point arithmetic."""
+    start = n_steps * dt - window
+    j = min(max(math.ceil(start / dt) - 1, 0), n_steps)  # not past the answer
+    while j < n_steps and j * dt < start:
+        j += 1
+    return j
 
-    Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  A
-    single step is one product x @ [S0 S1 I E0^T E1^T], which gives both
+
+def _greedy_stretches(pair: NormalizedPair, x: np.ndarray, n_steps: int, dt: float):
+    """The greedy adversary from every row of the (m, d) array x, as
+    stretches (j, states, sq_norms, u) over which no run switches.
+
+    ``states`` (s, m, d) are the states at steps j .. j+s-1, ``sq_norms``
+    (s, m) their squared norms and ``u`` (m,) each run's input on the steps
+    from them; ``u`` changes in place when the next stretch is asked for.
+    The last stretch holds only the state at n_steps.
+
+    Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  A single
+    step is one product x @ [S0 S1 I E0^T E1^T], which gives both
     quadratic forms, the squared norms and both candidate next states.  A
     block advances every run L steps with its own u by one product with
     the powers E_u^1..E_u^L, evaluates the greedy rule at the states inside
@@ -297,22 +268,10 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     to ``BLOCK_CAP`` after a block that no run cut short and halves after
     one that a run did, and after a cut block the number of single steps
     before the next one doubles.
-
-    No per-step data is kept beyond the current block, O(m L d) numbers
-    with L at most ``BLOCK_CAP``.  Returns the arrays (initial,
-    window_start, final) of each run's norm at t = 0, at the first step of
-    the last quarter of [0, T] (the tail ``estimate_omega_limit`` reads
-    with window T / 4) and at T.  Each run's largest one-step norm increase
-    is checked against a bound from its own initial norm.  Heuristic
-    evidence only, never a certificate.
     """
-    x = np.array(starts, float, ndmin=2)
     m, d = x.shape
     if d != pair.d:
         raise BadSignalSpec(f"x0 has length {d}, system dimension is {pair.d}")
-    n_steps = max(1, int(round(T / dt)))
-    times = np.arange(n_steps + 1) * dt
-    window_step = int(np.argmax(times >= times[-1] - T / 4.0))
     E0, E1 = expm(pair.B0n * dt), expm(pair.B1n * dt)
     W = np.hstack([pair.S0.T, pair.S1.T, np.eye(d), E0.T, E1.T])
     Y = np.empty((m, 5 * d))
@@ -322,10 +281,7 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     u = np.zeros(m, np.intp)
     ST = W[:, : 3 * d].T.copy()  # rows S0, S1, I
     products = _block_products(E0, E1, min(BLOCK_CAP, n_steps))
-    L, wait, countdown = BLOCK_MIN, 1, 1  # a single step first, so prev is set
-    initial = np.linalg.norm(x, axis=1)
-    worst = np.zeros(m)
-    window_start = prev = None
+    L, wait, countdown = BLOCK_MIN, 1, 1  # a single step first
     j = 0
     while j < n_steps:
         if countdown:  # a single step
@@ -334,13 +290,8 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
             diff = q0 - q1
             strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
             np.copyto(u, diff < 0.0, where=strict)
+            yield j, x[None], sq_norms[None], u
             x = rows.take(after_u0 + u, axis=0)
-            norms = np.sqrt(sq_norms)  # before step j
-            if j == window_step:
-                window_start = norms
-            if j:
-                np.maximum(worst, norms - prev, out=worst)
-            prev = norms
             j += 1
             countdown -= 1
             continue
@@ -361,24 +312,71 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
         switches = ((q0 - q1) * (2.0 * u - 1.0) > bound).any(axis=1)
         s = int(np.argmax(switches)) if switches.any() else L
         if s:  # accept the states j .. j+s-1 and their steps
-            norms = np.sqrt(sq_norms[:s])
-            if j <= window_step < j + s:
-                window_start = norms[window_step - j]
-            increases = np.diff(norms, axis=0, prepend=prev[None])
-            np.maximum(worst, increases.max(axis=0), out=worst)
-            prev = norms[-1]
+            yield j, z[:, :s].transpose(1, 2, 0), sq_norms[:s], u
             x = z[:, s].T.copy()
             j += s
         if s == L:  # the next block follows at once
             L, wait = min(2 * L, BLOCK_CAP), 1
         else:
             L, countdown, wait = max(BLOCK_MIN, L // 2), wait, 2 * wait
-    final = np.linalg.norm(x, axis=1)
-    np.maximum(worst, final - prev, out=worst)
+    yield n_steps, x[None], np.einsum("id,id->i", x, x)[None], u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Trajectory:
+    """Greedy adversarial switching: pick u maximizing the norm derivative.
+
+    At each step the input u in {0, 1} with the least-negative quadratic
+    form x^T (B_u^T + B_u) x is applied; ties keep the previous u to avoid
+    chattering artifacts.  One run of ``_greedy_stretches`` that keeps
+    every state.  Heuristic evidence only, never a certificate.
+    """
+    if T <= 0 or dt <= 0:
+        raise ValueError("T and dt must be positive")
+    x0 = np.asarray(x0, float).ravel()
+    n_steps = max(1, int(round(T / dt)))
+    states = np.empty((n_steps + 1, len(x0)))
+    inputs = np.empty(n_steps + 1)
+    for j, xs, _, u in _greedy_stretches(pair, x0[None], n_steps, dt):
+        states[j : j + len(xs)] = xs[:, 0]
+        inputs[j : j + len(xs)] = u[0]
+    norms = np.linalg.norm(states, axis=1)
+    bound = _exact_step_bound(norms[0], n_steps)
+    _check_full_norms(np.diff(norms).max(initial=0.0), bound)
+    times = np.arange(n_steps + 1) * dt
+    meta = {"norm_increase_bound": bound}
+    return Trajectory(times, states, norms, None, inputs[:-1], meta)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
+    """The greedy adversary from every row of ``starts`` at once, as
+    ``_greedy_stretches`` of one (m, d) array, keeping only norms.
+
+    No per-step data is kept beyond the current block, O(m L d) numbers
+    with L at most ``BLOCK_CAP``.  Returns the arrays (initial,
+    window_start, final) of each run's norm at t = 0, at the first step of
+    the last quarter of [0, T] (the tail ``estimate_omega_limit`` reads
+    with window T / 4) and at T.  Each run's largest one-step norm increase
+    is checked against a bound from its own initial norm.  Heuristic
+    evidence only, never a certificate.
+    """
+    x = np.array(starts, float, ndmin=2)
+    n_steps = max(1, int(round(T / dt)))
+    window_step = _window_step(n_steps, dt, T / 4.0)
+    initial = np.linalg.norm(x, axis=1)
+    worst = np.zeros(len(x))
+    for j, _, sq_norms, _ in _greedy_stretches(pair, x, n_steps, dt):
+        norms = np.sqrt(sq_norms)
+        if j <= window_step < j + len(norms):
+            window_start = norms[window_step - j]
+        if j:  # the step into state j
+            np.maximum(worst, norms[0] - last, out=worst)
+        if len(norms) > 1:
+            np.maximum(worst, np.diff(norms, axis=0).max(axis=0), out=worst)
+        last = norms[-1]
     _check_full_norms(worst, _exact_step_bound(initial, n_steps))
-    if window_start is None:
-        window_start = final
-    return initial, window_start, final
+    return initial, window_start, last
 
 
 @dataclass
@@ -456,11 +454,11 @@ def estimate_omega_limit(
     decreased by less than tol_plateau * r over the last window (or already
     collapsed to zero).
     """
-    if traj.T < 2.0 * window:
-        raise ValueError("trajectory must last at least two windows")
+    if not 0.0 < 2.0 * window <= traj.T:
+        raise ValueError("window must be positive; trajectory must last two windows")
     r = float(traj.norms[-1])
-    tail = traj.norms[traj.times >= traj.T - window]
-    return r, bool(plateau_rule(traj.norms[0], tail[0], r, tol_plateau))
+    window_start = traj.norms[_window_step(len(traj.times) - 1, traj.dt, window)]
+    return r, bool(plateau_rule(traj.norms[0], window_start, r, tol_plateau))
 
 
 def plateau_rule(initial, window_start, final, tol_plateau: float = 1e-3):

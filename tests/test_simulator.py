@@ -19,7 +19,7 @@ from guas_cert import (
 )
 from guas_cert.errors import BadSignalSpec, NoOutputs, StepTooLarge
 from guas_cert.gallery import assemble, kdeux, mason, torus
-from guas_cert.simulator import worst_case_runs
+from guas_cert.simulator import Trajectory, worst_case_runs
 
 from conftest import stable_block
 
@@ -48,14 +48,13 @@ class TestSwitchingSignal:
         with pytest.raises(BadSignalSpec):
             SwitchingSignal.binary([(0.0, 1)])
 
-    def test_feedback_needs_rule(self):
-        with pytest.raises(BadSignalSpec):
+    def test_feedback_kind_is_unknown(self):
+        with pytest.raises(BadSignalSpec, match="unknown signal kind"):
             SwitchingSignal("feedback")
 
     def test_valid_signals(self):
         SwitchingSignal.binary([(1.0, 0), (2.0, 1)])
         SwitchingSignal.relaxed([(1.0, 0.3)])
-        SwitchingSignal.feedback(lambda x: 0.0)
 
 
 class TestIntegrate:
@@ -99,34 +98,12 @@ class TestIntegrate:
         per_step = np.array([blocks.C(l) @ s for l, s in zip(lam, traj.states)])
         np.testing.assert_allclose(traj.outputs, per_step, rtol=0, atol=1e-14)
 
-    def test_reduced_feedback_matches_relaxed_run(self, kdeux_reduced):
-        blocks = kdeux_reduced
-        x0 = np.array([1.0, 0.0])
-        # a constant feedback steps by the same exponential as the segment
-        tf = integrate(blocks, SwitchingSignal.feedback(lambda x: 0.3), x0,
-                       T=5.0, dt=1e-3)
-        te = integrate(blocks, SwitchingSignal.relaxed([(5.0, 0.3)]), x0,
-                       T=5.0, dt=1e-3)
-        np.testing.assert_array_equal(tf.states, te.states)
-
-    def test_feedback_with_new_lambda_every_step(self, mason_pair):
-        """More distinct lambdas than integrate caches exponentials for: each
-        step still applies expm(A_lambda dt) of its own lambda."""
-        p, dt = mason_pair, 1e-2
-        rule = SwitchingSignal.feedback(lambda x: x[0] ** 2 / (x @ x))
-        traj = integrate(p, rule, [0.6, 0.8], T=1.0, dt=dt)
-        assert len(set(traj.applied_lambda)) > 64  # the size of the cache
-        x, states = traj.states[0], [traj.states[0]]
-        for lam in traj.applied_lambda:
-            x = expm(((1.0 - lam) * p.B0n + lam * p.B1n) * dt) @ x
-            states.append(x)
-        np.testing.assert_array_equal(traj.states, states)
-
-    def test_nan_feedback_rule_raises(self, mason_pair, kdeux_reduced):
-        nan_rule = SwitchingSignal.feedback(lambda x: np.nan)
+    def test_overflowing_x0_raises(self, mason_pair, kdeux_reduced):
+        # finite entries whose norm overflows
+        signal = SwitchingSignal.relaxed([(1.0, 0.3)])
         for system in (mason_pair, kdeux_reduced):
             with pytest.raises(StepTooLarge, match="not finite"):
-                integrate(system, nan_rule, [1.0, 0.0], T=1.0, dt=1e-2)
+                integrate(system, signal, [1e308, 1e308], T=1.0, dt=1e-2)
 
     def test_signal_shorter_than_horizon_extends_last_value(self, mason_pair):
         x0 = np.array([1.0, 1.0])
@@ -194,6 +171,36 @@ class TestWorstCase:
         assert traj.final_ratio() < 1e-1
         assert np.all(np.diff(traj.norms) <= 1e-10)
 
+    def test_overflowing_x0_raises(self, mason_pair):
+        with pytest.raises(StepTooLarge, match="not finite"):
+            worst_case_switching(mason_pair, [1e308, 1e308], T=1.0, dt=1e-2)
+
+
+def greedy_reference(npair, x0, T, dt) -> Trajectory:
+    """The greedy adversary one step at a time, apart from the block-stepped
+    engine: the same q0/q1 order, tie test to ``simulator.TIE_TOL`` and
+    keep-u-on-tie rule, stepping by expm(B_u dt)."""
+    E = (expm(npair.B0n * dt), expm(npair.B1n * dt))
+    x = np.asarray(x0, float)
+    u, states, inputs = 0, [x], []
+    for _ in range(max(1, round(T / dt))):
+        q0, q1 = x @ npair.S0 @ x, x @ npair.S1 @ x
+        if abs(q0 - q1) > simulator.TIE_TOL * (1.0 + abs(q0) + abs(q1)):
+            u = 0 if q0 > q1 else 1
+        inputs.append(u)
+        x = E[u] @ x
+        states.append(x)
+    states = np.array(states)
+    return Trajectory(np.arange(len(states)) * dt, states,
+                      np.linalg.norm(states, axis=1), None, np.array(inputs, float))
+
+
+def assert_same_run(traj, ref):
+    """Equal inputs, and states within 1e-12 of the reference's norm."""
+    np.testing.assert_array_equal(traj.applied_lambda, ref.applied_lambda)
+    error = np.linalg.norm(traj.states - ref.states, axis=1)
+    assert np.all(error <= 1e-12 * ref.norms)
+
 
 def switching_pair() -> MatrixPair:
     """k = 2, k' = 3 pair with distinct random dissipative blocks D0, D1, so
@@ -228,26 +235,21 @@ class TestGreedyReplay:
                              ids=["mason", "switching"])
     @pytest.mark.parametrize("T, dt", [(5.0, 1e-2), (2.0, 5e-3)])
     def test_replay_as_binary_segments(self, pair, T, dt):
-        """The greedy run is a feedback signal of integrate: its own inputs,
-        replayed as piecewise segments, give bitwise the same states."""
+        """The greedy run takes the per-step rule's inputs.  Replayed as
+        piecewise segments through integrate they give its states up to the
+        rounding of block products, and bitwise the per-step products."""
         npair = normalize(pair)
         x0 = np.random.default_rng(0).standard_normal(npair.d)
         greedy = worst_case_switching(npair, x0, T, dt)
+        reference = greedy_reference(npair, x0, T, dt)
+        assert_same_run(greedy, reference)
         u = greedy.applied_lambda
         first = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
         lengths = np.diff(np.r_[first, len(u)])
         segments = [(n * dt, int(u[i])) for i, n in zip(first, lengths)]
         replay = integrate(npair, SwitchingSignal.binary(segments), x0, T, dt)
-        np.testing.assert_array_equal(replay.applied_lambda, u)
-        np.testing.assert_array_equal(replay.states, greedy.states)
-        np.testing.assert_array_equal(replay.norms, greedy.norms)
-        # both runs against products of expm(B_u dt) built outside integrate
-        E = (expm(npair.B0n * dt), expm(npair.B1n * dt))
-        x, states = x0, [x0]
-        for uj in u.astype(int):
-            x = E[uj] @ x
-            states.append(x)
-        np.testing.assert_array_equal(greedy.states, states)
+        assert_same_run(replay, greedy)
+        np.testing.assert_array_equal(replay.states, reference.states)
 
 
 class TestWorstCaseRuns:
@@ -272,7 +274,7 @@ class TestWorstCaseRuns:
             starts = np.vstack([starts, K_basis.T])
         ratios, plateaued, non_decaying, switches = [], [], 0, 0
         for x0 in starts:
-            traj = worst_case_switching(npair, x0, self.T, self.DT)
+            traj = greedy_reference(npair, x0, self.T, self.DT)
             r, p = estimate_omega_limit(traj, window=self.T / 4.0)
             ratios.append(traj.final_ratio())
             plateaued.append(p)
@@ -303,14 +305,16 @@ class TestWorstCaseRuns:
         monkeypatch.setattr(simulator, "TIE_TOL", tie_tol)
         initial, window_start, final = worst_case_runs(npair, starts, T, dt)
         for i, x0 in enumerate(starts):
-            traj = worst_case_switching(npair, x0, T, dt, tie_tol)
+            traj = greedy_reference(npair, x0, T, dt)
+            assert_same_run(worst_case_switching(npair, x0, T, dt), traj)
             tail = traj.norms[traj.times >= traj.T - T / 4.0]
             assert initial[i] == traj.norms[0]
             assert window_start[i] == pytest.approx(tail[0], rel=1e-13)
             assert final[i] == pytest.approx(traj.norms[-1], rel=1e-13)
         if tie_tol > 1e-6:  # the loose tolerance makes ties that keep u
-            loose, strict = (worst_case_switching(npair, starts[0], T, dt, tol)
-                             for tol in (tie_tol, 1e-12))
+            loose = worst_case_switching(npair, starts[0], T, dt)
+            monkeypatch.setattr(simulator, "TIE_TOL", 1e-12)
+            strict = worst_case_switching(npair, starts[0], T, dt)
             changed = np.count_nonzero(loose.applied_lambda != strict.applied_lambda)
             assert changed >= min_loose_changes
 
@@ -324,7 +328,8 @@ class TestWorstCaseRuns:
         initial, window_start, final = worst_case_runs(npair, starts, T, dt)
         longest_hold = 0
         for i, x0 in enumerate(starts):
-            traj = worst_case_switching(npair, x0, T, dt)
+            traj = greedy_reference(npair, x0, T, dt)
+            assert_same_run(worst_case_switching(npair, x0, T, dt), traj)
             tail = traj.norms[traj.times >= traj.T - T / 4.0]
             assert initial[i] == traj.norms[0]
             assert window_start[i] == pytest.approx(tail[0], rel=1e-13)
@@ -400,6 +405,14 @@ class TestOmegaLimitAndMeasure:
         traj = integrate(blocks, SwitchingSignal.relaxed([(10.0, 0.0)]),
                          [1.0, 0.0], T=10.0, dt=1e-2)
         assert output_measure(traj) > 0.9
+
+    @pytest.mark.parametrize("T, dt", [(0.99, 0.03), (1.0, 0.1), (0.01, 0.01),
+                                       (100.0, 1e-3)])
+    def test_window_step_matches_argmax_rule(self, T, dt):
+        n_steps = max(1, round(T / dt))
+        times = np.arange(n_steps + 1) * dt
+        expected = np.argmax(times >= times[-1] - T / 4.0)
+        assert simulator._window_step(n_steps, dt, T / 4.0) == expected
 
     def test_output_measure_requires_outputs(self, mason_pair):
         traj = integrate(mason_pair, SwitchingSignal.binary([(1.0, 0)]),
