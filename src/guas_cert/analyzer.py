@@ -180,10 +180,20 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     Raises NonFiniteInput on a NaN or infinite entry, and NotHurwitz /
     NoCommonWeakLyapunov (from normalize) when the standing hypotheses
-    fail; otherwise always returns a Verdict.
+    fail, and ValueError on options out of range (n_grid < 2, an
+    evidence_T or evidence_dt that is not finite and positive, or a step
+    longer than the horizon); otherwise always returns a Verdict.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
+    if opt.n_grid < 2:
+        raise ValueError(f"n_grid must be >= 2, got {opt.n_grid}")
+    T, dt = opt.evidence_T, opt.evidence_dt
+    if not (np.isfinite(T) and np.isfinite(dt) and 0 < dt <= T):
+        raise ValueError(
+            f"evidence_T and evidence_dt must be finite with 0 < dt <= T, "
+            f"got T = {T}, dt = {dt}"
+        )
     require_finite(pair)
 
     for name, B in (("B0", pair.B0), ("B1", pair.B1)):
@@ -196,10 +206,11 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     npair = normalize(pair, P)
     decomp = common_kernel(npair, tol)
+    lambda_evals = 0  # lambdas at which the sweep, injectivity and scan evaluated
 
     def finish(verdict: Verdict) -> Verdict:
         verdict.tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
-        verdict.grid = {"n_grid": opt.n_grid}
+        verdict.grid = {"n_grid": opt.n_grid, "lambda_evals": lambda_evals}
         want = opt.with_evidence
         if want is None:
             want = verdict.conclusion == "INCONCLUSIVE"
@@ -238,6 +249,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     blocks = block_form(npair, decomp, tol)
     sweep = sweep_lambda(blocks, opt.n_grid, tol)
+    lambda_evals += sweep.n_evals
     margins = {
         "observability_margin": sweep.margin,
         "rank_margin": decomp.rank_margin,
@@ -262,6 +274,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     # constant ||C1 - C0||_2; a value below the threshold rules it out
     if blocks.k_prime >= blocks.k and sweep.verdict == "observable_for_all_lambda":
         run = sigma_C_bisection(blocks, blocks.k, sweep)
+        lambda_evals += run.n_evals
         margins["C_injectivity_margin"] = run.bound
         if run.verdict == "certified":
             return finish(Verdict(
@@ -284,6 +297,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     if sweep.verdict == "observable_for_all_lambda":
         geometry = locus_geometry(blocks, tol)
         scan = scan_G(geometry, sweep, tol)
+        lambda_evals += scan.n_samples
         margins["scan_hits"] = scan.n_hits
         if scan.verdict == "discrete":
             return finish(Verdict(

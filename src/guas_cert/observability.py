@@ -6,10 +6,19 @@ margin.  The lambda sweep proves its verdicts on all of [0, 1]: sigma_k of
 the Kalman matrix is Lipschitz in lambda (Weyl's inequality), so intervals
 are bisected until each one's bound clears the certification threshold, a
 computed value falls below the tolerance, or neither can happen.
+
+The n_grid partition is evaluated lazily: the bisection starts from every
+16th grid point (or the largest power-of-two stride that fits n_grid - 1)
+and evaluates a grid point only inside an interval whose bound has not
+cleared, so a well-conditioned family costs a few dozen lambdas instead of
+n_grid.  Every verdict still rests on a cover of [0, 1] by intervals.  The
+reported margins are lower bounds over the cover actually used, so where a
+coarse interval cleared they can be smaller than the full grid would give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,6 +30,8 @@ from .matrix_core import NormalizedPair, is_hurwitz, symmetric_part
 
 #: Certified-observable requires sigma_min above this multiple of the tolerance.
 CERT_FACTOR = 100.0
+#: Largest stride, a power of two, of the first pass of a bisection over its grid.
+MAX_STRIDE = 16
 
 
 def kalman_matrix(C, A) -> np.ndarray:
@@ -62,33 +73,75 @@ class Bisection:
     n_evals: int  # lambdas at which sigma was evaluated
 
 
+def _grid_cover(
+    sigma: Callable[[np.ndarray], np.ndarray],
+    lipschitz: float,
+    grid: np.ndarray,
+    threshold: float,
+):
+    """Intervals between points of ``grid`` that cover it, each of which
+    clears ``threshold`` or joins adjacent grid points.
+
+    The first pass evaluates every s-th point, s the largest power of two
+    <= MAX_STRIDE that divides len(grid) - 1; intervals whose bound does not
+    clear ``threshold`` are then halved in index space.  Returns the
+    intervals' endpoints and values, and every lambda evaluated with its value.
+    """
+    idx = np.arange(0, len(grid), math.gcd(len(grid) - 1, MAX_STRIDE))
+    vals = sigma(grid[idx])
+    lams_seen, vals_seen = [grid[idx]], [vals]
+    li, ri, vl, vr = idx[:-1], idx[1:], vals[:-1], vals[1:]
+    while True:
+        bound = 0.5 * (vl + vr - lipschitz * (grid[ri] - grid[li]))
+        split = (bound <= threshold) & (ri - li > 1)
+        if not np.any(split):
+            break
+        mi = (li[split] + ri[split]) // 2
+        mv = sigma(grid[mi])
+        lams_seen.append(grid[mi])
+        vals_seen.append(mv)
+        keep = ~split
+        li = np.concatenate([li[keep], li[split], mi])
+        ri = np.concatenate([ri[keep], mi, ri[split]])
+        vl = np.concatenate([vl[keep], vl[split], mv])
+        vr = np.concatenate([vr[keep], mv, vr[split]])
+    # in grid order, so ties in the smallest value go to the lowest lambda
+    lams, vals = np.concatenate(lams_seen), np.concatenate(vals_seen)
+    order = np.argsort(lams, kind="stable")
+    return grid[li], grid[ri], vl, vr, lams[order], vals[order]
+
+
 def weyl_bisection(
     sigma: Callable[[np.ndarray], np.ndarray],
     lipschitz: float,
     grid: np.ndarray,
     threshold: float,
     floor: float,
-    values: Optional[np.ndarray] = None,
 ) -> Bisection:
     """Prove sigma > threshold on [0, 1], or find a point where sigma < floor.
 
-    ``sigma`` maps an array of lambdas to their values in one batched call
-    (``values`` are those on ``grid``, when known).  On [l, r] an L-Lipschitz
-    sigma is at least (sigma(l) + sigma(r) - L (r - l)) / 2; intervals whose
-    bound does not clear ``threshold`` are split at their midpoints.
-    Certifying stops once a computed value is at or below ``threshold`` (it
-    bounds every interval it ends) or more intervals need splitting than
-    ``grid`` has, which near a minimum within rounding of ``threshold`` would
-    grow without bound; then only the lowest len(grid) - 1 bounds below
-    ``floor``, which alone can hold a refutation, are split.  The verdict is
-    refuted when a computed value is below ``floor``, certified when every
-    interval clears ``threshold``, and inconclusive when nothing is left to
-    split or a midpoint no longer falls strictly inside its interval.
+    ``sigma`` maps an array of lambdas to their values in one batched call.
+    On [l, r] an L-Lipschitz sigma is at least (sigma(l) + sigma(r) -
+    L (r - l)) / 2.  ``_grid_cover`` evaluates ``grid`` lazily: only where
+    the bound of a coarser interval does not clear ``threshold``.  From its
+    cover, intervals whose bound does not clear ``threshold`` are split at
+    their midpoints.  Certifying stops once a computed value is at or below
+    ``threshold`` (it bounds every interval it ends) or more intervals need
+    splitting than ``grid`` has, which near a minimum within rounding of
+    ``threshold`` would grow without bound; then only the lowest
+    len(grid) - 1 bounds below ``floor``, which alone can hold a refutation,
+    are split.  The verdict is refuted when a computed value is below
+    ``floor``, certified when every interval clears ``threshold``, and
+    inconclusive when nothing is left to split or a midpoint no longer falls
+    strictly inside its interval.  ``bound`` is a lower bound of sigma over
+    the cover actually used, so where a coarse interval cleared it can be
+    smaller than the full grid would give.
     """
     budget = len(grid) - 1
-    new_lams, new_vals = grid, sigma(grid) if values is None else values
-    n_evals = len(grid) if values is None else 0
-    lo, hi, s_lo, s_hi = grid[:-1], grid[1:], new_vals[:-1], new_vals[1:]
+    lo, hi, s_lo, s_hi, new_lams, new_vals = _grid_cover(
+        sigma, lipschitz, grid, threshold
+    )
+    n_evals = len(new_lams)
     value, lam_star, settled, certifying = np.inf, 0.0, np.inf, True
     while True:
         bound = 0.5 * (s_lo + s_hi - lipschitz * (hi - lo))
@@ -123,8 +176,8 @@ def weyl_bisection(
 class ObservabilityReport:
     """Result of the lambda sweep over the Kalman matrices of (C_lam, A_lam)."""
 
-    grid: np.ndarray  # the initial partition of [0, 1]
-    sigma_min: np.ndarray  # sigma_k of the Kalman matrix on the grid
+    grid: np.ndarray  # the partition of [0, 1] the bisection may evaluate
+    n_evals: int  # lambdas at which sigma_k of the Kalman matrix was evaluated
     verdict: str  # observable_for_all_lambda | fails_at | inconclusive
     margin: float  # proved lower bound if observable, else the smallest sigma_k
     lambda_star: Optional[float] = None
@@ -139,7 +192,7 @@ def sigma_C_bisection(
     """Prove sigma_j(C_lam) > obs.cert_threshold on all of [0, 1].
 
     Every singular value of C_lam moves at most ||C1 - C0||_2 per unit of
-    lam (Weyl), so ``weyl_bisection`` runs from the sweep's grid with that
+    lam (Weyl), so ``weyl_bisection`` runs over the sweep's grid with that
     constant; a computed value below the threshold ends it as refuted.
     """
     return weyl_bisection(
@@ -156,10 +209,12 @@ def sweep_lambda(
 ) -> ObservabilityReport:
     """Certify observability of (C_lam, A_lam) on all of [0, 1], or refute it.
 
-    Runs ``weyl_bisection`` on sigma_k of the Kalman matrix O(lam) from the
-    n_grid partition.  fails_at: a computed sigma_k below tol_eff = tol (1 +
-    max ||O(lam)|| over lam in {0, 1/2, 1}); observable_for_all_lambda: every
-    interval bound above CERT_FACTOR * tol_eff; inconclusive: neither.
+    Runs ``weyl_bisection`` on sigma_k of the Kalman matrix O(lam) over the
+    n_grid partition, whose points it evaluates only where needed.
+    fails_at: a computed sigma_k below tol_eff = tol (1 + max ||O(lam)||
+    over lam in {0, 1/2, 1}); observable_for_all_lambda: every interval
+    bound of the cover above CERT_FACTOR * tol_eff; inconclusive: neither.
+    ``n_evals`` counts the three lambdas of tol_eff too.
     """
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
@@ -167,7 +222,7 @@ def sweep_lambda(
     grid = np.linspace(0.0, 1.0, n_grid)
     if k == 0:
         return ObservabilityReport(
-            grid, np.full(n_grid, np.inf), "observable_for_all_lambda",
+            grid, 0, "observable_for_all_lambda",
             np.inf, cert_threshold=0.0, tol=tol,
         )
 
@@ -178,9 +233,8 @@ def sweep_lambda(
             return np.zeros((len(lams), k))
         return np.linalg.svd(O, compute_uv=False)
 
-    s = singular_values(np.concatenate([grid, [0.0, 0.5, 1.0]]))
-    sigma = s[:n_grid, k - 1]
-    tol_eff = tol * (1.0 + float(np.max(s[n_grid:, 0])))
+    ends = singular_values(np.array([0.0, 0.5, 1.0]))
+    tol_eff = tol * (1.0 + float(np.max(ends[:, 0])))
     cert_threshold = CERT_FACTOR * tol_eff
     # d/dlam C A^j has norm at most ||dC|| a^j + j c a^(j-1) ||dA||, with
     # a = max ||A_i||_2 and c = max ||C_i||_2; the blocks add in quadrature
@@ -193,13 +247,14 @@ def sweep_lambda(
     ))
     run = weyl_bisection(
         lambda lams: singular_values(lams)[:, k - 1],
-        lipschitz, grid, cert_threshold, tol_eff, sigma,
+        lipschitz, grid, cert_threshold, tol_eff,
     )
 
     if run.verdict != "refuted":
         certified = run.verdict == "certified"
         return ObservabilityReport(
-            grid, sigma, "observable_for_all_lambda" if certified else "inconclusive",
+            grid, run.n_evals + len(ends),
+            "observable_for_all_lambda" if certified else "inconclusive",
             run.bound if certified else run.value,
             cert_threshold=cert_threshold, tol=tol_eff,
         )
@@ -208,7 +263,7 @@ def sweep_lambda(
     # sigma_k can be tiny but above the rank threshold; the witness is then
     # the closest-to-null direction
     return ObservabilityReport(
-        grid, sigma, "fails_at", run.value, lam,
+        grid, run.n_evals + len(ends), "fails_at", run.value, lam,
         rank.basis if rank.basis.shape[1] else rank.complement[:, -1:],
         cert_threshold, tol_eff,
     )

@@ -69,3 +69,43 @@ def corpus():
 @pytest.fixture(scope="session")
 def normalized_corpus(corpus):
     return {name: normalize(pair) for name, pair in corpus.items()}
+
+
+def full_grid_bisection(sigma, lipschitz, grid, threshold, floor):
+    """``observability.weyl_bisection`` with every grid point evaluated up
+    front, apart from the lazy cover: the same bound, split rules, budget
+    and midpoint bisection below grid resolution."""
+    from guas_cert.observability import Bisection
+
+    budget = len(grid) - 1
+    new_lams, new_vals = grid, sigma(grid)
+    n_evals = len(grid)
+    lo, hi, s_lo, s_hi = grid[:-1], grid[1:], new_vals[:-1], new_vals[1:]
+    value, lam_star, settled, certifying = np.inf, 0.0, np.inf, True
+    while True:
+        bound = 0.5 * (s_lo + s_hi - lipschitz * (hi - lo))
+        i = int(np.argmin(new_vals))
+        if new_vals[i] < value:
+            value, lam_star = float(new_vals[i]), float(new_lams[i])
+        lower = min(settled, float(bound.min()))
+        if value < floor:
+            return Bisection("refuted", lower, value, lam_star, n_evals)
+        split = bound <= threshold
+        certifying = certifying and value > threshold and split.sum() <= budget
+        if not certifying:
+            lowest = np.argsort(bound)[:budget]
+            split = np.zeros(len(bound), bool)
+            split[lowest[bound[lowest] < floor]] = True
+        settled = min(settled, float(bound[~split].min(initial=np.inf)))
+        if not np.any(split):
+            verdict = "certified" if certifying else "inconclusive"
+            return Bisection(verdict, lower, value, lam_star, n_evals)
+        lo, hi, s_lo, s_hi = lo[split], hi[split], s_lo[split], s_hi[split]
+        mid = 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            return Bisection("inconclusive", lower, value, lam_star, n_evals)
+        new_lams, new_vals = mid, sigma(mid)
+        n_evals += len(mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        s_lo = np.concatenate([s_lo, new_vals])
+        s_hi = np.concatenate([new_vals, s_hi])

@@ -17,6 +17,7 @@ from guas_cert import (
     sweep_lambda,
 )
 from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
+from guas_cert.observability import sigma_C_bisection
 from guas_cert.gallery import kdeux, mason, shared_output, torus
 
 FAST = AnalyzerOptions(evidence_runs=4, evidence_T=20.0, evidence_dt=1e-2)
@@ -60,6 +61,18 @@ class TestBranches:
         v = analyze(shared_output(), np.eye(4), options=FAST)
         assert v.conclusion == "GUAS_C_injective"
         assert v.guas
+
+    def test_grid_counts_lambda_evals(self):
+        """The sweep's and the injectivity bisection's lambdas, fewer than
+        the grid has; none for a trivial kernel."""
+        npair = normalize(shared_output(), np.eye(4))
+        blocks = block_form(npair, common_kernel(npair))
+        sweep = sweep_lambda(blocks)
+        run = sigma_C_bisection(blocks, blocks.k, sweep)
+        v = analyze(shared_output(), np.eye(4), options=FAST)
+        assert v.grid == {"n_grid": 257, "lambda_evals": sweep.n_evals + run.n_evals}
+        assert v.grid["lambda_evals"] < 257
+        assert analyze(mason(), mason().P, options=FAST).grid["lambda_evals"] == 0
 
     def test_torus_inconclusive_with_decaying_evidence(self):
         v = analyze(torus(), options=FAST)

@@ -247,6 +247,19 @@ class TestExampleCommand:
     def test_nan_parameter_is_io_error(self):
         assert main(["example", "kdeux", "--a", "nan"]) == EXIT_IO
 
+    @pytest.mark.parametrize("name, flags", [
+        ("torus", ["--T", "-5"]),
+        ("torus", ["--dt", "1e9"]),
+        ("torus", ["--T", "inf"]),
+        ("mason", ["--grid", "1"]),
+    ], ids=["negative-T", "dt-past-T", "infinite-T", "grid-1"])
+    def test_bad_analyzer_option_is_io_error(self, name, flags, capsys):
+        """Rejected before any stage runs: no verdict, so no exit code 0-2."""
+        assert main(["example", name, *flags]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "must be" in captured.err
+        assert "conclusion" not in captured.out
+
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["example", "does-not-exist"])

@@ -6,14 +6,15 @@ from guas_cert import (
     hurwitz_observability_crosscheck,
     kalman_matrix,
     normalize,
+    observability,
     pair_observable,
     sweep_lambda,
 )
 from guas_cert.decomposition import BlockFamily
 from guas_cert.gallery import assemble, kdeux, shared_output, torus
-from guas_cert.observability import weyl_bisection
+from guas_cert.observability import sigma_C_bisection, weyl_bisection
 
-from conftest import block_pair, skew, stable_block
+from conftest import block_pair, full_grid_bisection, skew, stable_block
 
 
 def kdeux_blocks(a, b):
@@ -116,7 +117,30 @@ class TestSweepLambda:
         report = sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=65)
         assert report.grid[0] == 0.0 and report.grid[-1] == 1.0
         assert len(report.grid) == 65
-        assert report.sigma_min.shape == report.grid.shape
+        # a well-conditioned family clears from a few grid points
+        assert 0 < report.n_evals < len(report.grid)
+
+    def test_well_conditioned_family_is_cheap(self, monkeypatch):
+        """kdeux(1, 2) clears from a few grid points: fewer than n_grid // 4
+        evaluations, each of them a point of the grid."""
+        blocks = kdeux_blocks(1.0, 2.0)
+        seen = []
+        kalman = observability.kalman_matrix
+
+        def recorded(C, A):
+            seen.append(np.atleast_1d(C[..., 0, 0]))
+            return kalman(C, A)
+
+        monkeypatch.setattr(observability, "kalman_matrix", recorded)
+        report = sweep_lambda(blocks, n_grid=257)
+        assert report.verdict == "observable_for_all_lambda"
+        assert report.n_evals < 257 // 4
+        # C_lam[0, 0] = 1 - lam for this family
+        lams = 1.0 - np.concatenate(seen)
+        assert len(lams) == report.n_evals
+        assert np.all(np.min(np.abs(lams[:, None] - report.grid), axis=1) < 1e-15)
+        run = sigma_C_bisection(blocks, 1, report)
+        assert run.verdict == "certified" and run.n_evals < 257 // 4
 
     def test_trivial_kernel_observable(self):
         blocks = BlockFamily(
@@ -133,6 +157,17 @@ class TestSweepLambda:
         blocks_sh = __import__("guas_cert").block_form(npair, common_kernel(npair))
         report = sweep_lambda(blocks_sh)
         assert report.verdict == "observable_for_all_lambda"
+
+
+#: (sigma, Lipschitz constant, threshold, floor) of one bisection each
+#: that certifies after refining below the grid, ends inconclusive with a
+#: minimum within rounding of the floor, and refutes
+BISECTION_CASES = [
+    (lambda lams: 0.01 + np.abs(np.sin(7.0 * lams)), 7.0, 1e-3, 1e-6),
+    (lambda lams: 1e-9 * (1 + 1e-7) + (lams - 0.3141592) ** 2, 2.0, 1e-7, 1e-9),
+    (lambda lams: np.abs(lams - 0.3), 1.0, 1e-3, 1e-6),
+]
+CASE_IDS = ["certified", "near-floor", "refuted"]
 
 
 class TestWeylBisection:
@@ -158,6 +193,54 @@ class TestWeylBisection:
         assert run.verdict == "certified"
         lams = np.linspace(0.0, 1.0, 100001)
         assert f(lams).min() >= run.bound > 1e-3
+
+    @pytest.mark.parametrize("f, lipschitz, threshold, floor", BISECTION_CASES,
+                             ids=CASE_IDS)
+    def test_stride_one_matches_full_grid(self, f, lipschitz, threshold, floor):
+        """n_grid - 1 odd: the cover starts from every grid point, as the
+        full-grid bisection does, and every field agrees exactly."""
+        grid = np.linspace(0.0, 1.0, 256)
+        lazy = weyl_bisection(f, lipschitz, grid, threshold, floor)
+        assert lazy == full_grid_bisection(f, lipschitz, grid, threshold, floor)
+
+    @pytest.mark.parametrize("f, lipschitz, threshold, floor", BISECTION_CASES,
+                             ids=CASE_IDS)
+    def test_lazy_lambdas_are_full_grid_lambdas(self, f, lipschitz, threshold, floor):
+        """Stride 16 on 161 points, where 29 midpoints of coarse intervals
+        are not grid points: the lazy run evaluates a subset of the full-grid
+        run's lambdas and, unless it certifies, returns the same result."""
+        grid = np.linspace(0.0, 1.0, 161)
+        seen = {"lazy": [], "full": []}
+
+        def recording(key):
+            def sigma(lams):
+                seen[key].append(lams.copy())
+                return f(lams)
+            return sigma
+
+        lazy = weyl_bisection(recording("lazy"), lipschitz, grid, threshold, floor)
+        full = full_grid_bisection(recording("full"), lipschitz, grid, threshold, floor)
+        assert lazy.verdict == full.verdict
+        assert np.all(np.isin(np.concatenate(seen["lazy"]), np.concatenate(seen["full"])))
+        assert lazy.n_evals < full.n_evals
+        if full.verdict == "certified":
+            assert lazy.bound <= full.bound
+        else:
+            assert (lazy.bound, lazy.value, lazy.lambda_star) == (
+                full.bound, full.value, full.lambda_star)
+
+    def test_cover_keeps_intervals_that_cleared_first(self):
+        """The minimum, 0.101 at lam = 1/32, sits inside [0, 1/16], which
+        clears on the first pass; the intervals refined later bound sigma
+        only above 0.128.  The certified bound must still cover [0, 1/16]."""
+        def f(lams):
+            dip = 0.1635 - 2.0 * (1 / 32 - np.abs(lams - 1 / 32))
+            return np.where(lams <= 1 / 16, dip,
+                            np.maximum(0.16, 0.1635 - 2.0 * (lams - 1 / 16)))
+
+        run = weyl_bisection(f, 2.0, np.linspace(0.0, 1.0, 257), 0.1, 1e-6)
+        assert run.verdict == "certified"
+        assert f(np.linspace(0.0, 1.0, 100001)).min() >= run.bound - 1e-12
 
 
 class TestCrosscheck:

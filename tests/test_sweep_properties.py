@@ -6,7 +6,11 @@ The families include C1 = -c C0, whose output vanishes at lam* = 1/(1 + c),
 and families built to be unobservable at a random lam* off the grid.  On
 random k = 3, k' = 2 families, the points of G that scan_G reports must
 pass in_G, and in_G along the curve F ∩ S must find no other point of G.
+On every family, the lazily evaluated grid must reach the verdicts and
+lambda* of the full-grid reference bisection.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +22,14 @@ from guas_cert import (  # noqa: E402
     in_G,
     kalman_matrix,
     locus_geometry,
+    observability,
     scan_G,
     sweep_lambda,
 )
 from guas_cert.decomposition import BlockFamily  # noqa: E402
+from guas_cert.observability import sigma_C_bisection  # noqa: E402
 
-from conftest import skew  # noqa: E402
+from conftest import full_grid_bisection, skew  # noqa: E402
 
 KINDS = ("random", "opposed", "off_grid")
 
@@ -73,6 +79,30 @@ def test_sweep_verdicts_hold(kind, k, k_prime, seed, lam_star):
         O = kalman_matrix(blocks.C(report.lambda_star), blocks.A(report.lambda_star))
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(O @ x) <= report.tol
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    k=st.integers(1, 3),
+    k_prime=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    lam_star=st.floats(0.05, 0.95),
+)
+def test_lazy_cover_matches_full_grid(kind, k, k_prime, seed, lam_star):
+    """The sweep and the sigma_j(C_lam) bisection reach the reference's
+    verdict, and lambda* when refuted, while evaluating no more lambdas."""
+    blocks = family(kind, k, k_prime, seed, lam_star)
+    lazy = sweep_lambda(blocks)
+    with mock.patch.object(observability, "weyl_bisection", full_grid_bisection):
+        full = sweep_lambda(blocks)
+        full_C = sigma_C_bisection(blocks, min(k, k_prime), full)
+    assert (lazy.verdict, lazy.lambda_star) == (full.verdict, full.lambda_star)
+    assert lazy.n_evals <= full.n_evals
+    lazy_C = sigma_C_bisection(blocks, min(k, k_prime), lazy)
+    assert lazy_C.verdict == full_C.verdict
+    if full_C.verdict == "refuted":
+        assert lazy_C.lambda_star == full_C.lambda_star
+    assert lazy_C.n_evals <= full_C.n_evals
 
 
 #: in_G tolerance of the curve oracle.  A wider band also admits near
