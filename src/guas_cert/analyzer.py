@@ -180,12 +180,15 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     Raises NonFiniteInput on a NaN or infinite entry, and NotHurwitz /
     NoCommonWeakLyapunov (from normalize) when the standing hypotheses
-    fail, and ValueError on options out of range (n_grid < 2, an
-    evidence_T or evidence_dt that is not finite and positive, or a step
-    longer than the horizon); otherwise always returns a Verdict.
+    fail, and ValueError on options out of range (a tol that is not
+    finite and positive, n_grid < 2, an evidence_T or evidence_dt that is
+    not finite and positive, or a step longer than the horizon); otherwise
+    always returns a Verdict.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if opt.n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {opt.n_grid}")
     T, dt = opt.evidence_T, opt.evidence_dt

@@ -2,10 +2,12 @@
 
 Every signal steps by the matrix exponential of A_lambda dt, with lambda
 frozen over the step.  ``integrate`` reads lambda from the segment table
-of a piecewise-constant signal.  Each run is checked post hoc: a
-full-system run against the norm-nonincrease consequence of the weak
-Lyapunov bound, a reduced-system run against norm conservation (the drift
-is skew-symmetric).  A norm that overflows or turns NaN fails the check.
+of a piecewise-constant signal.  Every run takes its step count from
+``_n_steps`` (T, dt finite, 0 < dt <= T) and every returned run passes the
+check of ``_checked_run``: a full-system run against the norm-nonincrease
+consequence of the weak Lyapunov bound, a reduced-system run, the
+output-silencing feedback too, against norm conservation (the drift is
+skew-symmetric).  A norm that overflows or turns NaN fails the check.
 
 The greedy adversary has one engine, ``_greedy_stretches``.  It steps many
 runs as one (m, d) array, in blocks of up to ``BLOCK_CAP`` steps while no
@@ -20,7 +22,7 @@ certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,8 +51,8 @@ class SwitchingSignal:
         if not self.segments:
             raise BadSignalSpec("piecewise signal needs at least one segment")
         for dur, val in self.segments:
-            if dur <= 0:
-                raise BadSignalSpec(f"non-positive duration {dur}")
+            if not (math.isfinite(dur) and dur > 0):
+                raise BadSignalSpec(f"duration {dur} is not finite and positive")
             if self.kind == "binary_piecewise" and val not in (0, 1):
                 raise BadSignalSpec(f"binary value {val} not in {{0, 1}}")
             if not 0.0 <= val <= 1.0:
@@ -74,7 +76,6 @@ class Trajectory:
     norms: np.ndarray
     outputs: Optional[np.ndarray] = None   # (n+1, k') for reduced runs
     applied_lambda: Optional[np.ndarray] = None  # per-step value used
-    meta: dict = field(default_factory=dict)
 
     @property
     def T(self) -> float:
@@ -102,11 +103,8 @@ class Trajectory:
                 lam = np.append(lam, lam[-1] if len(lam) else 0.0)
             cols.append(lam)
             header.append("lambda")
-        data = np.column_stack(cols)
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.ndarray:
@@ -116,12 +114,21 @@ def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.nda
     t_acc = 0.0
     for dur, val in signal.segments:
         t_acc += dur
-        end = min(n_steps, int(round(t_acc / dt)))
+        end = round(min(n_steps, t_acc / dt))  # t_acc may overflow to inf
         lam[pos:end] = val
         pos = max(pos, end)
     if pos < n_steps:  # extend the last value to T
         lam[pos:] = signal.segments[-1][1]
     return lam
+
+
+def _n_steps(T: float, dt: float) -> int:
+    """The step count round(T / dt) >= 1 of a run; ValueError unless T and
+    dt are finite with 0 < dt <= T."""
+    if not (math.isfinite(T) and math.isfinite(dt) and 0 < dt <= T):
+        raise ValueError(
+            f"T and dt must be finite with 0 < dt <= T, got T = {T}, dt = {dt}")
+    return int(round(T / dt))
 
 
 def _exact_step_bound(initial_norm, n_steps: int):
@@ -146,6 +153,28 @@ def _check_full_norms(worst_increase, bound) -> None:
         )
 
 
+def _checked_run(states, dt: float, reduced: bool, outputs=None,
+                 applied_lambda=None) -> Trajectory:
+    """The Trajectory of the states at steps 0..n of a run, once its norms
+    pass the check: a reduced run must conserve its norm (skew drift), a
+    full run must not increase it, to rounding bounds.  Raises StepTooLarge;
+    a norm that is not finite fails."""
+    n_steps = len(states) - 1
+    norms = np.linalg.norm(states, axis=1)
+    bound = _exact_step_bound(norms[0], n_steps)
+    if reduced:
+        drift = float(np.abs(norms - norms[0]).max())
+        if not drift <= bound + 1e-10 * n_steps * (1.0 + norms[0]):
+            why = f"drift {drift:.3e} exceeds bound; shrink dt"
+            if not np.isfinite(drift):
+                why = "is not finite"
+            raise StepTooLarge(f"reduced-system norm {why}")
+    else:
+        _check_full_norms(np.diff(norms).max(initial=0.0), bound)
+    times = np.arange(n_steps + 1) * dt
+    return Trajectory(times, states, norms, outputs, applied_lambda)
+
+
 # overflow and NaN arithmetic in a run is left to the norm check
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
@@ -163,15 +192,12 @@ def integrate(
     reduced runs.  Raises StepTooLarge when the post-hoc norm check fails;
     a non-finite norm fails it.
     """
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    n_steps = _n_steps(T, dt)
     x0 = np.asarray(x0, float).ravel()
     reduced = isinstance(system, BlockFamily)
     dim = system.k if reduced else system.d
     if len(x0) != dim:
         raise BadSignalSpec(f"x0 has length {len(x0)}, system dimension is {dim}")
-    n_steps = max(1, int(round(T / dt)))
-    times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, dim))
     states[0] = x0
 
@@ -184,27 +210,11 @@ def integrate(
         x = E[lam] @ x
         states[j + 1] = x
 
-    norms = np.linalg.norm(states, axis=1)
     outputs = None
     if reduced and system.k_prime:
         lam = np.append(lam_used, lam_used[-1])[:, None]
         outputs = (1.0 - lam) * (states @ system.C0.T) + lam * (states @ system.C1.T)
-
-    bound = _exact_step_bound(norms[0], n_steps)
-    meta = {"norm_increase_bound": bound}
-    if reduced:
-        # skew drift: the norm is conserved, a fortiori nonincreasing
-        drift = float(np.abs(norms - norms[0]).max())
-        meta["norm_drift"] = drift
-        if not drift <= bound + 1e-10 * n_steps * (1.0 + norms[0]):
-            if not np.isfinite(drift):
-                raise StepTooLarge("reduced-system norm is not finite")
-            raise StepTooLarge(
-                f"reduced-system norm drift {drift:.3e} exceeds bound; shrink dt"
-            )
-    else:
-        _check_full_norms(np.diff(norms).max(initial=0.0), bound)
-    return Trajectory(times, states, norms, outputs, lam_used, meta)
+    return _checked_run(states, dt, reduced, outputs, lam_used)
 
 
 #: Relative tolerance under which the greedy adversary treats its two
@@ -331,21 +341,14 @@ def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Traje
     chattering artifacts.  One run of ``_greedy_stretches`` that keeps
     every state.  Heuristic evidence only, never a certificate.
     """
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    n_steps = _n_steps(T, dt)
     x0 = np.asarray(x0, float).ravel()
-    n_steps = max(1, int(round(T / dt)))
     states = np.empty((n_steps + 1, len(x0)))
     inputs = np.empty(n_steps + 1)
     for j, xs, _, u in _greedy_stretches(pair, x0[None], n_steps, dt):
         states[j : j + len(xs)] = xs[:, 0]
         inputs[j : j + len(xs)] = u[0]
-    norms = np.linalg.norm(states, axis=1)
-    bound = _exact_step_bound(norms[0], n_steps)
-    _check_full_norms(np.diff(norms).max(initial=0.0), bound)
-    times = np.arange(n_steps + 1) * dt
-    meta = {"norm_increase_bound": bound}
-    return Trajectory(times, states, norms, None, inputs[:-1], meta)
+    return _checked_run(states, dt, False, applied_lambda=inputs[:-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -361,8 +364,8 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     is checked against a bound from its own initial norm.  Heuristic
     evidence only, never a certificate.
     """
+    n_steps = _n_steps(T, dt)
     x = np.array(starts, float, ndmin=2)
-    n_steps = max(1, int(round(T / dt)))
     window_step = _window_step(n_steps, dt, T / 4.0)
     initial = np.linalg.norm(x, axis=1)
     worst = np.zeros(len(x))
@@ -388,6 +391,7 @@ class BadFeedbackRun:
     status: str  # exited_F | reached_N | stayed_in_F
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bad_feedback_trajectory(
     blocks: BlockFamily,
     x0,
@@ -399,12 +403,13 @@ def bad_feedback_trajectory(
 
     The output C_{lambda(x)} x vanishes along the run by construction.  The
     run stops at the first step where membership in F fails (exit_time), or
-    when the state reaches N where lambda is ambiguous.
+    when the state reaches N where lambda is ambiguous; the norm check
+    covers the steps taken.
     """
+    n_steps = _n_steps(T, dt)
     x0 = np.asarray(x0, float).ravel()
     if not in_F(blocks, x0, tol):
         raise NotInF("bad_feedback_trajectory requires x0 in F")
-    n_steps = max(1, int(round(T / dt)))
     states, lam_used, outputs = [x0.copy()], [], []
     x = x0.copy()
     exit_time = None
@@ -429,19 +434,9 @@ def bad_feedback_trajectory(
         outputs.append((1.0 - lam) * loc.c0 + lam * loc.c1)
         x = expm(blocks.A(lam) * dt) @ x
         states.append(x.copy())
-    states = np.array(states)
-    n = len(states) - 1
-    times = np.arange(n + 1) * dt
-    if outputs:
-        outputs.append(outputs[-1])
-    traj = Trajectory(
-        times,
-        states,
-        np.linalg.norm(states, axis=1),
-        np.array(outputs) if outputs else None,
-        np.array(lam_used) if lam_used else None,
-        {"status": status},
-    )
+    traj = _checked_run(np.array(states), dt, True,
+                        np.array(outputs + outputs[-1:]) if outputs else None,
+                        np.array(lam_used) if lam_used else None)
     return BadFeedbackRun(traj, exit_time, status)
 
 

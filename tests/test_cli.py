@@ -205,23 +205,51 @@ class TestSimulateCommand:
         ])
         assert code == EXIT_IO
 
-    @pytest.mark.parametrize("signal", ["worst", "binary:1=0,1=1"])
+    @pytest.mark.parametrize("problem, signal, x0", [
+        ("mason_file", "worst", "1e308,1e308"),
+        ("mason_file", "binary:1=0,1=1", "1e308,1e308"),
+        ("kdeux_pm_file", "badlocus", "-1e308,1e308"),
+    ], ids=["worst", "binary:1=0,1=1", "badlocus"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_x0_is_io_error(self, mason_file, tmp_path, capsys, signal):
+    def test_overflowing_x0_is_io_error(self, request, tmp_path, capsys, problem,
+                                        signal, x0):
         # finite entries whose norm overflows: the run's norms are inf or NaN
         code = main([
-            "simulate", mason_file, "--signal", signal, "--x0", "1e308,1e308",
-            "--out", str(tmp_path / "x.csv"),
+            "simulate", request.getfixturevalue(problem), "--signal", signal,
+            "--x0=" + x0, "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_IO
         assert "not finite" in capsys.readouterr().err
 
-    def test_bad_signal_spec_is_io_error(self, mason_file, tmp_path):
+    def test_bad_signal_spec_is_io_error(self, mason_file, tmp_path, capsys):
+        for spec in ["binary:1=7", "binary:inf=0", "relaxed:1=0.5,inf=1",
+                     "binary:nan=0"]:
+            code = main([
+                "simulate", mason_file, "--signal", spec,
+                "--x0", "1,0", "--out", str(tmp_path / "x.csv"),
+            ])
+            assert code == EXIT_IO, spec
+            assert "cannot parse signal spec" in capsys.readouterr().err, spec
+
+    @pytest.mark.parametrize("horizon", [
+        ["--T", "-1"], ["--dt", "0"], ["--dt", "-0.001"], ["--T", "inf"],
+        ["--dt", "5", "--T", "1"],
+    ], ids=["negative-T", "zero-dt", "negative-dt", "infinite-T", "dt-past-T"])
+    @pytest.mark.parametrize("signal", ["binary:1=0,1=1", "relaxed:2=0.5", "worst",
+                                        "badlocus"])
+    def test_bad_horizon_is_io_error(self, kdeux_pm_file, tmp_path, capsys, signal,
+                                     horizon):
+        """Every signal kind takes the one horizon rule: finite, 0 < dt <= T."""
+        x0 = "1,0,0"
+        if signal == "badlocus":  # in the coordinates of K, inside F
+            x0 = "-0.7071067811865476,0.7071067811865476"
         code = main([
-            "simulate", mason_file, "--signal", "binary:1=7",
-            "--x0", "1,0", "--out", str(tmp_path / "x.csv"),
+            "simulate", kdeux_pm_file, "--signal", signal, "--x0=" + x0, *horizon,
+            "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_IO
+        assert "0 < dt <= T" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestExampleCommand:
@@ -252,7 +280,12 @@ class TestExampleCommand:
         ("torus", ["--dt", "1e9"]),
         ("torus", ["--T", "inf"]),
         ("mason", ["--grid", "1"]),
-    ], ids=["negative-T", "dt-past-T", "infinite-T", "grid-1"])
+        ("kdeux", ["--b", "-1", "--tol", "-1"]),
+        ("kdeux", ["--b", "-1", "--tol", "nan"]),
+        ("kdeux", ["--b", "-1", "--tol", "inf"]),
+        ("kdeux", ["--b", "-1", "--tol", "0"]),
+    ], ids=["negative-T", "dt-past-T", "infinite-T", "grid-1", "negative-tol",
+            "nan-tol", "infinite-tol", "zero-tol"])
     def test_bad_analyzer_option_is_io_error(self, name, flags, capsys):
         """Rejected before any stage runs: no verdict, so no exit code 0-2."""
         assert main(["example", name, *flags]) == EXIT_IO

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -47,6 +49,19 @@ class TestSwitchingSignal:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(BadSignalSpec):
             SwitchingSignal.binary([(0.0, 1)])
+
+    @pytest.mark.parametrize("dur", [np.inf, np.nan])
+    def test_rejects_non_finite_duration(self, dur):
+        with pytest.raises(BadSignalSpec, match="not finite and positive"):
+            SwitchingSignal.relaxed([(1.0, 0.5), (dur, 1.0)])
+
+    def test_durations_whose_sum_overflows(self, mason_pair):
+        # the segment end times reach inf: the first value runs to T
+        huge = integrate(mason_pair, SwitchingSignal.binary([(1e308, 0), (1e308, 1)]),
+                         [1.0, 0.5], T=1.0, dt=1e-2)
+        one = integrate(mason_pair, SwitchingSignal.binary([(1.0, 0)]),
+                        [1.0, 0.5], T=1.0, dt=1e-2)
+        np.testing.assert_array_equal(huge.states, one.states)
 
     def test_feedback_kind_is_unknown(self):
         with pytest.raises(BadSignalSpec, match="unknown signal kind"):
@@ -118,6 +133,29 @@ class TestIntegrate:
         assert traj.states.shape == (5, 2)
 
 
+class TestHorizon:
+    @pytest.mark.parametrize("T, dt", [(-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3),
+                                       (np.inf, 1e-3), (1.0, 5.0), (1.0, np.nan)])
+    @pytest.mark.parametrize("entry", ["integrate", "worst_case_switching",
+                                       "worst_case_runs", "bad_feedback_trajectory"])
+    def test_bad_horizon_raises(self, mason_pair, kdeux_reduced, entry, T, dt):
+        runs = {
+            "integrate": lambda: integrate(
+                mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
+            "worst_case_switching": lambda: worst_case_switching(
+                mason_pair, [1.0, 0.0], T, dt),
+            "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
+            "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
+                kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
+        }
+        with pytest.raises(ValueError, match="0 < dt <= T"):
+            runs[entry]()
+
+    def test_step_equal_to_horizon_is_one_step(self, mason_pair):
+        traj = worst_case_switching(mason_pair, [1.0, 0.0], T=0.5, dt=0.5)
+        np.testing.assert_array_equal(traj.times, [0.0, 0.5])
+
+
 class TestCsv:
     def test_header_and_roundtrip(self, mason_pair, tmp_path):
         traj = integrate(mason_pair, SwitchingSignal.binary([(1.0, 0)]),
@@ -128,6 +166,19 @@ class TestCsv:
         assert lines[0] == "t,x_1,x_2,norm,lambda"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(data[:, 1:3], traj.states, rtol=1e-15)
+
+    def test_loadtxt_reads_back_every_column_exactly(self, kdeux_reduced, tmp_path):
+        signal = SwitchingSignal.relaxed([(0.4, 0.2), (0.6, 0.9)])
+        traj = integrate(kdeux_reduced, signal, [0.6, -0.8], T=1.0, dt=1e-2)
+        path = tmp_path / "run.csv"
+        traj.to_csv(path)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 0], traj.times)
+        np.testing.assert_array_equal(data[:, 1:3], traj.states)
+        np.testing.assert_array_equal(data[:, 3], traj.norms)
+        np.testing.assert_array_equal(data[:, 4:5], traj.outputs)
+        np.testing.assert_array_equal(data[:-1, 5], traj.applied_lambda)
+        assert data[-1, 5] == traj.applied_lambda[-1]  # the last value repeats
 
     def test_reduced_header_includes_outputs(self, kdeux_reduced, tmp_path):
         blocks = kdeux_reduced
@@ -383,6 +434,15 @@ class TestBadFeedback:
         x0 = np.array([1.0, -1.0]) / np.sqrt(2.0)
         run = bad_feedback_trajectory(blocks, x0, T=10.0, dt=1e-4)
         assert np.max(np.abs(run.trajectory.norms - 1.0)) < 1e-6
+
+    def test_norm_drift_raises(self, kdeux_reduced):
+        # a drift that is not skew leaks norm: the conservation check fails
+        leak = 1e-3 * np.eye(2)
+        leaky = dataclasses.replace(kdeux_reduced, A0=kdeux_reduced.A0 - leak,
+                                    A1=kdeux_reduced.A1 - leak)
+        with pytest.raises(StepTooLarge, match="drift"):
+            bad_feedback_trajectory(leaky, np.array([1.0, -1.0]) / np.sqrt(2.0),
+                                    T=0.1, dt=1e-2)
 
 
 class TestOmegaLimitAndMeasure:
