@@ -38,7 +38,7 @@ from .matrix_core import (
     require_finite,
 )
 from .observability import sigma_C_bisection, sweep_lambda
-from .simulator import plateau_rule, worst_case_runs
+from .simulator import _n_steps, plateau_rule, worst_case_runs
 
 CONCLUSIONS = (
     "GUAS_trivial_kernel",
@@ -149,7 +149,8 @@ def empirical_evidence(
 
     All runs step together as one (n_runs, d) array in ``worst_case_runs``,
     the greedy engine of ``worst_case_switching`` keeping norms only, in
-    blocks of L <= 64 steps while no run switches: O(n_runs L d) numbers.
+    blocks of L <= 256 steps while no run switches, each read from one
+    product with tables of quadratic forms: O(256 d^2 + n_runs L) numbers.
     A run is non-decaying when its norm plateaus over the last quarter of
     [0, T] above 1e-6 of its start.  Heuristic evidence, never a certificate.
     """
@@ -181,9 +182,10 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     Raises NonFiniteInput on a NaN or infinite entry, and NotHurwitz /
     NoCommonWeakLyapunov (from normalize) when the standing hypotheses
     fail, and ValueError on options out of range (a tol that is not
-    finite and positive, n_grid < 2, an evidence_T or evidence_dt that is
-    not finite and positive, or a step longer than the horizon); otherwise
-    always returns a Verdict.
+    finite and positive, n_grid < 2, or an evidence_T and evidence_dt that
+    the simulator's horizon rule rejects: not finite and positive, a step
+    longer than the horizon, or a step count T / dt that overflows);
+    otherwise always returns a Verdict.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
@@ -191,12 +193,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if opt.n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {opt.n_grid}")
-    T, dt = opt.evidence_T, opt.evidence_dt
-    if not (np.isfinite(T) and np.isfinite(dt) and 0 < dt <= T):
-        raise ValueError(
-            f"evidence_T and evidence_dt must be finite with 0 < dt <= T, "
-            f"got T = {T}, dt = {dt}"
-        )
+    _n_steps(opt.evidence_T, opt.evidence_dt)  # the evidence runs' horizon rule
     require_finite(pair)
 
     for name, B in (("B0", pair.B0), ("B1", pair.B1)):

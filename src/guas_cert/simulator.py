@@ -3,20 +3,26 @@
 Every signal steps by the matrix exponential of A_lambda dt, with lambda
 frozen over the step.  ``integrate`` reads lambda from the segment table
 of a piecewise-constant signal.  Every run takes its step count from
-``_n_steps`` (T, dt finite, 0 < dt <= T) and every returned run passes the
-check of ``_checked_run``: a full-system run against the norm-nonincrease
-consequence of the weak Lyapunov bound, a reduced-system run, the
-output-silencing feedback too, against norm conservation (the drift is
-skew-symmetric).  A norm that overflows or turns NaN fails the check.
+``_n_steps`` (T, dt and T / dt finite, 0 < dt <= T) and every returned run
+passes the check of ``_checked_run``: a full-system run against the
+norm-nonincrease consequence of the weak Lyapunov bound, a reduced-system
+run, the output-silencing feedback too, against norm conservation (the
+drift is skew-symmetric).  A norm that overflows or turns NaN fails the
+check.
 
 The greedy adversary has one engine, ``_greedy_stretches``.  It steps many
-runs as one (m, d) array, in blocks of up to ``BLOCK_CAP`` steps while no
-run switches, and hands the states out in stretches of constant input.
-``worst_case_runs`` keeps only norms from them: per run its initial,
-window-start and final norms and its largest one-step norm increase, with
-O(m BLOCK_CAP d) numbers in the current block.  ``worst_case_switching``
-keeps every state of one run.  Both are heuristic evidence, never a
-certificate.
+runs as one (m, d) array and hands them out in stretches of constant
+input.  While no run switches it steps them in blocks of up to
+``BLOCK_CAP`` steps without computing the states inside a block: the rule
+margin and the squared norm at E_u^i x are quadratic forms of the block's
+start state x, whose packed coefficients ``_form_tables`` builds once per
+call, O(BLOCK_CAP d^2) numbers.  One product of the runs' packed x x^T with
+those tables gives every margin and norm of a block, and x advances by the
+power E_u^s.  ``worst_case_runs`` keeps only norms: per run its initial,
+window-start and final norms and its largest one-step norm increase.
+``worst_case_switching`` keeps every state of one run, built from the
+first state of each stretch with the same powers.  Both are heuristic
+evidence, never a certificate.
 """
 
 from __future__ import annotations
@@ -123,11 +129,13 @@ def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.nda
 
 
 def _n_steps(T: float, dt: float) -> int:
-    """The step count round(T / dt) >= 1 of a run; ValueError unless T and
-    dt are finite with 0 < dt <= T."""
+    """The step count round(T / dt) >= 1 of a run; ValueError unless T, dt
+    and T / dt are finite with 0 < dt <= T."""
     if not (math.isfinite(T) and math.isfinite(dt) and 0 < dt <= T):
         raise ValueError(
             f"T and dt must be finite with 0 < dt <= T, got T = {T}, dt = {dt}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T / dt must be finite, got T = {T}, dt = {dt}")
     return int(round(T / dt))
 
 
@@ -221,31 +229,62 @@ def integrate(
 #: quadratic forms as tied, and keeps its previous input.
 TIE_TOL = 1e-12
 
-#: Shortest and longest block of the greedy adversary, in steps; its block
-#: temporaries hold O(m BLOCK_CAP d) numbers.
-BLOCK_MIN, BLOCK_CAP = 4, 64
+#: Shortest and longest block of the greedy adversary, in steps; its tables
+#: hold O(BLOCK_CAP d^2) numbers.
+BLOCK_MIN, BLOCK_CAP = 4, 256
+
+#: A block also ends before a state whose squared norm fell below this share
+#: of the block start's: a form read from the start state loses relative
+#: accuracy as the state decays.
+BLOCK_DECAY = 0.25
 
 
-def _block_products(E0, E1, cap: int) -> dict:
-    """For L = 1, 2, 4, ..., cap the (d (L+1), 2d) matrix R_L that maps the
-    column [x 0] or [0 x], a run's state x in the half of its input u, to
-    the column of x, E_u x, ..., E_u^L x, coordinate-major.  The powers
-    are built by doubling."""
-    d = len(E0)
+def _step_powers(pair: NormalizedPair, dt: float, cap: int) -> np.ndarray:
+    """The powers E_u^i of E_u = expm(B_u dt) for u = 0, 1 and i = 0..cap,
+    a (2, cap + 1, d, d) array built by doubling."""
+    d = pair.d
     P = np.empty((2, cap + 1, d, d))
     P[:, 0] = np.eye(d)
-    P[:, 1] = E0, E1
+    P[:, 1] = expm(pair.B0n * dt), expm(pair.B1n * dt)
     n = 1
     while n < cap:  # E^(n+i) = E^n E^i
         k = min(n, cap - n)
         np.matmul(P[:, n, None], P[:, 1 : k + 1], out=P[:, n + 1 : n + k + 1])
         n += k
-    R = P.transpose(2, 1, 0, 3)  # rows (a, i), columns (u, b)
-    products, L = {}, 1
-    while L <= cap:
-        products[L] = R[:, : L + 1].reshape(d * (L + 1), 2 * d)
-        L *= 2
-    return products
+    return P
+
+
+def _form_tables(pair: NormalizedPair, P: np.ndarray) -> np.ndarray:
+    """The packed coefficients of two quadratic forms of a block's start
+    state x at each power E_u^i of P, i < cap, a (2, cap, 2, p) array indexed
+    by (form, i, u, coefficient), p = d (d + 1) / 2.
+
+    With xx the entries x_a x_b, a <= b, of x x^T, xx @ table[0, i, u] is
+    the rule margin at E_u^i x, the form of
+    E_u^iT [(2u - 1)(S0 - S1) + TIE_TOL (S0 + S1)] E_u^i, and
+    xx @ table[1, i, u] the squared norm ||E_u^i x||^2.  The rows are built
+    by doubling, as the powers are: the forms at i + k are those at i under
+    the congruence F -> E_u^kT F E_u^k, a (p, p) matrix on packed forms.
+    """
+    d, n = pair.d, P.shape[1] - 1
+    a, b = np.triu_indices(d)
+    weight = np.where(a == b, 1.0, 2.0)  # x^T F x = sum over a <= b of w F_ab x_a x_b
+    diff, both = pair.S0 - pair.S1, TIE_TOL * (pair.S0 + pair.S1)
+    table = np.empty((2, 2, n, len(a)))  # (u, form, i, coefficient) while built
+    table[:, 0, 0] = (both - diff)[a, b] * weight, (both + diff)[a, b] * weight
+    table[:, 1, 0] = a == b
+    # the transposed congruence by E = E_u^k, k = 1, 2, 4, ..., at
+    # [(a_c, b_c), (a_r, b_r)]: w_r (E_ac,ar E_bc,br + E_ac,br E_bc,ar) / 2
+    E = P[:, 2 ** np.arange((n - 1).bit_length()), None]
+    ac, bc = a[:, None], b[:, None]
+    KT = E[..., ac, a] * E[..., bc, b] + E[..., ac, b] * E[..., bc, a]
+    KT *= 0.5 * weight
+    k = 1
+    for level in range(KT.shape[1]):
+        j = min(k, n - k)
+        np.matmul(table[:, :, :j], KT[:, level], out=table[:, :, k : k + j])
+        k += j
+    return np.ascontiguousarray(table.transpose(1, 2, 0, 3))
 
 
 def _window_step(n_steps: int, dt: float, window: float) -> int:
@@ -258,39 +297,48 @@ def _window_step(n_steps: int, dt: float, window: float) -> int:
     return j
 
 
-def _greedy_stretches(pair: NormalizedPair, x: np.ndarray, n_steps: int, dt: float):
-    """The greedy adversary from every row of the (m, d) array x, as
-    stretches (j, states, sq_norms, u) over which no run switches.
+def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
+                      n_steps: int):
+    """The greedy adversary from every row of the (m, d) array x, with the
+    step powers P of ``_step_powers``, as stretches (j, x, sq_norms, u) over
+    which no run switches.
 
-    ``states`` (s, m, d) are the states at steps j .. j+s-1, ``sq_norms``
-    (s, m) their squared norms and ``u`` (m,) each run's input on the steps
-    from them; ``u`` changes in place when the next stretch is asked for.
-    The last stretch holds only the state at n_steps.
+    ``x`` (m, d) holds the states at step j, ``sq_norms`` (s, m) the
+    squared norms at steps j .. j+s-1 and ``u`` (m,) each run's input on
+    the steps from them, so the state at step j + i is E_u^i x;
+    ``sq_norms`` and ``u`` change in place when the next stretch is asked
+    for.  The last stretch holds only the state at n_steps.
 
     Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  A single
     step is one product x @ [S0 S1 I E0^T E1^T], which gives both
     quadratic forms, the squared norms and both candidate next states.  A
-    block advances every run L steps with its own u by one product with
-    the powers E_u^1..E_u^L, evaluates the greedy rule at the states inside
-    it, and rolls all runs back to the first state at which some run would
-    switch; that state takes a single step.  The switching sequence is the
-    per-step rule's.  L adapts to how often the runs switch: it doubles up
-    to ``BLOCK_CAP`` after a block that no run cut short and halves after
-    one that a run did, and after a cut block the number of single steps
-    before the next one doubles.
+    block of L steps reads, from one product of the runs' packed x x^T with
+    their input's ``_form_tables`` columns, the rule margin and squared norm
+    at each of its states.  Since |q| >= -q, a run that the exact rule
+    switches has a margin above ``TIE_TOL``: the block ends at the first
+    state where some run's margin is above it, or where some run's squared
+    norm fell below ``BLOCK_DECAY`` of its start's, and that state takes a
+    single step.  So the switching sequence is the per-step rule's.  L
+    adapts to how often the runs switch: it doubles up to ``BLOCK_CAP``
+    after a block that no run cut short and halves after one that a run
+    did, and after a cut block the number of single steps before the next
+    one doubles.
     """
     m, d = x.shape
     if d != pair.d:
         raise BadSignalSpec(f"x0 has length {d}, system dimension is {pair.d}")
-    E0, E1 = expm(pair.B0n * dt), expm(pair.B1n * dt)
-    W = np.hstack([pair.S0.T, pair.S1.T, np.eye(d), E0.T, E1.T])
+    cap = P.shape[1] - 1
+    W = np.hstack([pair.S0.T, pair.S1.T, np.eye(d), P[0, 1].T, P[1, 1].T])
     Y = np.empty((m, 5 * d))
     forms = Y[:, : 3 * d].reshape(m, 3, d)
     rows = Y.reshape(5 * m, d)
     after_u0 = 5 * np.arange(m) + 3  # row of E_0 x for each run
     u = np.zeros(m, np.intp)
-    ST = W[:, : 3 * d].T.copy()  # rows S0, S1, I
-    products = _block_products(E0, E1, min(BLOCK_CAP, n_steps))
+    table = _form_tables(pair, P)
+    a, b = np.triu_indices(d)
+    p = len(a)
+    xx = np.empty((2, p, m))  # each run's x x^T in the half of its input
+    block = np.empty((2, cap, m))  # margins and squared norms of a block
     L, wait, countdown = BLOCK_MIN, 1, 1  # a single step first
     j = 0
     while j < n_steps:
@@ -300,7 +348,7 @@ def _greedy_stretches(pair: NormalizedPair, x: np.ndarray, n_steps: int, dt: flo
             diff = q0 - q1
             strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
             np.copyto(u, diff < 0.0, where=strict)
-            yield j, x[None], sq_norms[None], u
+            yield j, x, sq_norms[None], u
             x = rows.take(after_u0 + u, axis=0)
             j += 1
             countdown -= 1
@@ -308,28 +356,33 @@ def _greedy_stretches(pair: NormalizedPair, x: np.ndarray, n_steps: int, dt: flo
 
         while j + L > n_steps:
             L //= 2
-        # a block: z[:, i, r] = E_u^i x_r for i = 0..L, the rule at i < L
-        halves = np.where((u == ((0,), (1,)))[:, None], x.T, 0.0)
-        z = (products[L] @ halves.reshape(2 * d, m)).reshape(d, L + 1, m)
-        inner = z[:, :L].reshape(d, L * m)
-        q0, q1, sq_norms = np.einsum(
-            "kan,an->kn", (ST @ inner).reshape(3, d, L * m), inner
-        ).reshape(3, L, m)
-        # u = 0 switches when q1 - q0 passes the tie bound, u = 1 when q0 - q1 does
-        bound = 1.0 + np.abs(q0)
-        bound += np.abs(q1)
-        bound *= TIE_TOL
-        switches = ((q0 - q1) * (2.0 * u - 1.0) > bound).any(axis=1)
-        s = int(np.argmax(switches)) if switches.any() else L
+        # a block: margins and squared norms at E_u^i x for i = 0..L-1
+        xt = x.T
+        np.multiply(xt[a], xt[b], out=xx[1])
+        if u.min() == u.max():  # every run holds one input: its half of the table
+            coefs, packed = table[:, :L, u[0]], xx[1]
+        else:
+            np.multiply(xx[1], u == 0, out=xx[0])
+            xx[1] *= u
+            coefs, packed = table[:, :L].reshape(2, L, 2 * p), xx.reshape(2 * p, m)
+        margins, sq_norms = np.matmul(coefs, packed, out=block[:, :L])
+        # norms do not grow, so a run that decays below BLOCK_DECAY in the
+        # block does so by its last state
+        floor = BLOCK_DECAY * sq_norms[0]
+        s = L
+        if np.fmax.reduce(margins, axis=None) > TIE_TOL or (sq_norms[-1] < floor).any():
+            cut = (margins > TIE_TOL).any(axis=1) | (sq_norms < floor).any(axis=1)
+            s = int(np.argmax(cut)) if cut.any() else L
         if s:  # accept the states j .. j+s-1 and their steps
-            yield j, z[:, :s].transpose(1, 2, 0), sq_norms[:s], u
-            x = z[:, s].T.copy()
+            yield j, x, sq_norms[:s], u
+            z = P[:, s] @ xt
+            x = np.where(u[:, None], z[1].T, z[0].T)
             j += s
         if s == L:  # the next block follows at once
-            L, wait = min(2 * L, BLOCK_CAP), 1
+            L, wait = min(2 * L, cap), 1
         else:
             L, countdown, wait = max(BLOCK_MIN, L // 2), wait, 2 * wait
-    yield n_steps, x[None], np.einsum("id,id->i", x, x)[None], u
+    yield n_steps, x, np.einsum("id,id->i", x, x)[None], u
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -338,16 +391,19 @@ def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Traje
 
     At each step the input u in {0, 1} with the least-negative quadratic
     form x^T (B_u^T + B_u) x is applied; ties keep the previous u to avoid
-    chattering artifacts.  One run of ``_greedy_stretches`` that keeps
-    every state.  Heuristic evidence only, never a certificate.
+    chattering artifacts.  One run of ``_greedy_stretches``, whose states
+    in a stretch are the powers E_u^i applied to its first.  Heuristic
+    evidence only, never a certificate.
     """
     n_steps = _n_steps(T, dt)
     x0 = np.asarray(x0, float).ravel()
+    P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
     states = np.empty((n_steps + 1, len(x0)))
     inputs = np.empty(n_steps + 1)
-    for j, xs, _, u in _greedy_stretches(pair, x0[None], n_steps, dt):
-        states[j : j + len(xs)] = xs[:, 0]
-        inputs[j : j + len(xs)] = u[0]
+    for j, x, sq_norms, u in _greedy_stretches(pair, P, x0[None], n_steps):
+        s = len(sq_norms)
+        states[j : j + s] = x[0] if s == 1 else P[u[0], :s] @ x[0]
+        inputs[j : j + s] = u[0]
     return _checked_run(states, dt, False, applied_lambda=inputs[:-1])
 
 
@@ -356,20 +412,21 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     """The greedy adversary from every row of ``starts`` at once, as
     ``_greedy_stretches`` of one (m, d) array, keeping only norms.
 
-    No per-step data is kept beyond the current block, O(m L d) numbers
-    with L at most ``BLOCK_CAP``.  Returns the arrays (initial,
-    window_start, final) of each run's norm at t = 0, at the first step of
-    the last quarter of [0, T] (the tail ``estimate_omega_limit`` reads
-    with window T / 4) and at T.  Each run's largest one-step norm increase
-    is checked against a bound from its own initial norm.  Heuristic
-    evidence only, never a certificate.
+    No per-step data is kept beyond the current block, O(m L) numbers with
+    L at most ``BLOCK_CAP``.  Returns the arrays (initial, window_start,
+    final) of each run's norm at t = 0, at the first step of the last
+    quarter of [0, T] (the tail ``estimate_omega_limit`` reads with window
+    T / 4) and at T.  Each run's largest one-step norm increase is checked
+    against a bound from its own initial norm.  Heuristic evidence only,
+    never a certificate.
     """
     n_steps = _n_steps(T, dt)
     x = np.array(starts, float, ndmin=2)
+    P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
     window_step = _window_step(n_steps, dt, T / 4.0)
     initial = np.linalg.norm(x, axis=1)
     worst = np.zeros(len(x))
-    for j, _, sq_norms, _ in _greedy_stretches(pair, x, n_steps, dt):
+    for j, _, sq_norms, _ in _greedy_stretches(pair, P, x, n_steps):
         norms = np.sqrt(sq_norms)
         if j <= window_step < j + len(norms):
             window_start = norms[window_step - j]

@@ -8,8 +8,9 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from guas_cert import MatrixPair, normalize
+from guas_cert import MatrixPair, normalize, simulator
 from guas_cert.gallery import assemble, kdeux, mason, shared_output, torus
 
 try:
@@ -109,3 +110,23 @@ def full_grid_bisection(sigma, lipschitz, grid, threshold, floor):
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         s_lo = np.concatenate([s_lo, new_vals])
         s_hi = np.concatenate([new_vals, s_hi])
+
+
+def greedy_reference(npair, x0, T, dt):
+    """The greedy adversary one step at a time, apart from the block-stepped
+    engine: the same q0/q1 order, tie test to ``simulator.TIE_TOL`` and
+    keep-u-on-tie rule, stepping by expm(B_u dt)."""
+    E = (expm(npair.B0n * dt), expm(npair.B1n * dt))
+    x = np.asarray(x0, float)
+    u, states, inputs = 0, [x], []
+    for _ in range(max(1, round(T / dt))):
+        q0, q1 = x @ npair.S0 @ x, x @ npair.S1 @ x
+        if abs(q0 - q1) > simulator.TIE_TOL * (1.0 + abs(q0) + abs(q1)):
+            u = 0 if q0 > q1 else 1
+        inputs.append(u)
+        x = E[u] @ x
+        states.append(x)
+    states = np.array(states)
+    return simulator.Trajectory(np.arange(len(states)) * dt, states,
+                                np.linalg.norm(states, axis=1), None,
+                                np.array(inputs, float))

@@ -251,6 +251,18 @@ class TestSimulateCommand:
         assert "0 < dt <= T" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("signal", ["binary:1=0,1=1", "worst"])
+    def test_step_count_overflow_is_io_error(self, mason_file, tmp_path, capsys,
+                                             signal):
+        """Finite T and dt whose ratio overflows: exit 4, not an OverflowError."""
+        code = main([
+            "simulate", mason_file, "--signal", signal, "--x0", "1,0",
+            "--T", "1e300", "--dt", "1e-300", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_IO
+        assert "T / dt must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestExampleCommand:
     def test_hurwitz_demo(self, capsys):
@@ -279,12 +291,15 @@ class TestExampleCommand:
         ("torus", ["--T", "-5"]),
         ("torus", ["--dt", "1e9"]),
         ("torus", ["--T", "inf"]),
+        ("torus", ["--T", "1e300", "--dt", "1e-300"]),
+        ("mason", ["--T", "1e300", "--dt", "1e-300"]),
         ("mason", ["--grid", "1"]),
         ("kdeux", ["--b", "-1", "--tol", "-1"]),
         ("kdeux", ["--b", "-1", "--tol", "nan"]),
         ("kdeux", ["--b", "-1", "--tol", "inf"]),
         ("kdeux", ["--b", "-1", "--tol", "0"]),
-    ], ids=["negative-T", "dt-past-T", "infinite-T", "grid-1", "negative-tol",
+    ], ids=["negative-T", "dt-past-T", "infinite-T", "step-count-overflow",
+            "step-count-overflow-without-evidence", "grid-1", "negative-tol",
             "nan-tol", "infinite-tol", "zero-tol"])
     def test_bad_analyzer_option_is_io_error(self, name, flags, capsys):
         """Rejected before any stage runs: no verdict, so no exit code 0-2."""

@@ -21,9 +21,9 @@ from guas_cert import (
 )
 from guas_cert.errors import BadSignalSpec, NoOutputs, StepTooLarge
 from guas_cert.gallery import assemble, kdeux, mason, torus
-from guas_cert.simulator import Trajectory, worst_case_runs
+from guas_cert.simulator import worst_case_runs
 
-from conftest import stable_block
+from conftest import greedy_reference, stable_block
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,23 @@ class TestHorizon:
         with pytest.raises(ValueError, match="0 < dt <= T"):
             runs[entry]()
 
+    @pytest.mark.parametrize("entry", ["integrate", "worst_case_switching",
+                                       "worst_case_runs", "bad_feedback_trajectory"])
+    def test_step_count_overflow_raises(self, mason_pair, kdeux_reduced, entry):
+        # 0 < dt <= T holds, but T / dt overflows to inf
+        T, dt = 1e300, 1e-300
+        runs = {
+            "integrate": lambda: integrate(
+                mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
+            "worst_case_switching": lambda: worst_case_switching(
+                mason_pair, [1.0, 0.0], T, dt),
+            "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
+            "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
+                kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
+        }
+        with pytest.raises(ValueError, match="T / dt must be finite"):
+            runs[entry]()
+
     def test_step_equal_to_horizon_is_one_step(self, mason_pair):
         traj = worst_case_switching(mason_pair, [1.0, 0.0], T=0.5, dt=0.5)
         np.testing.assert_array_equal(traj.times, [0.0, 0.5])
@@ -225,25 +242,6 @@ class TestWorstCase:
     def test_overflowing_x0_raises(self, mason_pair):
         with pytest.raises(StepTooLarge, match="not finite"):
             worst_case_switching(mason_pair, [1e308, 1e308], T=1.0, dt=1e-2)
-
-
-def greedy_reference(npair, x0, T, dt) -> Trajectory:
-    """The greedy adversary one step at a time, apart from the block-stepped
-    engine: the same q0/q1 order, tie test to ``simulator.TIE_TOL`` and
-    keep-u-on-tie rule, stepping by expm(B_u dt)."""
-    E = (expm(npair.B0n * dt), expm(npair.B1n * dt))
-    x = np.asarray(x0, float)
-    u, states, inputs = 0, [x], []
-    for _ in range(max(1, round(T / dt))):
-        q0, q1 = x @ npair.S0 @ x, x @ npair.S1 @ x
-        if abs(q0 - q1) > simulator.TIE_TOL * (1.0 + abs(q0) + abs(q1)):
-            u = 0 if q0 > q1 else 1
-        inputs.append(u)
-        x = E[u] @ x
-        states.append(x)
-    states = np.array(states)
-    return Trajectory(np.arange(len(states)) * dt, states,
-                      np.linalg.norm(states, axis=1), None, np.array(inputs, float))
 
 
 def assert_same_run(traj, ref):
@@ -392,6 +390,45 @@ class TestWorstCaseRuns:
                 longest_hold = max(longest_hold, np.diff(switch_steps, prepend=0).max())
         assert longest_hold >= 8
 
+    def test_mixed_inputs_in_one_block(self):
+        """Runs on both sides of the diagonal hold opposite inputs for tens of
+        steps inside the same blocks; each takes its own input's forms."""
+        npair = slow_rotation_pair()
+        angles = np.array([0.3, 0.3 + np.pi / 2.0, 1.0, 1.0 + np.pi / 2.0, 2.0])
+        starts = np.column_stack([np.cos(angles), np.sin(angles)])
+        T, dt = 10.0, 1e-2
+        initial, window_start, final = worst_case_runs(npair, starts, T, dt)
+        for i, x0 in enumerate(starts):
+            traj = greedy_reference(npair, x0, T, dt)
+            assert_same_run(worst_case_switching(npair, x0, T, dt), traj)
+            tail = traj.norms[traj.times >= traj.T - T / 4.0]
+            assert initial[i] == traj.norms[0]
+            assert window_start[i] == pytest.approx(tail[0], rel=1e-13)
+            assert final[i] == pytest.approx(traj.norms[-1], rel=1e-13)
+        # the steps of blocks, not single steps, in which both inputs are held
+        P = simulator._step_powers(npair, dt, simulator.BLOCK_CAP)
+        mixed = sum(len(sq_norms) for _, _, sq_norms, u
+                    in simulator._greedy_stretches(npair, P, starts, round(T / dt))
+                    if len(sq_norms) > 1 and u.min() != u.max())
+        assert mixed >= 900
+
+    def test_block_norms_are_those_of_its_states(self):
+        """Every squared norm a stretch reports is ||E_u^i x||^2 of its own
+        state to rounding, also for a run that a fast mode takes down by
+        orders of magnitude inside a block: a block ends where a squared
+        norm falls below ``BLOCK_DECAY`` of its start's, before the form
+        read from the start state loses its relative accuracy."""
+        c, s = np.cos(np.pi / 5.0), np.sin(np.pi / 5.0)
+        Q = np.array([[c, -s], [s, c]])
+        B = Q @ np.diag([-2.73, -0.01]) @ Q.T
+        npair = NormalizedPair(B, B.copy())
+        starts = np.array([Q[:, 0] + 1e-6 * Q[:, 1], Q[:, 1]])
+        n_steps, dt = 600, 1e-2
+        P = simulator._step_powers(npair, dt, simulator.BLOCK_CAP)
+        for j, x, sq_norms, u in simulator._greedy_stretches(npair, P, starts, n_steps):
+            states = np.einsum("iab,rb->ira", P[u[0], : len(sq_norms)], x)
+            np.testing.assert_allclose(sq_norms, (states**2).sum(axis=2), rtol=1e-13)
+
     def test_norm_check_uses_each_runs_own_bound(self, monkeypatch):
         # a rotation plane, on which the norm is conserved, and a decaying axis
         B = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
@@ -415,6 +452,35 @@ class TestWorstCaseRuns:
         worst_case_runs(npair, starts[:1], T, dt)
         with pytest.raises(StepTooLarge, match=r"increased by 1\.000e-09 in run 1"):
             worst_case_runs(npair, starts, T, dt)
+
+
+class TestFormTables:
+    def test_tables_give_forms_at_stepped_states(self, monkeypatch):
+        """Row i of the packed tables gives the rule margin and the squared
+        norm at E_u^i x, x stepped one at a time, for i < BLOCK_CAP; the
+        powers reach E_u^BLOCK_CAP.  A loose TIE_TOL makes its term of the
+        margin visible."""
+        monkeypatch.setattr(simulator, "TIE_TOL", 1e-3)
+        npair = normalize(switching_pair())
+        d, dt, cap = npair.d, 1e-2, simulator.BLOCK_CAP
+        P = simulator._step_powers(npair, dt, cap)
+        table = simulator._form_tables(npair, P)
+        a, b = np.triu_indices(d)
+        assert table.shape == (2, cap, 2, len(a))
+        x = np.random.default_rng(4).standard_normal(d)
+        x /= np.linalg.norm(x)
+        xx = x[a] * x[b]
+        S0, S1 = npair.S0, npair.S1
+        for u, B in enumerate((npair.B0n, npair.B1n)):
+            E = expm(B * dt)
+            y = x
+            for i in range(cap):
+                q0, q1 = y @ S0 @ y, y @ S1 @ y
+                margin = (2 * u - 1) * (q0 - q1) + 1e-3 * (q0 + q1)
+                assert abs(xx @ table[0, i, u] - margin) <= 1e-12, (u, i)
+                assert abs(xx @ table[1, i, u] - y @ y) <= 1e-12, (u, i)
+                y = E @ y
+            np.testing.assert_allclose(P[u, cap] @ x, y, rtol=0, atol=1e-12)
 
 
 class TestBadFeedback:
