@@ -3,12 +3,12 @@
 Every signal steps by the matrix exponential of A_lambda dt, with lambda
 frozen over the step.  ``integrate`` reads lambda from the segment table
 of a piecewise-constant signal.  Every run takes its step count from
-``_n_steps`` (T, dt and T / dt finite, 0 < dt <= T) and every returned run
-passes the check of ``_checked_run``: a full-system run against the
-norm-nonincrease consequence of the weak Lyapunov bound, a reduced-system
-run, the output-silencing feedback too, against norm conservation (the
-drift is skew-symmetric).  A norm that overflows or turns NaN fails the
-check.
+``_n_steps`` (T, dt and T / dt finite, 0 < dt <= T, at most ``MAX_STEPS``
+steps) and every returned run passes the check of ``_checked_run``: a
+full-system run against the norm-nonincrease consequence of the weak
+Lyapunov bound, a reduced-system run, the output-silencing feedback too,
+against norm conservation (the drift is skew-symmetric).  A norm that
+overflows or turns NaN fails the check.
 
 The greedy adversary has one engine, ``_greedy_stretches``.  It steps many
 runs as one (m, d) array and hands them out in stretches of constant
@@ -128,15 +128,25 @@ def _segment_lambdas(signal: SwitchingSignal, n_steps: int, dt: float) -> np.nda
     return lam
 
 
+#: Most steps of one run.  A run stores or steps every one of them, so a
+#: finite but huge T / dt would exhaust memory or never end.
+MAX_STEPS = 10**7
+
+
 def _n_steps(T: float, dt: float) -> int:
     """The step count round(T / dt) >= 1 of a run; ValueError unless T, dt
-    and T / dt are finite with 0 < dt <= T."""
+    and T / dt are finite with 0 < dt <= T and round(T / dt) <= MAX_STEPS."""
     if not (math.isfinite(T) and math.isfinite(dt) and 0 < dt <= T):
         raise ValueError(
             f"T and dt must be finite with 0 < dt <= T, got T = {T}, dt = {dt}")
     if not math.isfinite(T / dt):
         raise ValueError(f"T / dt must be finite, got T = {T}, dt = {dt}")
-    return int(round(T / dt))
+    n_steps = int(round(T / dt))
+    if n_steps > MAX_STEPS:
+        raise ValueError(
+            f"T / dt must be at most {MAX_STEPS} steps, got {n_steps} "
+            f"(T = {T}, dt = {dt})")
+    return n_steps
 
 
 def _exact_step_bound(initial_norm, n_steps: int):

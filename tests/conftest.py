@@ -1,4 +1,5 @@
 import os
+from unittest import mock
 
 # One BLAS/OpenMP thread, as perfbench/run.py runs its workloads: the
 # per-step loops multiply tiny matrices, and with a thread pool their wall
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from guas_cert import MatrixPair, normalize, simulator
+from guas_cert import MatrixPair, normalize, observability, simulator
 from guas_cert.gallery import assemble, kdeux, mason, shared_output, torus
 
 try:
@@ -72,44 +73,22 @@ def normalized_corpus(corpus):
     return {name: normalize(pair) for name, pair in corpus.items()}
 
 
-def full_grid_bisection(sigma, lipschitz, grid, threshold, floor):
-    """``observability.weyl_bisection`` with every grid point evaluated up
-    front, apart from the lazy cover: the same bound, split rules, budget
-    and midpoint bisection below grid resolution."""
-    from guas_cert.observability import Bisection
+def _full_grid_cover(sigma, lipschitz, grid, threshold):
+    """``observability._grid_cover`` with every grid point evaluated up front."""
+    vals = sigma(grid)
+    return grid[:-1], grid[1:], vals[:-1], vals[1:], grid, vals
 
-    budget = len(grid) - 1
-    new_lams, new_vals = grid, sigma(grid)
-    n_evals = len(grid)
-    lo, hi, s_lo, s_hi = grid[:-1], grid[1:], new_vals[:-1], new_vals[1:]
-    value, lam_star, settled, certifying = np.inf, 0.0, np.inf, True
-    while True:
-        bound = 0.5 * (s_lo + s_hi - lipschitz * (hi - lo))
-        i = int(np.argmin(new_vals))
-        if new_vals[i] < value:
-            value, lam_star = float(new_vals[i]), float(new_lams[i])
-        lower = min(settled, float(bound.min()))
-        if value < floor:
-            return Bisection("refuted", lower, value, lam_star, n_evals)
-        split = bound <= threshold
-        certifying = certifying and value > threshold and split.sum() <= budget
-        if not certifying:
-            lowest = np.argsort(bound)[:budget]
-            split = np.zeros(len(bound), bool)
-            split[lowest[bound[lowest] < floor]] = True
-        settled = min(settled, float(bound[~split].min(initial=np.inf)))
-        if not np.any(split):
-            verdict = "certified" if certifying else "inconclusive"
-            return Bisection(verdict, lower, value, lam_star, n_evals)
-        lo, hi, s_lo, s_hi = lo[split], hi[split], s_lo[split], s_hi[split]
-        mid = 0.5 * (lo + hi)
-        if np.any((mid <= lo) | (mid >= hi)):
-            return Bisection("inconclusive", lower, value, lam_star, n_evals)
-        new_lams, new_vals = mid, sigma(mid)
-        n_evals += len(mid)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        s_lo = np.concatenate([s_lo, new_vals])
-        s_hi = np.concatenate([new_vals, s_hi])
+
+#: captured at import: tests patch ``observability.weyl_bisection`` itself
+_weyl_bisection = observability.weyl_bisection
+
+
+def full_grid_bisection(sigma, lipschitz, grid, threshold, floor):
+    """``observability.weyl_bisection`` over a cover of every grid point
+    instead of the lazy one: the same bound, split rules, budget, probes and
+    midpoint bisection below grid resolution."""
+    with mock.patch.object(observability, "_grid_cover", _full_grid_cover):
+        return _weyl_bisection(sigma, lipschitz, grid, threshold, floor)
 
 
 def greedy_reference(npair, x0, T, dt):

@@ -24,7 +24,7 @@ from guas_cert.errors import (
     NotHurwitz,
     StructureViolation,
 )
-from guas_cert.gallery import kdeux, mason
+from guas_cert.gallery import kdeux, mason, torus
 
 
 @pytest.fixture
@@ -264,6 +264,19 @@ class TestSimulateCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+    def test_step_count_cap_is_io_error(self, tmp_path, capsys):
+        """Finite T / dt, but 1e15 steps: exit 4 before any allocation."""
+        problem = tmp_path / "torus.json"
+        save_problem(torus(), str(problem))
+        code = main([
+            "simulate", str(problem), "--signal", "worst", "--x0", "1,0,0,0,0",
+            "--T", "1e12", "--dt", "1e-3", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_IO
+        assert "at most 10000000 steps" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestExampleCommand:
     def test_hurwitz_demo(self, capsys):
         assert main(["example", "hurwitz"]) == EXIT_GUAS
@@ -293,13 +306,14 @@ class TestExampleCommand:
         ("torus", ["--T", "inf"]),
         ("torus", ["--T", "1e300", "--dt", "1e-300"]),
         ("mason", ["--T", "1e300", "--dt", "1e-300"]),
+        ("torus", ["--T", "1e12", "--dt", "1e-3"]),
         ("mason", ["--grid", "1"]),
         ("kdeux", ["--b", "-1", "--tol", "-1"]),
         ("kdeux", ["--b", "-1", "--tol", "nan"]),
         ("kdeux", ["--b", "-1", "--tol", "inf"]),
         ("kdeux", ["--b", "-1", "--tol", "0"]),
     ], ids=["negative-T", "dt-past-T", "infinite-T", "step-count-overflow",
-            "step-count-overflow-without-evidence", "grid-1", "negative-tol",
+            "step-count-overflow-without-evidence", "step-count-cap", "grid-1", "negative-tol",
             "nan-tol", "infinite-tol", "zero-tol"])
     def test_bad_analyzer_option_is_io_error(self, name, flags, capsys):
         """Rejected before any stage runs: no verdict, so no exit code 0-2."""

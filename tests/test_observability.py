@@ -243,6 +243,75 @@ class TestWeylBisection:
         assert f(np.linspace(0.0, 1.0, 100001)).min() >= run.bound - 1e-12
 
 
+def _calls_and_lambdas(f):
+    """``f`` recording the lambdas of each of its calls."""
+    calls = []
+
+    def sigma(lams):
+        calls.append(lams.copy())
+        return f(lams)
+
+    return sigma, calls
+
+
+class TestSecantProbe:
+    def test_v_refutes_at_its_zero_in_six_calls(self):
+        """|lam - 0.3|: the steeper secant through the grid points next to
+        the zero lies on one branch of the V, so one probe hits the zero;
+        halving alone takes 15 calls."""
+        sigma, calls = _calls_and_lambdas(lambda lams: np.abs(lams - 0.3))
+        run = weyl_bisection(sigma, 1.0, np.linspace(0.0, 1.0, 257), 1e-3, 1e-6)
+        assert run.verdict == "refuted"
+        assert abs(run.lambda_star - 0.3) <= 1e-12
+        assert len(calls) <= 6
+
+    def test_curved_asymmetric_zero(self):
+        """|sin 7(lam - 0.3141)| (1 + lam), zeros at 0.3141 + j pi / 7: the
+        secants are not exact, yet the run refutes next to a zero in at most
+        8 calls (18 by halving alone)."""
+        def f(lams):
+            return np.abs(np.sin(7.0 * (lams - 0.3141))) * (1.0 + lams)
+
+        sigma, calls = _calls_and_lambdas(f)
+        run = weyl_bisection(sigma, 15.0, np.linspace(0.0, 1.0, 257), 1e-3, 1e-6)
+        assert run.verdict == "refuted" and run.value < 1e-6
+        zeros = 0.3141 + np.arange(2) * np.pi / 7.0
+        # |f'| >= 7 near a zero
+        assert np.min(np.abs(run.lambda_star - zeros)) <= run.value / 7.0 + 1e-15
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("f, lipschitz, threshold, floor, n_grid, fires", [
+        (*BISECTION_CASES[0], 9, False),
+        (*BISECTION_CASES[1], 257, True),
+        (lambda lams: 0.01 + np.abs(np.sin(7.0 * (lams - 0.3141))),
+         7.0, 1e-3, 1e-6, 9, True),
+    ], ids=["certified", "near-floor", "certified-interior"])
+    def test_probe_moves_no_bound(self, monkeypatch, f, lipschitz, threshold,
+                                  floor, n_grid, fires):
+        """The probe never enters the cover: verdict and bound are those of
+        the run without probes, also where probes were evaluated."""
+        args = (f, lipschitz, np.linspace(0.0, 1.0, n_grid), threshold, floor)
+        run = weyl_bisection(*args)
+        monkeypatch.setattr(observability, "_secant_probe", lambda *a: None)
+        plain = weyl_bisection(*args)
+        assert (run.verdict, run.bound) == (plain.verdict, plain.bound)
+        assert (run.n_evals > plain.n_evals) == fires
+
+    def test_probe_stays_inside_its_bracket(self):
+        """At lam = 1/2 the secants have slope 0.01 and value 0.06, so their
+        zeros lie 6 away, outside [0, 1]: no probe is evaluated there."""
+        def f(lams):
+            dist = np.abs(lams - 0.5)
+            return 0.06 + 0.01 * dist + 50.0 * np.maximum(0.0, dist - 0.02)
+
+        sigma, calls = _calls_and_lambdas(f)
+        run = weyl_bisection(sigma, 50.0, np.linspace(0.0, 1.0, 257), 1e-3, 1e-6)
+        assert run.verdict == "certified"
+        lams = np.concatenate(calls)
+        assert len(calls) > 5  # the run split below grid resolution
+        assert lams.min() >= 0.0 and lams.max() <= 1.0
+
+
 class TestCrosscheck:
     def test_damped_rotation_agrees(self):
         rep = hurwitz_observability_crosscheck(np.array([[-1.0, -1.0], [1.0, -1.0]]))

@@ -168,6 +168,28 @@ class TestHorizon:
         with pytest.raises(ValueError, match="T / dt must be finite"):
             runs[entry]()
 
+    @pytest.mark.parametrize("entry", ["integrate", "worst_case_switching",
+                                       "worst_case_runs", "bad_feedback_trajectory"])
+    def test_step_count_cap_raises(self, mason_pair, kdeux_reduced, entry):
+        # finite T / dt, but 1e15 steps: rejected before any allocation
+        T, dt = 1e12, 1e-3
+        runs = {
+            "integrate": lambda: integrate(
+                mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
+            "worst_case_switching": lambda: worst_case_switching(
+                mason_pair, [1.0, 0.0], T, dt),
+            "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
+            "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
+                kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
+        }
+        with pytest.raises(ValueError, match=f"at most {simulator.MAX_STEPS} steps"):
+            runs[entry]()
+
+    def test_step_count_cap_is_inclusive(self):
+        assert simulator._n_steps(float(simulator.MAX_STEPS), 1.0) == simulator.MAX_STEPS
+        with pytest.raises(ValueError, match="at most"):
+            simulator._n_steps(simulator.MAX_STEPS + 1.0, 1.0)
+
     def test_step_equal_to_horizon_is_one_step(self, mason_pair):
         traj = worst_case_switching(mason_pair, [1.0, 0.0], T=0.5, dt=0.5)
         np.testing.assert_array_equal(traj.times, [0.0, 0.5])

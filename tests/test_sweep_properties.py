@@ -6,8 +6,9 @@ The families include C1 = -c C0, whose output vanishes at lam* = 1/(1 + c),
 and families built to be unobservable at a random lam* off the grid.  On
 random k = 3, k' = 2 families, the points of G that scan_G reports must
 pass in_G, and in_G along the curve F ∩ S must find no other point of G.
-On every family, the lazily evaluated grid must reach the verdicts and
-lambda* of the full-grid reference bisection.
+On every family, the lazily evaluated grid must reach the verdicts of the
+full-grid reference bisection, and refute only where the value is below
+the floor.
 """
 
 from unittest import mock
@@ -90,19 +91,61 @@ def test_sweep_verdicts_hold(kind, k, k_prime, seed, lam_star):
 )
 def test_lazy_cover_matches_full_grid(kind, k, k_prime, seed, lam_star):
     """The sweep and the sigma_j(C_lam) bisection reach the reference's
-    verdict, and lambda* when refuted, while evaluating no more lambdas."""
+    verdict while evaluating no more lambdas.  The two covers hand the
+    secant probe different neighbours, so two refutations may stop at
+    different lambdas; each must be a lambda where the recomputed value is
+    below the floor."""
     blocks = family(kind, k, k_prime, seed, lam_star)
+    j = min(k, k_prime)
     lazy = sweep_lambda(blocks)
     with mock.patch.object(observability, "weyl_bisection", full_grid_bisection):
         full = sweep_lambda(blocks)
-        full_C = sigma_C_bisection(blocks, min(k, k_prime), full)
-    assert (lazy.verdict, lazy.lambda_star) == (full.verdict, full.lambda_star)
+        full_C = sigma_C_bisection(blocks, j, full)
+    assert lazy.verdict == full.verdict
+    if full.verdict == "fails_at":
+        for report in (lazy, full):
+            assert sigma_k(blocks, np.array([report.lambda_star]))[0] < report.tol
     assert lazy.n_evals <= full.n_evals
-    lazy_C = sigma_C_bisection(blocks, min(k, k_prime), lazy)
+    lazy_C = sigma_C_bisection(blocks, j, lazy)
     assert lazy_C.verdict == full_C.verdict
     if full_C.verdict == "refuted":
-        assert lazy_C.lambda_star == full_C.lambda_star
+        for run in (lazy_C, full_C):
+            sigma_j = np.linalg.svd(blocks.C(run.lambda_star), compute_uv=False)[j - 1]
+            assert sigma_j < full.cert_threshold
     assert lazy_C.n_evals <= full_C.n_evals
+
+
+@given(
+    k=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    lam_star=st.floats(0.05, 0.95),
+)
+def test_opposed_refutes_in_few_calls(k, data, seed, lam_star):
+    """C_lam = (1 - lam / lam*) C0 with k' >= k, so (C0, A_lam) is observable
+    and lam* is the one zero of sigma_k: the secant probes refute within 8
+    batched sigma calls, within 1e-8 of lam* unless the floor admits more."""
+    k_prime = data.draw(st.integers(k, 3))
+    blocks = family("opposed", k, k_prime, seed, lam_star)
+    calls = []
+    bisection = observability.weyl_bisection
+
+    def counting(sigma, *args):
+        def counted(lams):
+            calls.append(len(lams))
+            return sigma(lams)
+        return bisection(counted, *args)
+
+    with mock.patch.object(observability, "weyl_bisection", counting):
+        report = sweep_lambda(blocks)
+    assert report.verdict == "fails_at"
+    assert len(calls) <= 8
+    # sigma_k(O(lam)) = |1 - lam / lam*| sigma_k(O_0(lam)), O_0 the Kalman
+    # matrix of (C0, A_lam): a value below tol lies within about
+    # lam* tol / sigma_k(O_0(lam*)) of lam*
+    O_0 = kalman_matrix(blocks.C0, blocks.A(lam_star))
+    reach = lam_star * report.tol / np.linalg.svd(O_0, compute_uv=False)[k - 1]
+    assert abs(report.lambda_star - lam_star) <= max(1e-8, 1.01 * reach)
 
 
 #: in_G tolerance of the curve oracle.  A wider band also admits near
