@@ -170,6 +170,17 @@ BISECTION_CASES = [
 CASE_IDS = ["certified", "near-floor", "refuted"]
 
 
+def _calls_and_lambdas(f):
+    """``f`` recording the lambdas of each of its calls."""
+    calls = []
+
+    def sigma(lams):
+        calls.append(lams.copy())
+        return f(lams)
+
+    return sigma, calls
+
+
 class TestWeylBisection:
     def test_minimum_near_floor_ends_inconclusive(self):
         """A positive minimum within rounding of the floor neither certifies
@@ -179,12 +190,53 @@ class TestWeylBisection:
 
         def f(lams):
             sizes.append(len(lams))
+            # fail at once: an unbounded split would not end
+            assert len(lams) <= len(grid)
             return 1e-9 * (1 + 1e-7) + (lams - 0.3141592) ** 2
 
         run = weyl_bisection(f, 2.0, grid, 1e-7, 1e-9)
         assert run.verdict == "inconclusive"
         assert max(sizes) <= len(grid)
         assert run.bound <= run.value
+
+    def test_minimum_just_above_threshold_splits_within_budget(self):
+        """No computed value reaches the threshold, and near the minimum no
+        interval clears it: certifying stops once more than len(grid) - 1
+        intervals need splitting, and the run ends inconclusive."""
+        grid = np.linspace(0.0, 1.0, 257)
+
+        def f(lams):
+            assert len(lams) <= len(grid)
+            return 1e-3 * (1 + 1e-9) + (lams - 0.3141592) ** 2
+
+        run = weyl_bisection(f, 2.0, grid, 1e-3, 1e-6)
+        assert run.verdict == "inconclusive"
+        assert 1e-6 < run.bound <= 1e-3 < run.value
+
+    def test_value_at_threshold_ends_certifying(self):
+        """0.0005 + 0.01 |lam - 0.3|: the one call over the 256-point grid
+        computes values below the threshold, which ends certifying, and no
+        interval bound is below the floor, so nothing more is evaluated."""
+        sigma, calls = _calls_and_lambdas(lambda lams: 5e-4 + 0.01 * np.abs(lams - 0.3))
+        run = weyl_bisection(sigma, 0.01, np.linspace(0.0, 1.0, 256), 1e-3, 1e-6)
+        assert run.verdict == "inconclusive"
+        assert len(calls) == 1
+
+    def test_bound_keeps_intervals_settled_before_a_split(self):
+        """Grid 0, 1/3, 2/3, 1 with L = 1: [0, 1/3] clears at once with bound
+        0.1058, the true minimum there (a dip at 1/6); the two other
+        intervals clear only after one split, with bounds of 0.1367 and
+        more.  The certified bound must still cover [0, 1/3]."""
+        def f(lams):
+            dip = 0.2725 - (1 / 6 - np.abs(lams - 1 / 6))
+            ramp = np.where(lams >= 0.4, 0.22,
+                            0.2725 - 0.0525 * (lams - 1 / 3) / (0.4 - 1 / 3))
+            return np.where(lams <= 1 / 3, dip, ramp)
+
+        run = weyl_bisection(f, 1.0, np.linspace(0.0, 1.0, 4), 0.1, 1e-6)
+        assert run.verdict == "certified"
+        assert run.bound == pytest.approx(0.2725 - 1 / 6, abs=1e-12)
+        assert f(np.linspace(0.0, 1.0, 100001)).min() >= run.bound
 
     def test_certified_bound_holds_between_points(self):
         grid = np.linspace(0.0, 1.0, 9)
@@ -241,17 +293,6 @@ class TestWeylBisection:
         run = weyl_bisection(f, 2.0, np.linspace(0.0, 1.0, 257), 0.1, 1e-6)
         assert run.verdict == "certified"
         assert f(np.linspace(0.0, 1.0, 100001)).min() >= run.bound - 1e-12
-
-
-def _calls_and_lambdas(f):
-    """``f`` recording the lambdas of each of its calls."""
-    calls = []
-
-    def sigma(lams):
-        calls.append(lams.copy())
-        return f(lams)
-
-    return sigma, calls
 
 
 class TestSecantProbe:

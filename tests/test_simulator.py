@@ -133,57 +133,43 @@ class TestIntegrate:
         assert traj.states.shape == (5, 2)
 
 
+ENTRIES = ["integrate", "worst_case_switching", "worst_case_runs",
+           "bad_feedback_trajectory"]
+
+
+def run_entry(entry, mason_pair, kdeux_reduced, T, dt):
+    """Run one of the simulator's entry points over the horizon (T, dt)."""
+    runs = {
+        "integrate": lambda: integrate(
+            mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
+        "worst_case_switching": lambda: worst_case_switching(
+            mason_pair, [1.0, 0.0], T, dt),
+        "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
+        "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
+            kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
+    }
+    return runs[entry]()
+
+
 class TestHorizon:
     @pytest.mark.parametrize("T, dt", [(-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3),
                                        (np.inf, 1e-3), (1.0, 5.0), (1.0, np.nan)])
-    @pytest.mark.parametrize("entry", ["integrate", "worst_case_switching",
-                                       "worst_case_runs", "bad_feedback_trajectory"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_bad_horizon_raises(self, mason_pair, kdeux_reduced, entry, T, dt):
-        runs = {
-            "integrate": lambda: integrate(
-                mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
-            "worst_case_switching": lambda: worst_case_switching(
-                mason_pair, [1.0, 0.0], T, dt),
-            "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
-            "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
-                kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
-        }
         with pytest.raises(ValueError, match="0 < dt <= T"):
-            runs[entry]()
+            run_entry(entry, mason_pair, kdeux_reduced, T, dt)
 
-    @pytest.mark.parametrize("entry", ["integrate", "worst_case_switching",
-                                       "worst_case_runs", "bad_feedback_trajectory"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_step_count_overflow_raises(self, mason_pair, kdeux_reduced, entry):
         # 0 < dt <= T holds, but T / dt overflows to inf
-        T, dt = 1e300, 1e-300
-        runs = {
-            "integrate": lambda: integrate(
-                mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
-            "worst_case_switching": lambda: worst_case_switching(
-                mason_pair, [1.0, 0.0], T, dt),
-            "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
-            "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
-                kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
-        }
         with pytest.raises(ValueError, match="T / dt must be finite"):
-            runs[entry]()
+            run_entry(entry, mason_pair, kdeux_reduced, 1e300, 1e-300)
 
-    @pytest.mark.parametrize("entry", ["integrate", "worst_case_switching",
-                                       "worst_case_runs", "bad_feedback_trajectory"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_step_count_cap_raises(self, mason_pair, kdeux_reduced, entry):
         # finite T / dt, but 1e15 steps: rejected before any allocation
-        T, dt = 1e12, 1e-3
-        runs = {
-            "integrate": lambda: integrate(
-                mason_pair, SwitchingSignal.binary([(1.0, 0)]), [1.0, 0.0], T, dt),
-            "worst_case_switching": lambda: worst_case_switching(
-                mason_pair, [1.0, 0.0], T, dt),
-            "worst_case_runs": lambda: worst_case_runs(mason_pair, np.eye(2), T, dt),
-            "bad_feedback_trajectory": lambda: bad_feedback_trajectory(
-                kdeux_reduced, np.array([1.0, -1.0]) / np.sqrt(2.0), T, dt),
-        }
         with pytest.raises(ValueError, match=f"at most {simulator.MAX_STEPS} steps"):
-            runs[entry]()
+            run_entry(entry, mason_pair, kdeux_reduced, 1e12, 1e-3)
 
     def test_step_count_cap_is_inclusive(self):
         assert simulator._n_steps(float(simulator.MAX_STEPS), 1.0) == simulator.MAX_STEPS
