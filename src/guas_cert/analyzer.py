@@ -196,12 +196,14 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     _n_steps(opt.evidence_T, opt.evidence_dt)  # the evidence runs' horizon rule
     require_finite(pair)
 
-    for name, B in (("B0", pair.B0), ("B1", pair.B1)):
-        hz = is_hurwitz(B, tol)
-        if not hz.hurwitz:
-            kind = "marginal" if hz.marginal else "unstable"
+    hz = is_hurwitz(np.stack([pair.B0, pair.B1]), tol)
+    for name, hurwitz, marginal, abscissa in zip(
+        ("B0", "B1"), hz.hurwitz, hz.marginal, hz.abscissa
+    ):
+        if not hurwitz:
+            kind = "marginal" if marginal else "unstable"
             raise NotHurwitz(
-                f"{name} is not Hurwitz ({kind}, abscissa {hz.abscissa:.3e})"
+                f"{name} is not Hurwitz ({kind}, abscissa {abscissa:.3e})"
             )
 
     npair = normalize(pair, P)

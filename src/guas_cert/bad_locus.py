@@ -257,7 +257,7 @@ def scan_G(geometry: LocusGeometry, obs: ObservabilityReport,
     C = blocks.C(NODES[:, None, None])
     if geometry.k_prime >= k:
         sigma = float(np.linalg.svd(C, compute_uv=False)[:, k - 1].max())
-        c = float(max(np.linalg.norm(blocks.C0, 2), np.linalg.norm(blocks.C1, 2)))
+        c = max(blocks.norms.C0, blocks.norms.C1)
         report.rule, report.degree, report.margin = "finite_F", 2 * k, sigma / (1 + c)
         report.verdict = "discrete" if report.margin > threshold else "inconclusive"
         return report

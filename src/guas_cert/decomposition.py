@@ -15,6 +15,8 @@ uniform observability is equivalent to GUAS of the switched pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +111,18 @@ def common_kernel(pair: NormalizedPair, tol: float = 1e-9) -> KernelDecompositio
     )
 
 
+class SpectralNorms(NamedTuple):
+    """The spectral norms of a block family's endpoint blocks and their
+    differences, which bound how fast its lambda-dependent quantities move."""
+
+    A0: float
+    A1: float
+    dA: float  # ||A1 - A0||_2
+    C0: float
+    C1: float
+    dC: float  # ||C1 - C0||_2
+
+
 @dataclass(frozen=True)
 class BlockFamily:
     """The lambda-parametrized blocks (A_lam, C_lam, D_lam) in the K-frame.
@@ -135,12 +149,33 @@ class BlockFamily:
     def D(self, lam: float) -> np.ndarray:
         return (1.0 - lam) * self.D0 + lam * self.D1
 
+    @cached_property
+    def norms(self) -> SpectralNorms:
+        """||A0||, ||A1||, ||A1 - A0||, ||C0||, ||C1||, ||C1 - C0|| (spectral),
+        computed once: one batched SVD per shape, one in all when k' = k.
+        An empty block has norm 0."""
+        mats = (self.A0, self.A1, self.A1 - self.A0,
+                self.C0, self.C1, self.C1 - self.C0)
+        norms = [0.0] * len(mats)
+        by_shape: dict = {}
+        for i, M in enumerate(mats):
+            by_shape.setdefault(M.shape, []).append(i)
+        for idx in by_shape.values():
+            s = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)
+            for i, n in zip(idx, np.max(s, axis=-1, initial=0.0)):
+                norms[i] = float(n)
+        return SpectralNorms(*norms)
+
     def framed(self, lam: float) -> np.ndarray:
         """Reassemble the framed B_lam from the blocks."""
         C = self.C(lam)
         top = np.hstack([self.A(lam), -C.T])
         bottom = np.hstack([C, self.D(lam)])
         return np.vstack([top, bottom])
+
+
+#: Interior lambdas at which D_lam^T + D_lam must be negative definite.
+INTERIOR_LAMBDAS = (0.25, 0.5, 0.75)
 
 
 def block_form(
@@ -151,21 +186,29 @@ def block_form(
     """Read the blocks off frame^T B_i frame and validate their structure.
 
     Raises StructureViolation when the skew-symmetry of A, the -C^T
-    top-right identity, or the strict negativity of D_lam on (0, 1) fails by
-    more than 10x the tolerance scale, which signals a bad normalization or
-    an ambiguous kernel rank.
+    top-right identity, or the negativity of D_lam^T + D_lam fails by more
+    than 10x the tolerance scale, which signals a bad normalization or an
+    ambiguous kernel rank.  D_lam^T + D_lam must be negative semidefinite up
+    to that scale at both endpoints and negative definite at the interior
+    lambdas 1/4, 1/2 and 3/4; one batched ``eigvalsh`` covers all five.  The
+    checks run in that order, each endpoint's A and C checks before its D
+    check, so the first violation is the one raised.
     """
     k = decomp.k
     F = decomp.frame
+    framed = [F.T @ B @ F for B in (pair.B0n, pair.B1n)]
+    D0, D1 = (M[k:, k:] for M in framed)
+    if decomp.k_prime:
+        lams = np.array(INTERIOR_LAMBDAS)[:, None, None]
+        D = np.concatenate([[D0, D1], (1.0 - lams) * D0 + lams * D1])
+        w_max = np.linalg.eigvalsh(D + D.swapaxes(-1, -2))[:, -1]
     blocks = []
-    for B in (pair.B0n, pair.B1n):
+    for i, (B, M) in enumerate(zip((pair.B0n, pair.B1n), framed)):
         scale = 1.0 + np.linalg.norm(B, "fro")
         limit = 10.0 * tol * scale
-        M = F.T @ B @ F
         A = M[:k, :k]
         topright = M[:k, k:]
         C = M[k:, :k]
-        D = M[k:, k:]
         if np.max(np.abs(A + A.T), initial=0.0) > limit:
             raise StructureViolation(
                 "top-left block is not skew-symmetric; pair not normalized?"
@@ -176,31 +219,26 @@ def block_form(
         A[np.abs(A) < tol * scale] = 0.0
         C = C.copy()
         C[np.abs(C) < tol * scale] = 0.0
-        blocks.append((A, C, D))
+        blocks.append((A, C))
         # endpoint: non-strict negativity of D^T + D
-        if D.size:
-            w = np.linalg.eigvalsh(D + D.T)
-            if w[-1] > limit:
-                raise StructureViolation(
-                    f"D^T + D has positive eigenvalue {w[-1]:.3e} at an endpoint"
-                )
-    fam = BlockFamily(
-        A0=blocks[0][0], A1=blocks[1][0],
-        C0=blocks[0][1], C1=blocks[1][1],
-        D0=blocks[0][2], D1=blocks[1][2],
-        k=k, k_prime=decomp.k_prime, frame=F,
-    )
+        if decomp.k_prime and w_max[i] > limit:
+            raise StructureViolation(
+                f"D^T + D has positive eigenvalue {w_max[i]:.3e} at an endpoint"
+            )
     # strict negativity of D_lam^T + D_lam inside (0, 1)
-    if fam.k_prime:
-        for lam in (0.25, 0.5, 0.75):
-            D = fam.D(lam)
-            w = np.linalg.eigvalsh(D + D.T)
-            if w[-1] >= -10.0 * tol:
+    if decomp.k_prime:
+        for lam, w in zip(INTERIOR_LAMBDAS, w_max[2:]):
+            if w >= -10.0 * tol:
                 raise StructureViolation(
                     f"D_lam^T + D_lam not negative definite at lam = {lam} "
-                    f"(max eigenvalue {w[-1]:.3e}); kernel rank may be ambiguous"
+                    f"(max eigenvalue {w:.3e}); kernel rank may be ambiguous"
                 )
-    return fam
+    return BlockFamily(
+        A0=blocks[0][0], A1=blocks[1][0],
+        C0=blocks[0][1], C1=blocks[1][1],
+        D0=D0, D1=D1,
+        k=k, k_prime=decomp.k_prime, frame=F,
+    )
 
 
 def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:

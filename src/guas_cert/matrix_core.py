@@ -42,7 +42,18 @@ def default_semidef_tol(S: np.ndarray) -> float:
     return 1e-9 * (1.0 + np.linalg.norm(S, "fro"))
 
 
-def _check_spd(P: np.ndarray, tol: float | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class _SPD:
+    """A validated symmetric positive definite P with its eigendecomposition."""
+
+    P: np.ndarray
+    w: np.ndarray  # eigenvalues, ascending
+    U: np.ndarray  # orthonormal eigenvectors, as columns
+
+
+def _check_spd(P: np.ndarray, tol: float | None = None) -> _SPD:
+    """Validate P as symmetric positive definite: one eigh, whose vectors
+    also serve the square root that ``normalize`` takes."""
     P = _as_square(P, "P")
     if not np.all(np.isfinite(P)):
         raise NonFiniteInput("P has a non-finite entry")
@@ -51,10 +62,10 @@ def _check_spd(P: np.ndarray, tol: float | None = None) -> np.ndarray:
     if np.max(np.abs(P - P.T)) > tol:
         raise NotPositiveDefinite("P is not symmetric within tolerance")
     P = 0.5 * (P + P.T)
-    w = np.linalg.eigvalsh(P)
+    w, U = np.linalg.eigh(P)
     if w[0] <= tol:
         raise NotPositiveDefinite(f"P has non-positive eigenvalue {w[0]:.3e}")
-    return P
+    return _SPD(P, w, U)
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class MatrixPair:
         object.__setattr__(self, "B0", B0)
         object.__setattr__(self, "B1", B1)
         if self.P is not None:
-            object.__setattr__(self, "P", _check_spd(self.P))
+            object.__setattr__(self, "P", _check_spd(self.P).P)
 
     @property
     def d(self) -> int:
@@ -127,21 +138,30 @@ class NormalizedPair:
 def check_weak_lyapunov(pair: MatrixPair, P=None, tol: float | None = None):
     """Check that B_i^T P + P B_i is negative semidefinite for i = 0, 1.
 
-    Returns a pair of SemidefVerdict.  When a check fails, the verdict
-    carries the eigenvector realizing the positive eigenvalue as witness.
+    P defaults to pair.P, or to the identity when that is None; a P given
+    here is validated by ``_check_spd``.  Both forms go through one batched ``eigvalsh``; a
+    form that fails gets an ``eigh`` of its own for the witness.  Returns a
+    pair of SemidefVerdict.  When a check fails, the verdict carries the
+    eigenvector realizing the positive eigenvalue as witness.
     """
-    P = _check_spd(pair.lyapunov_or_identity() if P is None else np.asarray(P, float))
+    if isinstance(P, _SPD):  # validated by normalize
+        P = P.P
+    elif P is not None:
+        P = _check_spd(P).P
+    else:  # pair.P was validated when the pair was built
+        P = pair.lyapunov_or_identity()
     if P.shape[0] != pair.d:
         raise DimensionMismatch("P dimension does not match the pair")
+    B = np.stack([pair.B0, pair.B1])
+    M = B.swapaxes(-1, -2) @ P + P @ B
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    w_max = np.linalg.eigvalsh(M)[:, -1]
     verdicts = []
-    for B in (pair.B0, pair.B1):
-        M = B.T @ P + P @ B
-        M = 0.5 * (M + M.T)
-        t = default_semidef_tol(M) if tol is None else tol
-        w, V = np.linalg.eigh(M)
-        holds = w[-1] <= t
-        witness = None if holds else V[:, -1].copy()
-        verdicts.append(SemidefVerdict(holds, float(w[-1]), witness, t))
+    for Mi, w in zip(M, w_max):
+        t = default_semidef_tol(Mi) if tol is None else tol
+        holds = w <= t
+        witness = None if holds else np.linalg.eigh(Mi)[1][:, -1].copy()
+        verdicts.append(SemidefVerdict(bool(holds), float(w), witness, t))
     return verdicts[0], verdicts[1]
 
 
@@ -156,27 +176,36 @@ def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
     """Reduce the pair to identity Lyapunov matrix: B -> P^{1/2} B P^{-1/2}.
 
     The transform is a similarity, so spectra are preserved, and
-    B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.
+    B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.  P defaults to pair.P;
+    when both are None, P = I: the pair is checked and copied, with no
+    decomposition of P.  Otherwise one eigendecomposition of P, from
+    ``_check_spd``, validates P and gives both square roots.
     """
     require_finite(pair)
-    P = pair.lyapunov_or_identity() if P is None else np.asarray(P, float)
-    v0, v1 = check_weak_lyapunov(pair, P)  # validates P as well
+    if P is None:
+        P = pair.P
+    spd = None if P is None else _check_spd(P)
+    v0, v1 = check_weak_lyapunov(pair, spd)
     if not (v0.holds and v1.holds):
         bad = [i for i, v in enumerate((v0, v1)) if not v.holds]
         raise NoCommonWeakLyapunov(
             f"B_i^T P + P B_i has positive eigenvalue for i in {bad} "
             f"(max eigenvalues {v0.max_eigenvalue:.3e}, {v1.max_eigenvalue:.3e})"
         )
-    P = 0.5 * (P + P.T)
-    w, U = np.linalg.eigh(P)
-    sqrt_P = (U * np.sqrt(w)) @ U.T
-    inv_sqrt_P = (U / np.sqrt(w)) @ U.T
-    B0n = sqrt_P @ pair.B0 @ inv_sqrt_P
-    B1n = sqrt_P @ pair.B1 @ inv_sqrt_P
+    if spd is None:
+        identity = np.eye(pair.d)
+        return NormalizedPair(
+            pair.B0.copy(),
+            pair.B1.copy(),
+            provenance={"P": identity, "sqrt_P": identity, "inv_sqrt_P": identity},
+        )
+    root_w = np.sqrt(spd.w)
+    sqrt_P = (spd.U * root_w) @ spd.U.T
+    inv_sqrt_P = (spd.U / root_w) @ spd.U.T
     return NormalizedPair(
-        B0n,
-        B1n,
-        provenance={"P": P, "sqrt_P": sqrt_P, "inv_sqrt_P": inv_sqrt_P},
+        sqrt_P @ pair.B0 @ inv_sqrt_P,
+        sqrt_P @ pair.B1 @ inv_sqrt_P,
+        provenance={"P": spd.P, "sqrt_P": sqrt_P, "inv_sqrt_P": inv_sqrt_P},
     )
 
 
@@ -188,14 +217,21 @@ class HurwitzResult:
 
 
 def is_hurwitz(B, tol: float = 1e-9) -> HurwitzResult:
-    """Decide Hurwitzness from the spectral abscissa.
+    """Decide Hurwitzness from the spectral abscissa, over leading batch axes.
 
-    A matrix with abscissa inside [-tol, +tol] is flagged marginal and the
+    One ``eigvals`` runs over a (..., d, d) stack; the fields of the result
+    are arrays over the leading axes, or Python scalars for one matrix.  A
+    matrix with abscissa inside [-tol, +tol] is flagged marginal and the
     caller decides; rotations sit exactly on that boundary.
     """
-    B = _as_square(B)
-    abscissa = float(np.max(np.linalg.eigvals(B).real)) if B.size else -np.inf
-    return HurwitzResult(abscissa < -tol, abscissa, abs(abscissa) <= tol)
+    B = np.asarray(B, dtype=float)
+    if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
+        raise DimensionMismatch(f"B must be square, got shape {B.shape}")
+    abscissa = np.max(np.linalg.eigvals(B).real, axis=-1, initial=-np.inf)
+    hurwitz, marginal = abscissa < -tol, np.abs(abscissa) <= tol
+    if B.ndim == 2:
+        return HurwitzResult(bool(hurwitz), float(abscissa), bool(marginal))
+    return HurwitzResult(hurwitz, abscissa, marginal)
 
 
 def convex_combination(pair: NormalizedPair, lam: float) -> np.ndarray:

@@ -238,13 +238,14 @@ def sigma_C_bisection(
 
     Every singular value of C_lam moves at most ||C1 - C0||_2 per unit of
     lam (Weyl), so ``weyl_bisection`` runs over the sweep's grid with that
-    constant; a computed value below the threshold ends it as refuted.
+    constant, read from ``blocks.norms``; a computed value below the
+    threshold ends it as refuted.
     """
     return weyl_bisection(
         lambda lams: np.linalg.svd(
             blocks.C(lams[:, None, None]), compute_uv=False
         )[:, j - 1],
-        np.linalg.norm(blocks.C1 - blocks.C0, 2),
+        blocks.norms.dC,
         obs.grid, obs.cert_threshold, obs.cert_threshold,
     )
 
@@ -283,10 +284,9 @@ def sweep_lambda(
     cert_threshold = CERT_FACTOR * tol_eff
     # d/dlam C A^j has norm at most ||dC|| a^j + j c a^(j-1) ||dA||, with
     # a = max ||A_i||_2 and c = max ||C_i||_2; the blocks add in quadrature
-    a = max(np.linalg.norm(blocks.A0, 2), np.linalg.norm(blocks.A1, 2))
-    c = max(np.linalg.norm(blocks.C0, 2), np.linalg.norm(blocks.C1, 2))
-    dA = np.linalg.norm(blocks.A1 - blocks.A0, 2)
-    dC = np.linalg.norm(blocks.C1 - blocks.C0, 2)
+    norms = blocks.norms
+    a, c = max(norms.A0, norms.A1), max(norms.C0, norms.C1)
+    dA, dC = norms.dA, norms.dC
     lipschitz = np.sqrt(sum(
         (dC * a**j + j * c * a ** max(j - 1, 0) * dA) ** 2 for j in range(k)
     ))
