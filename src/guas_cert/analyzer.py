@@ -273,12 +273,15 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         ))
 
     # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz with
-    # constant ||C1 - C0||_2; a value below the threshold rules it out
+    # constant ||C1 - C0||_2; a value below the threshold rules it out.  The
+    # margin is the proved bound when certified, else the smallest value
+    # computed, as for observability_margin
     if blocks.k_prime >= blocks.k and sweep.verdict == "observable_for_all_lambda":
         run = sigma_C_bisection(blocks, blocks.k, sweep)
         lambda_evals += run.n_evals
-        margins["C_injectivity_margin"] = run.bound
-        if run.verdict == "certified":
+        certified = run.verdict == "certified"
+        margins["C_injectivity_margin"] = run.bound if certified else run.value
+        if certified:
             return finish(Verdict(
                 "GUAS_C_injective",
                 "ker C_lambda = {0} for all lambda: no output can vanish",

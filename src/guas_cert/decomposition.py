@@ -10,6 +10,12 @@ R^d = K ⊕ K⊥ every convex combination B_lam takes the block form
 with A_lam skew-symmetric and D_lam^T + D_lam negative definite for
 lam in (0, 1).  The blocks (A, C) define the reduced bilinear system whose
 uniform observability is equivalent to GUAS of the switched pair.
+
+Each decision here is one batched LAPACK call: one SVD of [S0; S1] for the
+kernel, one ``eigvalsh`` over the five sampled D_lam^T + D_lam for the
+block structure, and, on first use, one SVD per block shape for the
+spectral norms (``BlockFamily.norms``) that the lambda-sweep's Lipschitz
+constants read.
 """
 
 from __future__ import annotations
@@ -154,17 +160,15 @@ class BlockFamily:
         """||A0||, ||A1||, ||A1 - A0||, ||C0||, ||C1||, ||C1 - C0|| (spectral),
         computed once: one batched SVD per shape, one in all when k' = k.
         An empty block has norm 0."""
-        mats = (self.A0, self.A1, self.A1 - self.A0,
-                self.C0, self.C1, self.C1 - self.C0)
-        norms = [0.0] * len(mats)
-        by_shape: dict = {}
-        for i, M in enumerate(mats):
-            by_shape.setdefault(M.shape, []).append(i)
-        for idx in by_shape.values():
-            s = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)
-            for i, n in zip(idx, np.max(s, axis=-1, initial=0.0)):
-                norms[i] = float(n)
-        return SpectralNorms(*norms)
+        stacks = [np.stack([self.A0, self.A1, self.A1 - self.A0]),
+                  np.stack([self.C0, self.C1, self.C1 - self.C0])]
+        if stacks[0].shape == stacks[1].shape:
+            stacks = [np.concatenate(stacks)]
+        norms = [
+            np.linalg.svd(S, compute_uv=False)[:, 0] if S.size else np.zeros(len(S))
+            for S in stacks
+        ]
+        return SpectralNorms(*np.concatenate(norms).tolist())
 
     def framed(self, lam: float) -> np.ndarray:
         """Reassemble the framed B_lam from the blocks."""
@@ -198,10 +202,12 @@ def block_form(
     F = decomp.frame
     framed = [F.T @ B @ F for B in (pair.B0n, pair.B1n)]
     D0, D1 = (M[k:, k:] for M in framed)
-    if decomp.k_prime:
-        lams = np.array(INTERIOR_LAMBDAS)[:, None, None]
-        D = np.concatenate([[D0, D1], (1.0 - lams) * D0 + lams * D1])
-        w_max = np.linalg.eigvalsh(D + D.swapaxes(-1, -2))[:, -1]
+    lams = np.array(INTERIOR_LAMBDAS)[:, None, None]
+    D = np.concatenate([[D0, D1], (1.0 - lams) * D0 + lams * D1])
+    # largest eigenvalue of each D^T + D; -inf when k' = 0 leaves D empty
+    w_max = np.max(
+        np.linalg.eigvalsh(D + D.swapaxes(-1, -2)), axis=-1, initial=-np.inf
+    )
     blocks = []
     for i, (B, M) in enumerate(zip((pair.B0n, pair.B1n), framed)):
         scale = 1.0 + np.linalg.norm(B, "fro")
@@ -221,18 +227,17 @@ def block_form(
         C[np.abs(C) < tol * scale] = 0.0
         blocks.append((A, C))
         # endpoint: non-strict negativity of D^T + D
-        if decomp.k_prime and w_max[i] > limit:
+        if w_max[i] > limit:
             raise StructureViolation(
                 f"D^T + D has positive eigenvalue {w_max[i]:.3e} at an endpoint"
             )
     # strict negativity of D_lam^T + D_lam inside (0, 1)
-    if decomp.k_prime:
-        for lam, w in zip(INTERIOR_LAMBDAS, w_max[2:]):
-            if w >= -10.0 * tol:
-                raise StructureViolation(
-                    f"D_lam^T + D_lam not negative definite at lam = {lam} "
-                    f"(max eigenvalue {w:.3e}); kernel rank may be ambiguous"
-                )
+    for lam, w in zip(INTERIOR_LAMBDAS, w_max[2:]):
+        if w >= -10.0 * tol:
+            raise StructureViolation(
+                f"D_lam^T + D_lam not negative definite at lam = {lam} "
+                f"(max eigenvalue {w:.3e}); kernel rank may be ambiguous"
+            )
     return BlockFamily(
         A0=blocks[0][0], A1=blocks[1][0],
         C0=blocks[0][1], C1=blocks[1][1],

@@ -5,6 +5,12 @@ symmetric positive definite matrix P such that B_i^T P + P B_i is negative
 semidefinite for both i.  After the change of variables x -> P^{1/2} x the
 Lyapunov matrix becomes the identity and the pair satisfies
 B_i^T + B_i <= 0, which is the form every downstream module assumes.
+
+Each check runs one batched decomposition over both matrices of the pair:
+one ``eigvals`` for Hurwitzness, one ``eigvalsh`` for the two Lyapunov
+forms.  P = I, the default, is neither validated nor decomposed; a given P
+is decomposed once, and that decomposition both validates it and gives its
+square roots.
 """
 
 from __future__ import annotations
@@ -139,10 +145,11 @@ def check_weak_lyapunov(pair: MatrixPair, P=None, tol: float | None = None):
     """Check that B_i^T P + P B_i is negative semidefinite for i = 0, 1.
 
     P defaults to pair.P, or to the identity when that is None; a P given
-    here is validated by ``_check_spd``.  Both forms go through one batched ``eigvalsh``; a
-    form that fails gets an ``eigh`` of its own for the witness.  Returns a
-    pair of SemidefVerdict.  When a check fails, the verdict carries the
-    eigenvector realizing the positive eigenvalue as witness.
+    here is validated by ``_check_spd``.  Both forms go through one batched
+    ``eigvalsh``; a form that fails gets an ``eigh`` of its own for the
+    witness.  Returns a pair of SemidefVerdict.  When a check fails, the
+    verdict carries the eigenvector realizing the positive eigenvalue as
+    witness.
     """
     if isinstance(P, _SPD):  # validated by normalize
         P = P.P

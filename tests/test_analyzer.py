@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ class TestBranches:
         assert v.margins["C_injectivity_margin"] < v.margins["observability_margin"]
         assert v.margins["C_injectivity_margin"] < 1e-9
 
+    def test_uncertified_C_injectivity_margin_is_the_smallest_value(self):
+        """A sigma_C bisection that does not certify reports its smallest
+        computed sigma_min(C_lam), as the sweep does, not an interval bound."""
+        from guas_cert.gallery import assemble
+
+        w = (0.3, -1.1, 0.8)
+        A = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        pair = MatrixPair(assemble(A, np.eye(3), -np.eye(3)),
+                          assemble(A, np.diag([-0.7391, 1.0, 1.0]), -np.eye(3)))
+        v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
+        npair = normalize(pair)
+        blocks = block_form(npair, common_kernel(npair))
+        run = sigma_C_bisection(blocks, blocks.k, sweep_lambda(blocks))
+        assert run.verdict == "refuted"
+        assert v.margins["C_injectivity_margin"] == run.value >= 0.0
+
     def test_refuses_non_finite_entry(self):
         B0 = -np.eye(3)
         B0[1, 2] = np.nan
@@ -149,6 +166,52 @@ class TestBranches:
         B0 = np.array([[-1.0, 0.0], [10.0, -1.0]])
         with pytest.raises(NoCommonWeakLyapunov):
             analyze(MatrixPair(B0, -np.eye(2)), np.eye(2), options=FAST)
+
+
+LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh")
+
+
+def linalg_calls(monkeypatch, call):
+    """call()'s result, and a Counter of the numpy.linalg decompositions it
+    made and of its norm calls by ord ("norm(2)", "norm(fro)", ...)."""
+    counts = Counter()
+    for name in LINALG + ("norm",):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if _name == "norm":
+                ord_ = args[1] if len(args) > 1 else kwargs.get("ord")
+                counts[f"norm({ord_})"] += 1
+            else:
+                counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return call(), counts
+
+
+class TestDispatchCounts:
+    """Each precondition and block check is one batched LAPACK call, and the
+    spectral norms are one batched SVD: a split batch fails these counts."""
+
+    def test_shared_output_without_P(self, monkeypatch):
+        # k = k' = 2: common_kernel, the norms, the sweep's tol_eff and first
+        # pass, and the injectivity bisection make one SVD each
+        pair = shared_output()
+        v, counts = linalg_calls(monkeypatch, lambda: analyze(pair, options=FAST))
+        assert v.conclusion == "GUAS_C_injective"
+        assert {name: counts[name] for name in LINALG} == {
+            "svd": 5, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 2,
+        }
+        assert counts["norm(2)"] == 0
+
+    def test_mason_with_P(self, monkeypatch):
+        # eigh: P, once for its check and its square root
+        pair = mason()
+        v, counts = linalg_calls(monkeypatch, lambda: analyze(pair, pair.P, options=FAST))
+        assert v.conclusion == "GUAS_trivial_kernel"
+        assert {name: counts[name] for name in LINALG} == {
+            "svd": 1, "eig": 0, "eigvals": 1, "eigh": 1, "eigvalsh": 1,
+        }
+        assert counts["norm(2)"] == 0
 
 
 class TestDeterminism:

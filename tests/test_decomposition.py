@@ -191,6 +191,95 @@ class TestBlockForm:
             block_form(bad, decomp)
 
 
+def _doctored(edits0, edits1):
+    """kdeux(1, 1) normalized, with entries of frame^T B_i frame changed: each
+    edit is ((row, col), value) in the frame, where k = 2 and k' = 1."""
+    npair = normalize(kdeux(1.0, 1.0))
+    decomp = common_kernel(npair)
+    F = decomp.frame
+    Bs = []
+    for B, edits in ((npair.B0n, edits0), (npair.B1n, edits1)):
+        M = F.T @ B @ F
+        for (i, j), value in edits:
+            M[i, j] = value
+        Bs.append(F @ M @ F.T)
+    return type(npair)(B0n=Bs[0], B1n=Bs[1]), decomp
+
+
+def _endpoint_D_max(npair, decomp, B):
+    """The largest eigenvalue of D^T + D at one endpoint, one matrix alone."""
+    D = (decomp.frame.T @ B @ decomp.frame)[2:, 2:]
+    return np.linalg.eigvalsh(D + D.T)[-1]
+
+
+class TestBlockFormCheckOrder:
+    """One eigvalsh covers all five D samples, yet with two violations the
+    first one in the order A, top-right, D at B0, then at B1, then inside
+    (0, 1), is the one raised."""
+
+    def test_endpoint_D_of_B0_before_A_of_B1(self):
+        npair, decomp = _doctored([((2, 2), 0.5)], [((0, 0), 1e-3)])
+        w = _endpoint_D_max(npair, decomp, npair.B0n)
+        with pytest.raises(StructureViolation) as err:
+            block_form(npair, decomp)
+        assert str(err.value) == f"D^T + D has positive eigenvalue {w:.3e} at an endpoint"
+
+    def test_A_of_B0_before_its_own_D(self):
+        npair, decomp = _doctored([((0, 0), 1e-3), ((2, 2), 0.5)], [])
+        with pytest.raises(StructureViolation) as err:
+            block_form(npair, decomp)
+        assert str(err.value) == "top-left block is not skew-symmetric; pair not normalized?"
+
+    def test_top_right_of_B1_before_the_interior(self):
+        # D0 = D1 = 0 passes at both endpoints and fails at every interior lambda
+        npair, decomp = _doctored([((2, 2), 0.0)], [((2, 2), 0.0), ((0, 2), 0.7)])
+        with pytest.raises(StructureViolation) as err:
+            block_form(npair, decomp)
+        assert str(err.value) == "top-right block does not equal -C^T"
+
+    def test_interior_reports_the_first_lambda(self):
+        npair, decomp = _doctored([((2, 2), 0.0)], [((2, 2), 0.0)])
+        with pytest.raises(StructureViolation) as err:
+            block_form(npair, decomp)
+        assert str(err.value).startswith("D_lam^T + D_lam not negative definite at lam = 0.25 ")
+
+
+class TestSpectralNorms:
+    def test_match_norm_2(self, normalized_corpus):
+        for name, npair in normalized_corpus.items():
+            decomp = common_kernel(npair)
+            if decomp.k == 0:
+                continue
+            blocks = block_form(npair, decomp)
+            expected = [
+                np.linalg.norm(M, 2)
+                for M in (blocks.A0, blocks.A1, blocks.A1 - blocks.A0,
+                          blocks.C0, blocks.C1, blocks.C1 - blocks.C0)
+            ]
+            assert list(blocks.norms) == expected, name
+
+    def test_computed_once_and_empty_C(self, monkeypatch):
+        """k' = 0: C is 0 x k and its norms are 0; one SVD for the A stack,
+        none on a second read."""
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        npair = type(normalize(mason()))(B0n=A, B1n=2.0 * A)
+        blocks = block_form(npair, common_kernel(npair))
+        assert blocks.k_prime == 0
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        norms = blocks.norms
+        assert blocks.norms is norms
+        assert len(calls) == 1
+        assert norms.C0 == norms.C1 == norms.dC == 0.0
+        assert norms.A0 == pytest.approx(1.0) and norms.dA == pytest.approx(1.0)
+
+
 class TestSubspaceDistance:
     def test_identical(self):
         U = np.eye(3)[:, :2]

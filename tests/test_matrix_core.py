@@ -3,6 +3,7 @@ import pytest
 
 from guas_cert import (
     MatrixPair,
+    analyze,
     check_weak_lyapunov,
     convex_combination,
     is_hurwitz,
@@ -15,6 +16,7 @@ from guas_cert.errors import (
     LambdaOutOfRange,
     NoCommonWeakLyapunov,
     NonFiniteInput,
+    NotHurwitz,
     NotPositiveDefinite,
 )
 from guas_cert.gallery import mason
@@ -78,6 +80,19 @@ class TestCheckWeakLyapunov:
         with pytest.raises(NotPositiveDefinite):
             check_weak_lyapunov(pair, np.diag([1.0, -1.0]))
 
+    def test_failure_only_at_B1_gets_its_own_witness(self):
+        """Both forms share one eigvalsh; the witness comes from B1's form."""
+        B1 = np.array([[-1.0, 0.0, 0.0], [3.0, -1.0, 0.0], [0.0, 1.0, -2.0]])
+        P = np.diag([1.0, 2.0, 3.0])
+        v0, v1 = check_weak_lyapunov(MatrixPair(-np.eye(3), B1), P)
+        assert v0.holds and v0.witness is None
+        assert not v1.holds
+        M1 = B1.T @ P + P @ B1
+        x = v1.witness
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+        assert x @ M1 @ x == pytest.approx(v1.max_eigenvalue, rel=1e-12)
+        assert v1.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(M1)[-1], rel=1e-12)
+
 
 class TestNormalize:
     def test_identity_P_is_noop(self):
@@ -85,6 +100,22 @@ class TestNormalize:
         npair = normalize(pair, np.eye(2))
         np.testing.assert_allclose(npair.B0n, pair.B0)
         np.testing.assert_allclose(npair.B1n, pair.B1)
+
+    def test_identity_is_copied_without_a_decomposition(self, monkeypatch):
+        """With no P anywhere the pair is checked and copied bit for bit (a
+        product with P^(1/2) = I would turn -0.0 into 0.0)."""
+        pair = MatrixPair([[-1.0, -0.0], [0.0, -1.0]], [[-1.0, -1.0], [1.0, -1.0]])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("P = I needs no eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        npair = normalize(pair)
+        for Bn, B in ((npair.B0n, pair.B0), (npair.B1n, pair.B1)):
+            assert Bn.tobytes() == B.tobytes()
+            assert not np.shares_memory(Bn, B)
+        for key in ("P", "sqrt_P", "inv_sqrt_P"):
+            np.testing.assert_array_equal(npair.provenance[key], np.eye(2))
 
     @pytest.mark.parametrize("given_P", [False, True])
     def test_P_validated_once(self, monkeypatch, given_P):
@@ -174,6 +205,29 @@ class TestIsHurwitz:
     def test_damped_rotation(self):
         res = is_hurwitz([[-1.0, -1.0], [1.0, -1.0]])
         assert res.hurwitz and res.abscissa == pytest.approx(-1.0)
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((3, 4, 4)) - 1.5 * np.eye(4)
+        B[1] = [[0.0, 1.0, 0, 0], [-1.0, 0.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]]
+        stacked = is_hurwitz(B)
+        for i in range(3):
+            single = is_hurwitz(B[i])
+            assert isinstance(single.hurwitz, bool)
+            assert stacked.abscissa[i] == single.abscissa
+            assert stacked.hurwitz[i] == single.hurwitz
+            assert stacked.marginal[i] == single.marginal
+        assert stacked.marginal[1] and not stacked.hurwitz[1]
+
+    def test_analyze_names_the_endpoint_that_fails(self):
+        """One eigvals covers both endpoints; the refusal still names B1 and
+        gives the abscissa a call on B1 alone gives."""
+        B1 = np.array([[0.1, 2.0, 0.0], [-2.0, 0.1, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NotHurwitz) as err:
+            analyze(MatrixPair(-np.eye(3), B1))
+        abscissa = is_hurwitz(B1).abscissa
+        assert abscissa > 0.0
+        assert str(err.value) == f"B1 is not Hurwitz (unstable, abscissa {abscissa:.3e})"
 
 
 class TestConvexCombination:
