@@ -151,7 +151,7 @@ def check_weak_lyapunov(pair: MatrixPair, P=None, tol: float | None = None):
     verdict carries the eigenvector realizing the positive eigenvalue as
     witness.
     """
-    if isinstance(P, _SPD):  # validated by normalize
+    if isinstance(P, _SPD):  # already validated by _check_spd
         P = P.P
     elif P is not None:
         P = _check_spd(P).P
@@ -218,6 +218,8 @@ def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
 
 @dataclass(frozen=True)
 class HurwitzResult:
+    """Fields are arrays over the leading axes when is_hurwitz gets a stack."""
+
     hurwitz: bool
     abscissa: float  # max real part of the spectrum
     marginal: bool  # abscissa within +/- tol of zero

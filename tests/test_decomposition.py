@@ -3,6 +3,7 @@ import pytest
 
 from guas_cert import (
     MatrixPair,
+    NormalizedPair,
     block_form,
     common_kernel,
     normalize,
@@ -203,10 +204,10 @@ def _doctored(edits0, edits1):
         for (i, j), value in edits:
             M[i, j] = value
         Bs.append(F @ M @ F.T)
-    return type(npair)(B0n=Bs[0], B1n=Bs[1]), decomp
+    return NormalizedPair(B0n=Bs[0], B1n=Bs[1]), decomp
 
 
-def _endpoint_D_max(npair, decomp, B):
+def _endpoint_D_max(decomp, B):
     """The largest eigenvalue of D^T + D at one endpoint, one matrix alone."""
     D = (decomp.frame.T @ B @ decomp.frame)[2:, 2:]
     return np.linalg.eigvalsh(D + D.T)[-1]
@@ -219,7 +220,7 @@ class TestBlockFormCheckOrder:
 
     def test_endpoint_D_of_B0_before_A_of_B1(self):
         npair, decomp = _doctored([((2, 2), 0.5)], [((0, 0), 1e-3)])
-        w = _endpoint_D_max(npair, decomp, npair.B0n)
+        w = _endpoint_D_max(decomp, npair.B0n)
         with pytest.raises(StructureViolation) as err:
             block_form(npair, decomp)
         assert str(err.value) == f"D^T + D has positive eigenvalue {w:.3e} at an endpoint"
@@ -262,7 +263,7 @@ class TestSpectralNorms:
         """k' = 0: C is 0 x k and its norms are 0; one SVD for the A stack,
         none on a second read."""
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        npair = type(normalize(mason()))(B0n=A, B1n=2.0 * A)
+        npair = NormalizedPair(B0n=A, B1n=2.0 * A)
         blocks = block_form(npair, common_kernel(npair))
         assert blocks.k_prime == 0
         calls = []
