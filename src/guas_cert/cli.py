@@ -64,6 +64,8 @@ def load_problem(path: str) -> MatrixPair:
     """Parse a problem file: JSON with row-major B0, B1 and optional P."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("problem file must hold a JSON object")
     if "B0" not in data or "B1" not in data:
         raise ValueError("problem file must define B0 and B1")
     return MatrixPair(
@@ -136,11 +138,11 @@ def _options_from_args(args) -> AnalyzerOptions:
         opt.tol = args.tol
     if args.grid is not None:
         opt.n_grid = args.grid
-    if getattr(args, "T", None) is not None:
+    if args.T is not None:
         opt.evidence_T = args.T
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         opt.evidence_dt = args.dt
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         opt.seed = args.seed
     return opt
 
@@ -238,14 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="run the verdict pipeline on a problem file")
+    # the analyzer options that `analyze` and `example` share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--grid", type=int, default=None, help="lambda sweep grid size")
+    common.add_argument("--T", type=float, default=None, help="evidence horizon")
+    common.add_argument("--dt", type=float, default=None, help="evidence time step")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--json", action="store_true", help="emit the JSON report")
+
+    pa = sub.add_parser(
+        "analyze", parents=[common], help="run the verdict pipeline on a problem file"
+    )
     pa.add_argument("path")
-    pa.add_argument("--tol", type=float, default=None)
-    pa.add_argument("--grid", type=int, default=None, help="lambda sweep grid size")
-    pa.add_argument("--T", type=float, default=None, help="evidence horizon")
-    pa.add_argument("--dt", type=float, default=None, help="evidence time step")
-    pa.add_argument("--seed", type=int, default=None)
-    pa.add_argument("--json", action="store_true", help="emit the JSON report")
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="integrate one trajectory and export CSV")
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default="trajectory.csv")
     ps.set_defaults(func=cmd_simulate)
 
-    pe = sub.add_parser("example", help="run a built-in example")
+    pe = sub.add_parser("example", parents=[common], help="run a built-in example")
     pe.add_argument("name", choices=gallery.EXAMPLE_NAMES)
     pe.add_argument("--a", type=float, default=1.0, help="kdeux rotation rate 0")
     pe.add_argument("--b", type=float, default=1.0, help="kdeux rotation rate 1")
@@ -271,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--rates", default="", help="torus rates, comma-separated")
     pe.add_argument("--d0", type=float, default=1.0)
     pe.add_argument("--d1", type=float, default=2.0)
-    pe.add_argument("--tol", type=float, default=None)
-    pe.add_argument("--grid", type=int, default=None)
-    pe.add_argument("--T", type=float, default=None)
-    pe.add_argument("--dt", type=float, default=None)
-    pe.add_argument("--seed", type=int, default=None)
-    pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_example)
     return parser
 

@@ -8,14 +8,16 @@ B_i^T + B_i <= 0, which is the form every downstream module assumes.
 
 Each check runs one batched decomposition over both matrices of the pair:
 one ``eigvals`` for Hurwitzness, one ``eigvalsh`` for the two Lyapunov
-forms.  P = I, the default, is neither validated nor decomposed; a given P
-is decomposed once, and that decomposition both validates it and gives its
-square roots.
+forms, which ``_lyapunov_forms`` alone builds.  P is validated in one place,
+when a ``MatrixPair`` is built: the ``eigh`` that checks it is kept with the
+pair and gives the square roots ``normalize`` takes.  A P passed to
+``normalize`` or ``check_weak_lyapunov`` rebuilds the pair with it.  P = I,
+the default, is neither validated nor decomposed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -48,35 +50,29 @@ def default_semidef_tol(S: np.ndarray) -> float:
     return 1e-9 * (1.0 + np.linalg.norm(S, "fro"))
 
 
-@dataclass(frozen=True)
-class _SPD:
-    """A validated symmetric positive definite P with its eigendecomposition."""
-
-    P: np.ndarray
-    w: np.ndarray  # eigenvalues, ascending
-    U: np.ndarray  # orthonormal eigenvectors, as columns
-
-
-def _check_spd(P: np.ndarray, tol: float | None = None) -> _SPD:
-    """Validate P as symmetric positive definite: one eigh, whose vectors
-    also serve the square root that ``normalize`` takes."""
+def _check_spd(P):
+    """Validate P as symmetric positive definite; return it symmetrized, with
+    the eigenvalues (ascending) and eigenvectors of its one ``eigh``."""
     P = _as_square(P, "P")
     if not np.all(np.isfinite(P)):
         raise NonFiniteInput("P has a non-finite entry")
-    if tol is None:
-        tol = default_semidef_tol(P)
+    tol = default_semidef_tol(P)
     if np.max(np.abs(P - P.T)) > tol:
         raise NotPositiveDefinite("P is not symmetric within tolerance")
     P = 0.5 * (P + P.T)
     w, U = np.linalg.eigh(P)
     if w[0] <= tol:
         raise NotPositiveDefinite(f"P has non-positive eigenvalue {w[0]:.3e}")
-    return _SPD(P, w, U)
+    return P, w, U
 
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """A raw pair (B0, B1) with an optional Lyapunov candidate P."""
+    """A raw pair (B0, B1) with an optional Lyapunov candidate P.
+
+    A given P is validated here, once, and its eigendecomposition is kept
+    (as ``_P_eigh``) for the square roots ``normalize`` takes.
+    """
 
     B0: np.ndarray
     B1: np.ndarray
@@ -92,15 +88,17 @@ class MatrixPair:
             )
         object.__setattr__(self, "B0", B0)
         object.__setattr__(self, "B1", B1)
+        eig = None
         if self.P is not None:
-            object.__setattr__(self, "P", _check_spd(self.P).P)
+            P, *eig = _check_spd(self.P)
+            if P.shape != B0.shape:
+                raise DimensionMismatch("P dimension does not match the pair")
+            object.__setattr__(self, "P", P)
+        object.__setattr__(self, "_P_eigh", eig)
 
     @property
     def d(self) -> int:
         return self.B0.shape[0]
-
-    def lyapunov_or_identity(self) -> np.ndarray:
-        return np.eye(self.d) if self.P is None else self.P
 
 
 @dataclass(frozen=True)
@@ -141,31 +139,32 @@ class NormalizedPair:
         return convex_combination(self, lam)
 
 
-def check_weak_lyapunov(pair: MatrixPair, P=None, tol: float | None = None):
+def _lyapunov_forms(B: np.ndarray, P: np.ndarray):
+    """The symmetrized forms M = B^T P + P B over a (..., d, d) stack of B
+    (broadcast against P), and the largest eigenvalue of each from one
+    batched ``eigvalsh`` (-inf when d = 0)."""
+    M = B.swapaxes(-1, -2) @ P + P @ B
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    return M, np.max(np.linalg.eigvalsh(M), axis=-1, initial=-np.inf)
+
+
+def check_weak_lyapunov(pair: MatrixPair, P=None):
     """Check that B_i^T P + P B_i is negative semidefinite for i = 0, 1.
 
     P defaults to pair.P, or to the identity when that is None; a P given
-    here is validated by ``_check_spd``.  Both forms go through one batched
-    ``eigvalsh``; a form that fails gets an ``eigh`` of its own for the
-    witness.  Returns a pair of SemidefVerdict.  When a check fails, the
-    verdict carries the eigenvector realizing the positive eigenvalue as
-    witness.
+    here rebuilds the pair with it, which validates it.  Each form is held
+    to ``default_semidef_tol`` of itself, and a form that fails gets an
+    ``eigh`` of its own for the witness.  Returns a pair of SemidefVerdict.
+    When a check fails, the verdict carries the eigenvector realizing the
+    positive eigenvalue as witness.
     """
-    if isinstance(P, _SPD):  # already validated by _check_spd
-        P = P.P
-    elif P is not None:
-        P = _check_spd(P).P
-    else:  # pair.P was validated when the pair was built
-        P = pair.lyapunov_or_identity()
-    if P.shape[0] != pair.d:
-        raise DimensionMismatch("P dimension does not match the pair")
-    B = np.stack([pair.B0, pair.B1])
-    M = B.swapaxes(-1, -2) @ P + P @ B
-    M = 0.5 * (M + M.swapaxes(-1, -2))
-    w_max = np.linalg.eigvalsh(M)[:, -1]
+    if P is not None:
+        pair = replace(pair, P=P)
+    P = np.eye(pair.d) if pair.P is None else pair.P
+    M, w_max = _lyapunov_forms(np.stack([pair.B0, pair.B1]), P)
     verdicts = []
     for Mi, w in zip(M, w_max):
-        t = default_semidef_tol(Mi) if tol is None else tol
+        t = default_semidef_tol(Mi)
         holds = w <= t
         witness = None if holds else np.linalg.eigh(Mi)[1][:, -1].copy()
         verdicts.append(SemidefVerdict(bool(holds), float(w), witness, t))
@@ -183,36 +182,36 @@ def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
     """Reduce the pair to identity Lyapunov matrix: B -> P^{1/2} B P^{-1/2}.
 
     The transform is a similarity, so spectra are preserved, and
-    B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.  P defaults to pair.P;
-    when both are None, P = I: the pair is checked and copied, with no
-    decomposition of P.  Otherwise one eigendecomposition of P, from
-    ``_check_spd``, validates P and gives both square roots.
+    B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.  A P given here
+    rebuilds the pair with it; P then defaults to pair.P, and both square
+    roots come from the eigendecomposition the pair kept.  When both are
+    None, P = I: the pair is checked and copied, with no decomposition.
     """
     require_finite(pair)
-    if P is None:
-        P = pair.P
-    spd = None if P is None else _check_spd(P)
-    v0, v1 = check_weak_lyapunov(pair, spd)
+    if P is not None:
+        pair = replace(pair, P=P)
+    v0, v1 = check_weak_lyapunov(pair)
     if not (v0.holds and v1.holds):
         bad = [i for i, v in enumerate((v0, v1)) if not v.holds]
         raise NoCommonWeakLyapunov(
             f"B_i^T P + P B_i has positive eigenvalue for i in {bad} "
             f"(max eigenvalues {v0.max_eigenvalue:.3e}, {v1.max_eigenvalue:.3e})"
         )
-    if spd is None:
+    if pair.P is None:
         identity = np.eye(pair.d)
         return NormalizedPair(
             pair.B0.copy(),
             pair.B1.copy(),
             provenance={"P": identity, "sqrt_P": identity, "inv_sqrt_P": identity},
         )
-    root_w = np.sqrt(spd.w)
-    sqrt_P = (spd.U * root_w) @ spd.U.T
-    inv_sqrt_P = (spd.U / root_w) @ spd.U.T
+    w, U = pair._P_eigh
+    root_w = np.sqrt(w)
+    sqrt_P = (U * root_w) @ U.T
+    inv_sqrt_P = (U / root_w) @ U.T
     return NormalizedPair(
         sqrt_P @ pair.B0 @ inv_sqrt_P,
         sqrt_P @ pair.B1 @ inv_sqrt_P,
-        provenance={"P": spd.P, "sqrt_P": sqrt_P, "inv_sqrt_P": inv_sqrt_P},
+        provenance={"P": pair.P, "sqrt_P": sqrt_P, "inv_sqrt_P": inv_sqrt_P},
     )
 
 
@@ -259,36 +258,24 @@ def convex_combination(pair: NormalizedPair, lam: float) -> np.ndarray:
 class StrictLyapunovSearch:
     """Result of the strict common quadratic Lyapunov search for d = 2.
 
-    ``found`` with (q, r, P) if both M_i = B_i^T P + P B_i are negative
-    definite at P = [[1, q], [q, r]].  Otherwise the two determinant curves
-    det M_i = 0 are returned sampled, plus the r-axis intersections of each
-    curve (the ordinates of the curve at q = 0).  The search is restricted
-    to P with top-left entry 1; this loses no generality up to positive
-    scaling of P, but the degenerate family with top-left entry 0 is not
-    covered.
+    ``found`` with P = [[1, q], [q, r]] if both M_i = B_i^T P + P B_i are
+    negative definite there.  ``vertex_ordinates`` are the r-axis
+    intersections of each determinant curve det M_i = 0 (the ordinates of
+    the curve at q = 0).  The search is restricted to P with top-left entry
+    1; this loses no generality up to positive scaling of P, but the
+    degenerate family with top-left entry 0 is not covered.
     """
 
     found: bool
-    q: Optional[float] = None
-    r: Optional[float] = None
     P: Optional[np.ndarray] = None
     vertex_ordinates: tuple = ()
-    curve_points: tuple = ()
-    search_box: tuple = ()
     message: str = ""
 
 
-def _qr_coefficient_mats(B: np.ndarray):
-    """M(q, r) = M1 + q*Mq + r*Mr where M* come from P = P1 + q Pq + r Pr."""
-    parts = []
-    for Pc in (
-        np.array([[1.0, 0.0], [0.0, 0.0]]),
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-        np.array([[0.0, 0.0], [0.0, 1.0]]),
-    ):
-        M = B.T @ Pc + Pc @ B
-        parts.append(0.5 * (M + M.T))
-    return tuple(parts)
+# P = P1 + q Pq + r Pr, so M(q, r) = M1 + q Mq + r Mr with M* the forms of P*
+_QR_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                      [[0.0, 0.0], [0.0, 1.0]]])
+_STRICT_GRID = 241  # nodes per axis of the coarse (q, r) grid
 
 
 def _det_and_trace(coeffs, Q, R):
@@ -300,30 +287,25 @@ def _det_and_trace(coeffs, Q, R):
     return m00 * m11 - m01 * m01, m00 + m11
 
 
-def _det_roots_in_r(coeffs, q_values: np.ndarray):
-    """Real roots in r of det M(q, r) = 0 for each q (quadratic in r)."""
-    f0, _ = _det_and_trace(coeffs, q_values, np.zeros_like(q_values))
-    f1, _ = _det_and_trace(coeffs, q_values, np.ones_like(q_values))
-    f2, _ = _det_and_trace(coeffs, q_values, 2.0 * np.ones_like(q_values))
-    c2 = 0.5 * (f0 - 2.0 * f1 + f2)
-    c1 = 0.5 * (-3.0 * f0 + 4.0 * f1 - f2)
-    c0 = f0
-    points = []
-    for q, a, b, c in zip(q_values, c2, c1, c0):
-        if abs(a) < 1e-14 * (abs(b) + abs(c) + 1.0):
-            if abs(b) > 1e-14:
-                points.append((q, -c / b))
-            continue
+def _det_roots_in_r(coeffs, q_values: np.ndarray) -> np.ndarray:
+    """Real roots in r of det M(q, r) = 0 for each q (quadratic in r), as
+    (q, r) rows."""
+    f0, f1, f2 = (_det_and_trace(coeffs, q_values, np.full_like(q_values, r))[0]
+                  for r in (0.0, 1.0, 2.0))
+    a = 0.5 * (f0 - 2.0 * f1 + f2)
+    b = 0.5 * (-3.0 * f0 + 4.0 * f1 - f2)
+    c = f0
+    linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
         sq = np.sqrt(disc)
-        points.append((q, (-b - sq) / (2.0 * a)))
-        points.append((q, (-b + sq) / (2.0 * a)))
-    return np.array(points).reshape(-1, 2)
+        roots = ((linear & (np.abs(b) > 1e-14), -c / b),
+                 (~linear & ~(disc < 0.0), (-b - sq) / (2.0 * a)),
+                 (~linear & ~(disc < 0.0), (-b + sq) / (2.0 * a)))
+    return np.concatenate([np.column_stack([q_values[m], r[m]]) for m, r in roots])
 
 
-def strict_lyapunov_2x2(pair: MatrixPair, grid: int = 241) -> StrictLyapunovSearch:
+def strict_lyapunov_2x2(pair: MatrixPair) -> StrictLyapunovSearch:
     """Search the (q, r) half-plane {r > q^2} for a strict common P.
 
     Feasibility of a grid point means both M_i are negative definite there
@@ -333,18 +315,17 @@ def strict_lyapunov_2x2(pair: MatrixPair, grid: int = 241) -> StrictLyapunovSear
     """
     if pair.d != 2:
         raise DimensionMismatch(f"strict_lyapunov_2x2 requires d = 2, got d = {pair.d}")
-    coeffs = [_qr_coefficient_mats(B) for B in (pair.B0, pair.B1)]
+    B = np.stack([pair.B0, pair.B1])
+    coeffs, _ = _lyapunov_forms(B[:, None], _QR_BASIS)
 
     # r-axis intersections of each curve: roots of det M_i(0, r) = 0.
-    vertex_ordinates = []
-    for c in coeffs:
-        roots = _det_roots_in_r(c, np.zeros(1))
-        vertex_ordinates.append(tuple(sorted(roots[:, 1])) if roots.size else ())
+    vertex_ordinates = tuple(
+        tuple(np.sort(_det_roots_in_r(c, np.zeros(1))[:, 1])) for c in coeffs
+    )
 
     # Sample both curves to derive the search box.
     q_scan = np.linspace(-50.0, 50.0, 4001)
-    curves = [_det_roots_in_r(c, q_scan) for c in coeffs]
-    all_pts = np.vstack([p for p in curves if p.size] or [np.zeros((0, 2))])
+    all_pts = np.vstack([_det_roots_in_r(c, q_scan) for c in coeffs])
     if all_pts.size:
         q_lo, q_hi = all_pts[:, 0].min(), all_pts[:, 0].max()
         r_hi = all_pts[:, 1].max()
@@ -368,12 +349,10 @@ def strict_lyapunov_2x2(pair: MatrixPair, grid: int = 241) -> StrictLyapunovSear
         score = feasibility(Q, R)
         idx = np.unravel_index(np.argmax(score), score.shape)
         return float(Q[idx]), float(R[idx]), float(score[idx]), (
-            qs[1] - qs[0] if n > 1 else 0.0,
-            rs[1] - rs[0] if n > 1 else 0.0,
+            qs[1] - qs[0], rs[1] - rs[0],
         )
 
-    q_lo, q_hi, r_lo, r_hi = box
-    q_best, r_best, s_best, (dq, dr) = best_on_grid(q_lo, q_hi, r_lo, r_hi, grid)
+    q_best, r_best, s_best, (dq, dr) = best_on_grid(*box, _STRICT_GRID)
     # Local refinement around the best cell, whether or not it is feasible:
     # thin feasible slivers between the coarse nodes are caught here.
     for _ in range(3):
@@ -382,19 +361,13 @@ def strict_lyapunov_2x2(pair: MatrixPair, grid: int = 241) -> StrictLyapunovSear
             r_best + 2 * dr, 81,
         )
 
-    curve_tuple = tuple(curves)
     if s_best > 0.0:
         P = np.array([[1.0, q_best], [q_best, r_best]])
-        lam_max = max(
-            np.linalg.eigvalsh(B.T @ P + P @ B)[-1] for B in (pair.B0, pair.B1)
-        )
-        if lam_max < -default_semidef_tol(P):
+        if _lyapunov_forms(B, P)[1].max() < -default_semidef_tol(P):
             return StrictLyapunovSearch(
-                True, q_best, r_best, P,
-                tuple(vertex_ordinates), curve_tuple, box,
-                "strict common quadratic Lyapunov matrix found",
+                True, P, vertex_ordinates, "strict common quadratic Lyapunov matrix found"
             )
     return StrictLyapunovSearch(
-        False, None, None, None, tuple(vertex_ordinates), curve_tuple, box,
+        False, None, vertex_ordinates,
         "no strict common quadratic Lyapunov function of this normalized form",
     )

@@ -35,7 +35,7 @@ import numpy as np
 
 from .decomposition import BlockFamily, block_form, common_kernel, numerical_rank
 from .errors import DimensionMismatch
-from .matrix_core import NormalizedPair, is_hurwitz, symmetric_part
+from .matrix_core import MatrixPair, NormalizedPair, check_weak_lyapunov, is_hurwitz
 
 #: Certified-observable requires sigma_min above this multiple of the tolerance.
 CERT_FACTOR = 100.0
@@ -331,13 +331,13 @@ def hurwitz_observability_crosscheck(B, tol: float = 1e-9) -> CrosscheckReport:
 
     The block form (A, -C^T; C, D) is taken in the frame adapted to
     ker(B^T + B).  Points with spectral abscissa inside the marginal band
-    are flagged rather than forced to agree.
+    are flagged rather than forced to agree.  B^T + B is held to
+    ``check_weak_lyapunov``'s tolerance, whatever ``tol`` is.
     """
-    B = np.asarray(B, float)
-    S = symmetric_part(B)
-    w = np.linalg.eigvalsh(S) if S.size else np.zeros(1)
-    if w.size and w[-1] > tol * (1.0 + np.linalg.norm(S, "fro")):
+    pair = MatrixPair(B, B)
+    if not check_weak_lyapunov(pair)[0].holds:
         raise ValueError("B^T + B is not negative semidefinite")
+    B = pair.B0
     npair = NormalizedPair(B, B)
     decomp = common_kernel(npair, tol)
     fam = block_form(npair, decomp, tol)

@@ -204,12 +204,23 @@ class TestDispatchCounts:
         assert counts["norm(2)"] == 0
 
     def test_mason_with_P(self, monkeypatch):
-        # eigh: P, once for its check and its square root
+        # eigh: P, once, when analyze rebuilds the pair with it
         pair = mason()
         v, counts = linalg_calls(monkeypatch, lambda: analyze(pair, pair.P, options=FAST))
         assert v.conclusion == "GUAS_trivial_kernel"
         assert {name: counts[name] for name in LINALG} == {
             "svd": 1, "eig": 0, "eigvals": 1, "eigh": 1, "eigvalsh": 1,
+        }
+        assert counts["norm(2)"] == 0
+
+
+    def test_mason_carrying_its_P(self, monkeypatch):
+        # the pair decomposed P when it was built, outside the count
+        pair = mason()
+        v, counts = linalg_calls(monkeypatch, lambda: analyze(pair, options=FAST))
+        assert v.conclusion == "GUAS_trivial_kernel"
+        assert {name: counts[name] for name in LINALG} == {
+            "svd": 1, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 1,
         }
         assert counts["norm(2)"] == 0
 

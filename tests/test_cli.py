@@ -61,11 +61,16 @@ class TestProblemFiles:
         np.testing.assert_array_equal(back.B1, pair.B1)
         np.testing.assert_array_equal(back.P, pair.P)
 
-    def test_missing_keys(self, tmp_path):
+    def test_missing_keys(self, tmp_path, capsys):
+        """An object without B1, a number and a string are parse errors:
+        a ValueError, exit 4, and no traceback."""
         path = tmp_path / "bad.json"
-        path.write_text('{"B0": [[1]]}')
-        with pytest.raises(ValueError):
-            load_problem(str(path))
+        for text in ('{"B0": [[1]]}', "3", '"B0B1"'):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                load_problem(str(path))
+            assert main(["analyze", str(path)]) == EXIT_IO, text
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestParseSignal:

@@ -20,6 +20,12 @@ from guas_cert.errors import (
     NotPositiveDefinite,
 )
 from guas_cert.gallery import mason
+from guas_cert.matrix_core import (
+    _QR_BASIS,
+    _det_and_trace,
+    _det_roots_in_r,
+    _lyapunov_forms,
+)
 
 S2 = np.sqrt(2.0)
 
@@ -80,6 +86,11 @@ class TestCheckWeakLyapunov:
         with pytest.raises(NotPositiveDefinite):
             check_weak_lyapunov(pair, np.diag([1.0, -1.0]))
 
+    def test_rejects_P_of_wrong_size(self):
+        pair = MatrixPair(-np.eye(2), -np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            check_weak_lyapunov(pair, np.eye(3))
+
     def test_failure_only_at_B1_gets_its_own_witness(self):
         """Both forms share one eigvalsh; the witness comes from B1's form."""
         B1 = np.array([[-1.0, 0.0, 0.0], [3.0, -1.0, 0.0], [0.0, 1.0, -2.0]])
@@ -119,9 +130,11 @@ class TestNormalize:
 
     @pytest.mark.parametrize("given_P", [False, True])
     def test_P_validated_once(self, monkeypatch, given_P):
+        """P is validated once whether the pair carries it or normalize gets
+        it: normalize reuses the decomposition the pair kept."""
         import guas_cert.matrix_core as matrix_core
 
-        pair = mason()
+        m = mason()
         calls = []
 
         def counted(*args, **kwargs):
@@ -130,7 +143,10 @@ class TestNormalize:
 
         original = matrix_core._check_spd
         monkeypatch.setattr(matrix_core, "_check_spd", counted)
-        normalize(pair, pair.P if given_P else None)
+        if given_P:
+            normalize(MatrixPair(m.B0, m.B1), m.P)
+        else:
+            normalize(MatrixPair(m.B0, m.B1, m.P))
         assert len(calls) == 1
 
     def test_mason_kernels_become_transverse(self):
@@ -177,6 +193,10 @@ class TestNormalize:
         with pytest.raises(NoCommonWeakLyapunov):
             normalize(pair, [[1.0]])
 
+
+    def test_pair_rejects_P_of_wrong_size(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixPair(-np.eye(2), -np.eye(2), np.eye(3))
 
     def test_rejects_non_finite_entries(self):
         B0 = -np.eye(2)
@@ -281,6 +301,41 @@ class TestStrictLyapunov2x2:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
             strict_lyapunov_2x2(MatrixPair(-np.eye(3), -np.eye(3)))
+
+
+def _det_roots_loop(coeffs, q_values):
+    """Reference: the roots in r of det M(q, r) = 0, one q at a time."""
+    f0, f1, f2 = (_det_and_trace(coeffs, q_values, np.full_like(q_values, r))[0]
+                  for r in (0.0, 1.0, 2.0))
+    points = []
+    for q, a, b, c in zip(q_values, 0.5 * (f0 - 2.0 * f1 + f2),
+                          0.5 * (-3.0 * f0 + 4.0 * f1 - f2), f0):
+        if abs(a) < 1e-14 * (abs(b) + abs(c) + 1.0):
+            if abs(b) > 1e-14:
+                points.append((q, -c / b))
+            continue
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            continue
+        sq = np.sqrt(disc)
+        points.append((q, (-b - sq) / (2.0 * a)))
+        points.append((q, (-b + sq) / (2.0 * a)))
+    return np.array(points).reshape(-1, 2)
+
+
+def test_det_roots_match_the_loop_reference():
+    """The batched roots equal the per-q loop's bit for bit, as a set of
+    (q, r) rows; B[1, 0] = 0 makes det M linear in r."""
+    rng = np.random.default_rng(8)
+    q_values = np.linspace(-50.0, 50.0, 4001)
+    for i in range(20):
+        B = rng.standard_normal((2, 2))
+        if i % 4 == 0:
+            B[1, 0] = 0.0
+        coeffs, _ = _lyapunov_forms(B, _QR_BASIS)
+        got, want = _det_roots_in_r(coeffs, q_values), _det_roots_loop(coeffs, q_values)
+        assert got.shape == want.shape and want.size
+        np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
 
 
 def _assert_strict(res, pair):

@@ -364,6 +364,15 @@ class TestCrosscheck:
         assert not rep.hurwitz and not rep.observable and rep.agree
         assert rep.marginal
 
+    def test_refuses_positive_symmetric_part(self):
+        B = np.array([[0.5, 1.0], [-1.0, -1.0]])
+        with pytest.raises(ValueError, match=r"^B\^T \+ B is not negative semidefinite$"):
+            hurwitz_observability_crosscheck(B)
+
+    def test_empty_matrix_agrees(self):
+        rep = hurwitz_observability_crosscheck(np.zeros((0, 0)))
+        assert rep.hurwitz and rep.observable and rep.agree and rep.k == 0
+
     def test_block_with_unobservable_kernel(self):
         # zero A, output sees only one of two kernel directions
         B = assemble(np.zeros((2, 2)), np.array([[1.0, 0.0]]), np.array([[-1.0]]))
