@@ -37,7 +37,7 @@ from .matrix_core import (
     normalize,
     require_finite,
 )
-from .observability import sigma_C_bisection, sweep_lambda
+from .observability import MAX_GRID, sigma_C_bisection, sweep_lambda
 from .simulator import _n_steps, plateau_rule, worst_case_runs
 
 CONCLUSIONS = (
@@ -182,17 +182,18 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     Raises NonFiniteInput on a NaN or infinite entry, and NotHurwitz /
     NoCommonWeakLyapunov (from normalize) when the standing hypotheses
     fail, and ValueError on options out of range (a tol that is not
-    finite and positive, n_grid < 2, or an evidence_T and evidence_dt that
-    the simulator's horizon rule rejects: not finite and positive, a step
-    longer than the horizon, or a step count T / dt that overflows);
+    finite and positive, n_grid outside [2, MAX_GRID], or an evidence_T
+    and evidence_dt that the simulator's horizon rule rejects: not finite
+    and positive, a step longer than the horizon, or a step count T / dt
+    that overflows);
     otherwise always returns a Verdict.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if opt.n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {opt.n_grid}")
+    if not 2 <= opt.n_grid <= MAX_GRID:
+        raise ValueError(f"n_grid must be in [2, {MAX_GRID}], got {opt.n_grid}")
     _n_steps(opt.evidence_T, opt.evidence_dt)  # the evidence runs' horizon rule
     require_finite(pair)
 

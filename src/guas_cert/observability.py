@@ -7,22 +7,21 @@ the Kalman matrix is Lipschitz in lambda (Weyl's inequality), so intervals
 are bisected until each one's bound clears the certification threshold, a
 computed value falls below the tolerance, or neither can happen.
 
-The n_grid partition is evaluated lazily: the bisection starts from every
-16th grid point (or the largest power-of-two stride that fits n_grid - 1)
-and evaluates a grid point only inside an interval whose bound has not
-cleared, so a well-conditioned family costs a few dozen lambdas instead of
-n_grid.  Every verdict still rests on a cover of [0, 1] by intervals.  The
-reported margins are lower bounds over the cover actually used, so where a
-coarse interval cleared they can be smaller than the full grid would give.
+The bisection starts from every 16th point of the n_grid partition (or the
+largest power-of-two stride that fits n_grid - 1) and splits only the
+intervals whose bound has not cleared, so a well-conditioned family costs a
+few dozen lambdas instead of n_grid.  Every verdict still rests on a cover
+of [0, 1] by intervals.  The reported margins are lower bounds over the
+cover actually used, so where a coarse interval cleared they can be smaller
+than the full grid would give.
 
-Below grid resolution the intervals are halved, which only converges
-linearly to a zero of sigma.  So every level that splits also evaluates one
-secant probe, in the same batched call: the zero of the steeper secant
-through the smallest computed value and its two evaluated neighbours.  Near
-a simple zero sigma is V-shaped, the steeper secant lies on one branch, and
-a refutation takes a handful of levels instead of about twenty.  The probe
-never enters the cover, so it moves no bound; its value refutes or ends
-certifying like any other computed value.
+Halving only converges linearly to a zero of sigma.  So every level that
+splits also evaluates one secant probe, in the same batched call: the zero
+of the steeper secant through the smallest computed value and its two
+evaluated neighbours.  Near a simple zero sigma is V-shaped, the steeper
+secant lies on one branch, and a refutation takes a handful of levels
+instead of about twenty.  The probe never enters the cover, so it moves no
+bound; its value refutes or ends certifying like any other computed value.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ from .matrix_core import MatrixPair, NormalizedPair, check_weak_lyapunov, is_hur
 CERT_FACTOR = 100.0
 #: Largest stride, a power of two, of the first pass of a bisection over its grid.
 MAX_STRIDE = 16
+#: Most points of a lambda grid.  A bisection level evaluates up to n_grid
+#: lambdas in one batched call, so a huge n_grid would exhaust memory.
+MAX_GRID = 2**16 + 1
 
 
 def kalman_matrix(C, A) -> np.ndarray:
@@ -82,44 +84,6 @@ class Bisection:
     n_evals: int  # lambdas at which sigma was evaluated
 
 
-def _grid_cover(
-    sigma: Callable[[np.ndarray], np.ndarray],
-    lipschitz: float,
-    grid: np.ndarray,
-    threshold: float,
-):
-    """Intervals between points of ``grid`` that cover it, each of which
-    clears ``threshold`` or joins adjacent grid points.
-
-    The first pass evaluates every s-th point, s the largest power of two
-    <= MAX_STRIDE that divides len(grid) - 1; intervals whose bound does not
-    clear ``threshold`` are then halved in index space.  Returns the
-    intervals' endpoints and values, and every lambda evaluated with its value.
-    """
-    idx = np.arange(0, len(grid), math.gcd(len(grid) - 1, MAX_STRIDE))
-    vals = sigma(grid[idx])
-    lams_seen, vals_seen = [grid[idx]], [vals]
-    li, ri, vl, vr = idx[:-1], idx[1:], vals[:-1], vals[1:]
-    while True:
-        bound = 0.5 * (vl + vr - lipschitz * (grid[ri] - grid[li]))
-        split = (bound <= threshold) & (ri - li > 1)
-        if not np.any(split):
-            break
-        mi = (li[split] + ri[split]) // 2
-        mv = sigma(grid[mi])
-        lams_seen.append(grid[mi])
-        vals_seen.append(mv)
-        keep = ~split
-        li = np.concatenate([li[keep], li[split], mi])
-        ri = np.concatenate([ri[keep], mi, ri[split]])
-        vl = np.concatenate([vl[keep], vl[split], mv])
-        vr = np.concatenate([vr[keep], mv, vr[split]])
-    # in grid order, so ties in the smallest value go to the lowest lambda
-    lams, vals = np.concatenate(lams_seen), np.concatenate(vals_seen)
-    order = np.argsort(lams, kind="stable")
-    return grid[li], grid[ri], vl, vr, lams[order], vals[order]
-
-
 def _secant_probe(lams: np.ndarray, vals: np.ndarray, m: float, v: float):
     """The zero of the steeper of the two secants through (m, v) and its
     evaluated neighbours a < m < b in ``lams``, or None unless it falls
@@ -155,20 +119,21 @@ def weyl_bisection(
 
     ``sigma`` maps an array of lambdas to their values in one batched call.
     On [l, r] an L-Lipschitz sigma is at least (sigma(l) + sigma(r) -
-    L (r - l)) / 2.  ``_grid_cover`` evaluates ``grid`` lazily: only where
-    the bound of a coarser interval does not clear ``threshold``.  From its
-    cover, intervals whose bound does not clear ``threshold`` are split at
-    their midpoints.  Certifying stops once a computed value is at or below
-    ``threshold`` (it bounds every interval it ends) or more intervals need
-    splitting than ``grid`` has, which near a minimum within rounding of
-    ``threshold`` would grow without bound; then only the lowest
-    len(grid) - 1 bounds below ``floor``, which alone can hold a refutation,
-    are split.  The verdict is refuted when a computed value is below
-    ``floor``, certified when every interval clears ``threshold``, and
-    inconclusive when nothing is left to split or a midpoint no longer falls
-    strictly inside its interval.  ``bound`` is a lower bound of sigma over
-    the cover actually used, so where a coarse interval cleared it can be
-    smaller than the full grid would give.
+    L (r - l)) / 2.  The first pass evaluates every s-th point of ``grid``,
+    s the largest power of two <= MAX_STRIDE that divides len(grid) - 1.
+    From there each level splits, at their midpoints, the intervals whose
+    bound does not clear ``threshold``; on a 2^m + 1 point grid the
+    midpoints down to adjacent points are grid points.  Certifying stops
+    once a computed value is at or below ``threshold`` (it bounds every
+    interval it ends) or more intervals need splitting than ``grid`` has,
+    which near a minimum within rounding of ``threshold`` would grow without
+    bound; then only the lowest len(grid) - 1 bounds below ``floor``, which
+    alone can hold a refutation, are split.  The verdict is refuted when a
+    computed value is below ``floor``, certified when every interval clears
+    ``threshold``, and inconclusive when nothing is left to split or a
+    midpoint no longer falls strictly inside its interval.  ``bound`` is a
+    lower bound of sigma over the cover actually used, so where a coarse
+    interval cleared it can be smaller than the full grid would give.
 
     Each level that splits also evaluates one secant probe
     (``_secant_probe``) at the smallest computed value, in the same call as
@@ -179,10 +144,10 @@ def weyl_bisection(
     the probes converge superlinearly where the midpoints only halve.
     """
     budget = len(grid) - 1
-    lo, hi, s_lo, s_hi, seen_lams, seen_vals = _grid_cover(
-        sigma, lipschitz, grid, threshold
-    )
-    new_lams, new_vals = seen_lams, seen_vals
+    new_lams = grid[:: math.gcd(budget, MAX_STRIDE)]
+    new_vals = sigma(new_lams)
+    seen_lams, seen_vals = new_lams, new_vals
+    lo, hi, s_lo, s_hi = new_lams[:-1], new_lams[1:], new_vals[:-1], new_vals[1:]
     value, lam_star, settled, certifying = np.inf, 0.0, np.inf, True
     while True:
         bound = 0.5 * (s_lo + s_hi - lipschitz * (hi - lo))
@@ -256,14 +221,14 @@ def sweep_lambda(
     """Certify observability of (C_lam, A_lam) on all of [0, 1], or refute it.
 
     Runs ``weyl_bisection`` on sigma_k of the Kalman matrix O(lam) over the
-    n_grid partition, whose points it evaluates only where needed.
+    n_grid partition, 2 <= n_grid <= MAX_GRID.
     fails_at: a computed sigma_k below tol_eff = tol (1 + max ||O(lam)||
     over lam in {0, 1/2, 1}); observable_for_all_lambda: every interval
     bound of the cover above CERT_FACTOR * tol_eff; inconclusive: neither.
     ``n_evals`` counts the three lambdas of tol_eff too.
     """
-    if n_grid < 2:
-        raise ValueError("n_grid must be >= 2")
+    if not 2 <= n_grid <= MAX_GRID:
+        raise ValueError(f"n_grid must be in [2, {MAX_GRID}], got {n_grid}")
     k = blocks.k
     grid = np.linspace(0.0, 1.0, n_grid)
     if k == 0:

@@ -73,21 +73,14 @@ def normalized_corpus(corpus):
     return {name: normalize(pair) for name, pair in corpus.items()}
 
 
-def _full_grid_cover(sigma, lipschitz, grid, threshold):
-    """``observability._grid_cover`` with every grid point evaluated up front."""
-    vals = sigma(grid)
-    return grid[:-1], grid[1:], vals[:-1], vals[1:], grid, vals
-
-
 #: captured at import: tests patch ``observability.weyl_bisection`` itself
 _weyl_bisection = observability.weyl_bisection
 
 
 def full_grid_bisection(sigma, lipschitz, grid, threshold, floor):
-    """``observability.weyl_bisection`` over a cover of every grid point
-    instead of the lazy one: the same bound, split rules, budget, probes and
-    midpoint bisection below grid resolution."""
-    with mock.patch.object(observability, "_grid_cover", _full_grid_cover):
+    """``observability.weyl_bisection`` with a first pass over every grid
+    point: the same bound, split rules, budget, probes and midpoint split."""
+    with mock.patch.object(observability, "MAX_STRIDE", 1):
         return _weyl_bisection(sigma, lipschitz, grid, threshold, floor)
 
 

@@ -259,6 +259,17 @@ class TestRefutationIsConsistent:
                          T=50.0, dt=1e-3)
         assert traj.final_ratio() > 1.0 - 1e-6
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the refutation floor tol (1 + max ||O||) does not scale with "
+        "O(lam) = [C; CA; ...], whose rows carry different powers of the scale"))
+    def test_time_rescaling_refutes_no_guas_pair(self):
+        """B -> 2^j B only rescales time, so torus() and kdeux(1, 2), both
+        GUAS, must not be refuted at any scale."""
+        for pair, j in ((torus(), 9), (torus(), -8), (kdeux(1.0, 2.0), -15)):
+            scaled = MatrixPair(2.0**j * pair.B0, 2.0**j * pair.B1)
+            v = analyze(scaled, options=AnalyzerOptions(with_evidence=False))
+            assert not v.conclusion.startswith("NOT_GUAS"), (j, v.conclusion)
+
 
 class TestVerdictSerialization:
     def test_to_dict_is_json_safe(self):

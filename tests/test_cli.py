@@ -25,6 +25,7 @@ from guas_cert.errors import (
     StructureViolation,
 )
 from guas_cert.gallery import kdeux, mason, torus
+from guas_cert.observability import MAX_GRID
 
 
 @pytest.fixture
@@ -313,12 +314,14 @@ class TestExampleCommand:
         ("mason", ["--T", "1e300", "--dt", "1e-300"]),
         ("torus", ["--T", "1e12", "--dt", "1e-3"]),
         ("mason", ["--grid", "1"]),
+        ("mason", ["--grid", str(MAX_GRID + 1)]),
         ("kdeux", ["--b", "-1", "--tol", "-1"]),
         ("kdeux", ["--b", "-1", "--tol", "nan"]),
         ("kdeux", ["--b", "-1", "--tol", "inf"]),
         ("kdeux", ["--b", "-1", "--tol", "0"]),
     ], ids=["negative-T", "dt-past-T", "infinite-T", "step-count-overflow",
-            "step-count-overflow-without-evidence", "step-count-cap", "grid-1", "negative-tol",
+            "step-count-overflow-without-evidence", "step-count-cap", "grid-1",
+            "grid-above-cap", "negative-tol",
             "nan-tol", "infinite-tol", "zero-tol"])
     def test_bad_analyzer_option_is_io_error(self, name, flags, capsys):
         """Rejected before any stage runs: no verdict, so no exit code 0-2."""

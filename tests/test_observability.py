@@ -12,7 +12,7 @@ from guas_cert import (
 )
 from guas_cert.decomposition import BlockFamily
 from guas_cert.gallery import assemble, kdeux, shared_output, torus
-from guas_cert.observability import sigma_C_bisection, weyl_bisection
+from guas_cert.observability import MAX_GRID, sigma_C_bisection, weyl_bisection
 
 from conftest import block_pair, full_grid_bisection, skew, stable_block
 
@@ -120,6 +120,18 @@ class TestSweepLambda:
         # a well-conditioned family clears from a few grid points
         assert 0 < report.n_evals < len(report.grid)
 
+    def test_grid_size_is_capped(self):
+        """MAX_GRID points are accepted, and a well-conditioned family
+        clears from the first pass, every 16th point, plus the three lambdas
+        of tol_eff; one more point is refused."""
+        report = sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=MAX_GRID)
+        assert report.verdict == "observable_for_all_lambda"
+        assert len(report.grid) == MAX_GRID
+        assert report.n_evals == (MAX_GRID - 1) // 16 + 1 + 3
+        message = f"in \\[2, {MAX_GRID}\\], got {MAX_GRID + 1}$"
+        with pytest.raises(ValueError, match=message):
+            sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=MAX_GRID + 1)
+
     def test_well_conditioned_family_is_cheap(self, monkeypatch):
         """kdeux(1, 2) clears from a few grid points: fewer than n_grid // 4
         evaluations, each of them a point of the grid."""
@@ -214,13 +226,25 @@ class TestWeylBisection:
         assert 1e-6 < run.bound <= 1e-3 < run.value
 
     def test_value_at_threshold_ends_certifying(self):
-        """0.0005 + 0.01 |lam - 0.3|: the one call over the 256-point grid
-        computes values below the threshold, which ends certifying, and no
-        interval bound is below the floor, so nothing more is evaluated."""
-        sigma, calls = _calls_and_lambdas(lambda lams: 5e-4 + 0.01 * np.abs(lams - 0.3))
-        run = weyl_bisection(sigma, 0.01, np.linspace(0.0, 1.0, 256), 1e-3, 1e-6)
-        assert run.verdict == "inconclusive"
-        assert len(calls) == 1
+        """0.0005 + 0.01 |lam - 0.3|: the first call, over all 256 points or
+        every 16th of 257, computes values below the threshold, which ends
+        certifying, and no interval bound is below the floor, so nothing
+        more is evaluated."""
+        for n_grid, n_evals in ((256, 256), (257, 17)):
+            sigma, calls = _calls_and_lambdas(
+                lambda lams: 5e-4 + 0.01 * np.abs(lams - 0.3))
+            grid = np.linspace(0.0, 1.0, n_grid)
+            run = weyl_bisection(sigma, 0.01, grid, 1e-3, 1e-6)
+            assert run.verdict == "inconclusive"
+            assert (len(calls), run.n_evals) == (1, n_evals)
+
+    def test_first_pass_zero_refutes_in_one_call(self):
+        """|lam - 1/2| on 257 points: 1/2 is a point of the first pass, whose
+        zero refutes before any interval is split."""
+        sigma, calls = _calls_and_lambdas(lambda lams: np.abs(lams - 0.5))
+        run = weyl_bisection(sigma, 1.0, np.linspace(0.0, 1.0, 257), 1e-3, 1e-6)
+        assert (run.verdict, run.value, run.lambda_star) == ("refuted", 0.0, 0.5)
+        assert (len(calls), run.n_evals) == (1, 17)
 
     def test_bound_keeps_intervals_settled_before_a_split(self):
         """Grid 0, 1/3, 2/3, 1 with L = 1: [0, 1/3] clears at once with bound
@@ -248,32 +272,15 @@ class TestWeylBisection:
 
     @pytest.mark.parametrize("f, lipschitz, threshold, floor", BISECTION_CASES,
                              ids=CASE_IDS)
-    def test_stride_one_matches_full_grid(self, f, lipschitz, threshold, floor):
-        """n_grid - 1 odd: the cover starts from every grid point, as the
-        full-grid bisection does, and every field agrees exactly."""
-        grid = np.linspace(0.0, 1.0, 256)
-        lazy = weyl_bisection(f, lipschitz, grid, threshold, floor)
-        assert lazy == full_grid_bisection(f, lipschitz, grid, threshold, floor)
-
-    @pytest.mark.parametrize("f, lipschitz, threshold, floor", BISECTION_CASES,
-                             ids=CASE_IDS)
     def test_lazy_lambdas_are_full_grid_lambdas(self, f, lipschitz, threshold, floor):
         """Stride 16 on 161 points, where 29 midpoints of coarse intervals
-        are not grid points: the lazy run evaluates a subset of the full-grid
-        run's lambdas and, unless it certifies, returns the same result."""
+        are not grid points: the run from the first pass evaluates fewer
+        lambdas than the run from every grid point and, unless it certifies,
+        returns the same result."""
         grid = np.linspace(0.0, 1.0, 161)
-        seen = {"lazy": [], "full": []}
-
-        def recording(key):
-            def sigma(lams):
-                seen[key].append(lams.copy())
-                return f(lams)
-            return sigma
-
-        lazy = weyl_bisection(recording("lazy"), lipschitz, grid, threshold, floor)
-        full = full_grid_bisection(recording("full"), lipschitz, grid, threshold, floor)
+        lazy = weyl_bisection(f, lipschitz, grid, threshold, floor)
+        full = full_grid_bisection(f, lipschitz, grid, threshold, floor)
         assert lazy.verdict == full.verdict
-        assert np.all(np.isin(np.concatenate(seen["lazy"]), np.concatenate(seen["full"])))
         assert lazy.n_evals < full.n_evals
         if full.verdict == "certified":
             assert lazy.bound <= full.bound

@@ -6,9 +6,9 @@ The families include C1 = -c C0, whose output vanishes at lam* = 1/(1 + c),
 and families built to be unobservable at a random lam* off the grid.  On
 random k = 3, k' = 2 families, the points of G that scan_G reports must
 pass in_G, and in_G along the curve F ∩ S must find no other point of G.
-On every family, the lazily evaluated grid must reach the verdicts of the
-full-grid reference bisection, and refute only where the value is below
-the floor.
+On every family, the bisection from its first pass must reach the
+verdicts of the one from every grid point, and refute only where the value
+is below the floor.
 """
 
 from unittest import mock
@@ -52,10 +52,6 @@ def family(kind, k, k_prime, seed, lam_star):
                        k=k, k_prime=k_prime, frame=np.eye(k + k_prime))
 
 
-#: how far apart the lazy and the full-grid sweep may refute one zero
-LAMBDA_AGREE = 1e-8
-
-
 def sigma_k(blocks, lams):
     lam = lams[:, None, None]
     O = kalman_matrix(blocks.C(lam), blocks.A(lam))
@@ -93,17 +89,22 @@ def test_sweep_verdicts_hold(kind, k, k_prime, seed, lam_star):
     seed=st.integers(0, 2**32 - 1),
     lam_star=st.floats(0.05, 0.95),
 )
-# the lazy and full sigma_j(C_lam) refutations stop 3.6e-12 and 1.2e-7 apart
+# sigma_k with zeros near 0.1557 and 0.9443: the runs refute at different ones
+@example(kind="random", k=3, k_prime=1, seed=0, lam_star=0.5)
+# every interval splits down to the grid: the refutation takes 4 probes more
+@example(kind="off_grid", k=3, k_prime=1, seed=0, lam_star=0.05078125)
+# sigma_3(C_lam) with zeros near 0.1360 and 0.5679: the same for injectivity
+@example(kind="random", k=3, k_prime=3, seed=121247471, lam_star=0.3831241710208854)
 @example(kind="random", k=2, k_prime=2, seed=726683410, lam_star=0.5)
 @example(kind="off_grid", k=2, k_prime=2, seed=2270459934, lam_star=0.06428332554486002)
 def test_lazy_cover_matches_full_grid(kind, k, k_prime, seed, lam_star):
-    """The sweep and the sigma_j(C_lam) bisection reach the reference's
-    verdict while evaluating no more lambdas.  The two covers hand the
-    secant probe different neighbours, so two refutations of one zero may
-    stop at different lambdas.  The sweep's must agree within LAMBDA_AGREE
-    and the sigma_j(C_lam) bisection's must lie in one interval below its
-    floor; each must be a lambda where the recomputed value is below the
-    floor."""
+    """The sweep and the sigma_j(C_lam) bisection reach the verdict of the
+    run from every grid point.  The two runs hand the secant probe
+    different neighbours, so two refutations may stop at different zeros,
+    or at different lambdas near one zero; each must be a lambda where the
+    recomputed value is below its floor.  Unless the sweep refutes, it
+    evaluates no more lambdas than the reference; a refutation can take
+    another path and count either way."""
     blocks = family(kind, k, k_prime, seed, lam_star)
     j = min(k, k_prime)
     lazy = sweep_lambda(blocks)
@@ -112,18 +113,17 @@ def test_lazy_cover_matches_full_grid(kind, k, k_prime, seed, lam_star):
         full_C = sigma_C_bisection(blocks, j, full)
     assert lazy.verdict == full.verdict
     if full.verdict == "fails_at":
-        assert abs(lazy.lambda_star - full.lambda_star) <= LAMBDA_AGREE
         for report in (lazy, full):
             assert sigma_k(blocks, np.array([report.lambda_star]))[0] < report.tol
-    assert lazy.n_evals <= full.n_evals
+    else:
+        assert lazy.n_evals <= full.n_evals
     lazy_C = sigma_C_bisection(blocks, j, lazy)
     assert lazy_C.verdict == full_C.verdict
     if full_C.verdict == "refuted":
-        # its floor is cert_threshold = CERT_FACTOR tol_eff, so the set below
-        # it around one zero can be 1e-6 wide: both must lie in one such set
-        between = np.linspace(lazy_C.lambda_star, full_C.lambda_star, 33)
-        sigma_j = np.linalg.svd(blocks.C(between[:, None, None]), compute_uv=False)
-        assert np.all(sigma_j[:, j - 1] < full.cert_threshold)
+        # its floor is cert_threshold = CERT_FACTOR tol_eff
+        for run, report in ((lazy_C, lazy), (full_C, full)):
+            C = blocks.C(run.lambda_star)
+            assert np.linalg.svd(C, compute_uv=False)[j - 1] < report.cert_threshold
     assert lazy_C.n_evals <= full_C.n_evals
 
 
