@@ -161,9 +161,7 @@ def cmd_simulate(args) -> int:
     T = args.T if args.T is not None else 10.0
     dt = args.dt if args.dt is not None else 1e-3
     npair = normalize(pair)
-    if args.signal == "worst":
-        traj = worst_case_switching(npair, x0, T, dt)
-    elif args.signal == "badlocus":
+    if args.signal == "badlocus":
         blocks = block_form(npair, common_kernel(npair))
         if len(x0) != blocks.k:
             raise DimensionMismatch(
@@ -177,7 +175,20 @@ def cmd_simulate(args) -> int:
         else:
             print(f"status: {run.status}")
     else:
-        traj = integrate(npair, parse_signal(args.signal), x0, T, dt)
+        # the run takes place in the normalized coordinates P^{1/2} x, where
+        # its norm is the P-norm; x0 and the states are the problem's own
+        if len(x0) != npair.d:
+            raise DimensionMismatch(
+                f"x0 has length {len(x0)}, system dimension is {npair.d}"
+            )
+        root, inv_root = npair.provenance["sqrt_P"], npair.provenance["inv_sqrt_P"]
+        with np.errstate(over="ignore", invalid="ignore"):  # left to the norm check
+            x0 = root @ x0
+        if args.signal == "worst":
+            traj = worst_case_switching(npair, x0, T, dt)
+        else:
+            traj = integrate(npair, parse_signal(args.signal), x0, T, dt)
+        traj.states = traj.states @ inv_root.T
     traj.to_csv(args.out)
     print(f"final norm ratio: {traj.final_ratio():.6e}")
     if len(traj.times) > 4:
@@ -263,11 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--x0", required=True,
-        help="comma-separated initial state (for badlocus: in the coordinates of K)",
+        help="comma-separated initial state in the problem's coordinates "
+             "(for badlocus: in the coordinates of K)",
     )
     ps.add_argument("--T", type=float, default=None)
     ps.add_argument("--dt", type=float, default=None)
-    ps.add_argument("--out", default="trajectory.csv")
+    ps.add_argument(
+        "--out", default="trajectory.csv",
+        help="CSV of t, the states, their P-norm, then any outputs and lambda",
+    )
     ps.set_defaults(func=cmd_simulate)
 
     pe = sub.add_parser("example", parents=[common], help="run a built-in example")

@@ -87,10 +87,9 @@ class KernelDecomposition:
     """Orthonormal frame R^d = K ⊕ K⊥ adapted to the common kernel."""
 
     K_basis: np.ndarray       # d x k, orthonormal columns spanning K
-    Kperp_basis: np.ndarray   # d x (d-k)
     k: int
     k_prime: int
-    frame: np.ndarray         # [K_basis | Kperp_basis], orthogonal
+    frame: np.ndarray         # [K_basis | basis of K⊥], orthogonal
     rank_margin: float        # kept/discarded singular value ratio
     threshold: float          # absolute singular value cutoff used
 
@@ -108,7 +107,6 @@ def common_kernel(pair: NormalizedPair, tol: float = 1e-9) -> KernelDecompositio
     K, Kperp = rank.basis, rank.complement
     return KernelDecomposition(
         K_basis=K,
-        Kperp_basis=Kperp,
         k=K.shape[1],
         k_prime=Kperp.shape[1],
         frame=np.hstack([K, Kperp]),

@@ -1,4 +1,5 @@
-"""Matrix-pair validation, Lyapunov normalization and Hurwitz testing.
+"""Matrix-pair validation, Lyapunov normalization, Hurwitz testing and the
+exact strict common Lyapunov search for 2x2 pairs.
 
 The central objects are a pair (B0, B1) of square matrices together with a
 symmetric positive definite matrix P such that B_i^T P + P B_i is negative
@@ -250,7 +251,7 @@ def convex_combination(pair: NormalizedPair, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Strict 2x2 Lyapunov search in the normalized form P = [[1, q], [q, r]]
+# Strict 2x2 Lyapunov search over P = [[1, q], [q, r]]
 # ---------------------------------------------------------------------------
 
 
@@ -260,10 +261,9 @@ class StrictLyapunovSearch:
 
     ``found`` with P = [[1, q], [q, r]] if both M_i = B_i^T P + P B_i are
     negative definite there.  ``vertex_ordinates`` are the r-axis
-    intersections of each determinant curve det M_i = 0 (the ordinates of
-    the curve at q = 0).  The search is restricted to P with top-left entry
-    1; this loses no generality up to positive scaling of P, but the
-    degenerate family with top-left entry 0 is not covered.
+    intersections of each determinant curve det M_i = 0 (its real roots in
+    r at q = 0).  Every positive definite P is a positive multiple of one of
+    this form, so the search loses no strict P.
     """
 
     found: bool
@@ -272,102 +272,89 @@ class StrictLyapunovSearch:
     message: str = ""
 
 
-# P = P1 + q Pq + r Pr, so M(q, r) = M1 + q Mq + r Mr with M* the forms of P*
-_QR_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
-                      [[0.0, 0.0], [0.0, 1.0]]])
-_STRICT_GRID = 241  # nodes per axis of the coarse (q, r) grid
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _det_and_trace(coeffs, Q, R):
-    """Vectorized det and trace of M(q, r) on meshgrids Q, R."""
-    M1, Mq, Mr = coeffs
-    m00 = M1[0, 0] + Q * Mq[0, 0] + R * Mr[0, 0]
-    m01 = M1[0, 1] + Q * Mq[0, 1] + R * Mr[0, 1]
-    m11 = M1[1, 1] + Q * Mq[1, 1] + R * Mr[1, 1]
-    return m00 * m11 - m01 * m01, m00 + m11
-
-
-def _det_roots_in_r(coeffs, q_values: np.ndarray) -> np.ndarray:
-    """Real roots in r of det M(q, r) = 0 for each q (quadratic in r), as
-    (q, r) rows."""
-    f0, f1, f2 = (_det_and_trace(coeffs, q_values, np.full_like(q_values, r))[0]
-                  for r in (0.0, 1.0, 2.0))
-    a = 0.5 * (f0 - 2.0 * f1 + f2)
-    b = 0.5 * (-3.0 * f0 + 4.0 * f1 - f2)
-    c = f0
-    linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1.0)
+def _strict_fibres(B: np.ndarray, q: float):
+    """The roots lo <= hi in r of det M_i(q, r) for each B_i of a (2, 2, 2)
+    stack.  With B_i = [[a, b], [c, d]] Hurwitz and d < c q < -a, M_i(q, r)
+    is negative definite exactly when lo < r < hi; hi is inf where c = 0.
+    The roots are nan where they are not real."""
+    a, b, c, d = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    u = a + c * q  # M[0, 0] / 2
+    s = b + (a + d) * q  # M[0, 1] at r = 0
+    # det M = -c^2 r^2 + beta r + gamma, whose discriminant factors
+    beta, gamma = 4.0 * d * u - 2.0 * c * s, 4.0 * b * q * u - s * s
+    disc = 16.0 * (a * d - b * c) * u * (d - c * q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(disc)
-        roots = ((linear & (np.abs(b) > 1e-14), -c / b),
-                 (~linear & ~(disc < 0.0), (-b - sq) / (2.0 * a)),
-                 (~linear & ~(disc < 0.0), (-b + sq) / (2.0 * a)))
-    return np.concatenate([np.column_stack([q_values[m], r[m]]) for m, r in roots])
+        t = beta + np.copysign(np.sqrt(disc), beta)  # no cancellation
+        r1, r2 = t / (2.0 * c * c), -2.0 * gamma / t
+    return np.minimum(r1, r2), np.maximum(r1, r2)
+
+
+def _golden_max(f, a: float, b: float) -> float:
+    """A maximizer of f, concave on (a, b), by golden-section search until
+    the two inner points meet in floating point."""
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while a < x1 < x2 < b:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+    return x1 if f1 >= f2 else x2
 
 
 def strict_lyapunov_2x2(pair: MatrixPair) -> StrictLyapunovSearch:
-    """Search the (q, r) half-plane {r > q^2} for a strict common P.
+    """Decide whether a strict common P exists, exactly up to rounding.
 
-    Feasibility of a grid point means both M_i are negative definite there
-    (trace < 0 and det > 0 for a 2x2).  The search box is derived from the
-    sampled determinant curves det M_i = 0 and the best candidate is refined
-    locally before being accepted.
+    A strict P needs both B_i Hurwitz, so a pair that is not is refused at
+    once; for a Hurwitz B_i, det M_i(q, r) > 0 alone means M_i < 0.  So for
+    q with d_i < c_i q < -a_i the strict set of B_i is the open r-interval
+    of ``_strict_fibres``, and it is empty for other q; where c_i = 0 it is
+    unbounded above and every q qualifies.  Both strict sets are convex, so
+    the length of the common interval is concave in q and a golden-section
+    search over the common q-range maximizes it.  The midpoint of the
+    longest interval is returned once an ``eigvalsh`` check confirms it;
+    when both c_i = 0, q = 0 and r = 2 lo + 1.  The decision agrees with the
+    criterion of Shorten and Narendra (2002): neither B0 B1 nor B0 B1^{-1}
+    has a negative real eigenvalue.
     """
     if pair.d != 2:
         raise DimensionMismatch(f"strict_lyapunov_2x2 requires d = 2, got d = {pair.d}")
     B = np.stack([pair.B0, pair.B1])
-    coeffs, _ = _lyapunov_forms(B[:, None], _QR_BASIS)
-
-    # r-axis intersections of each curve: roots of det M_i(0, r) = 0.
     vertex_ordinates = tuple(
-        tuple(np.sort(_det_roots_in_r(c, np.zeros(1))[:, 1])) for c in coeffs
+        tuple(v for v in ends if np.isfinite(v)) for ends in zip(*_strict_fibres(B, 0.0))
     )
+    a, c, d = B[:, 0, 0], B[:, 1, 0], B[:, 1, 1]
+    hurwitz = np.all(a + d < 0.0) and np.all(a * d - B[:, 0, 1] * c > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.sort([d / c, -a / c], axis=0)  # (-inf, inf) where c = 0
+    q_lo, q_hi = ends[0].max(), ends[1].min()
 
-    # Sample both curves to derive the search box.
-    q_scan = np.linspace(-50.0, 50.0, 4001)
-    all_pts = np.vstack([_det_roots_in_r(c, q_scan) for c in coeffs])
-    if all_pts.size:
-        q_lo, q_hi = all_pts[:, 0].min(), all_pts[:, 0].max()
-        r_hi = all_pts[:, 1].max()
-        pad_q = 0.1 * (q_hi - q_lo) + 0.5
-        pad_r = 0.1 * abs(r_hi) + 0.5
-        box = (q_lo - pad_q, q_hi + pad_q, 1e-12, r_hi + pad_r)
-    else:
-        box = (-5.0, 5.0, 1e-12, 10.0)
+    def common(q):
+        lo, hi = _strict_fibres(B, q)
+        return lo.max(), hi.min()
 
-    def feasibility(Q, R):
-        score = np.full(Q.shape, np.inf)
-        for c in coeffs:
-            det, tr = _det_and_trace(c, Q, R)
-            score = np.minimum(score, np.minimum(det, -tr))
-        return np.minimum(score, R - Q * Q)  # P positive definite
+    def width(q):
+        lo, hi = common(q)
+        return hi - lo
 
-    def best_on_grid(q_lo, q_hi, r_lo, r_hi, n):
-        qs = np.linspace(q_lo, q_hi, n)
-        rs = np.linspace(r_lo, r_hi, n)
-        Q, R = np.meshgrid(qs, rs)
-        score = feasibility(Q, R)
-        idx = np.unravel_index(np.argmax(score), score.shape)
-        return float(Q[idx]), float(R[idx]), float(score[idx]), (
-            qs[1] - qs[0], rs[1] - rs[0],
-        )
-
-    q_best, r_best, s_best, (dq, dr) = best_on_grid(*box, _STRICT_GRID)
-    # Local refinement around the best cell, whether or not it is feasible:
-    # thin feasible slivers between the coarse nodes are caught here.
-    for _ in range(3):
-        q_best, r_best, s_best, (dq, dr) = best_on_grid(
-            q_best - 2 * dq, q_best + 2 * dq, max(1e-12, r_best - 2 * dr),
-            r_best + 2 * dr, 81,
-        )
-
-    if s_best > 0.0:
-        P = np.array([[1.0, q_best], [q_best, r_best]])
-        if _lyapunov_forms(B, P)[1].max() < -default_semidef_tol(P):
-            return StrictLyapunovSearch(
-                True, P, vertex_ordinates, "strict common quadratic Lyapunov matrix found"
-            )
+    if hurwitz and q_lo < q_hi:
+        q = _golden_max(width, q_lo, q_hi) if np.isfinite(q_hi - q_lo) else 0.0
+        lo, hi = common(q)
+        if lo < hi:
+            r = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * lo + 1.0
+            P = np.array([[1.0, q], [q, r]])
+            if _lyapunov_forms(B, P)[1].max() < -default_semidef_tol(P):
+                return StrictLyapunovSearch(
+                    True, P, vertex_ordinates, "strict common quadratic Lyapunov matrix found"
+                )
     return StrictLyapunovSearch(
         False, None, vertex_ordinates,
-        "no strict common quadratic Lyapunov function of this normalized form",
+        "no strict common quadratic Lyapunov function (up to rounding)",
     )

@@ -31,6 +31,15 @@ class TestBranches:
         assert v.guas
         assert v.margins["rank_margin"] > 1e3
 
+    def test_ambiguous_kernel_rank_is_inconclusive(self):
+        """S0 = S1 = diag(-2, -2e-8, -2e-9): the smallest kept and the largest
+        discarded singular value of [S0; S1] are only a factor 10 apart."""
+        B = np.array([[-1.0, 1.0, 0.0], [-1.0, -1e-8, 1.0], [0.0, -1.0, -1e-9]])
+        v = analyze(MatrixPair(B, B), options=FAST)
+        assert v.conclusion == "INCONCLUSIVE"
+        assert v.branch == "kernel rank ambiguous"
+        assert v.margins["rank_margin"] == pytest.approx(10.0)
+
     def test_kdeux_same_sign_dim2(self):
         v = analyze(kdeux(1.0, 1.0), np.eye(3), options=FAST)
         assert v.conclusion == "GUAS_dimK_le2"

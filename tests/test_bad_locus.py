@@ -372,6 +372,13 @@ class TestKPetit:
         assert not verdict.uniformly_observable
         assert "vanishes" in verdict.case
 
+    def test_equal_output_kernels(self):
+        """C0 = C1 = [1, 0]: both outputs vanish on one line of K."""
+        blocks = replace(kdeux_blocks(1.0, 2.0), C1=np.array([[1.0, 0.0]]))
+        verdict = kpetit_classify(blocks, sweep_lambda(blocks))
+        assert verdict.uniformly_observable
+        assert verdict.case == "equal_output_kernels"
+
     def test_k1_always_decidable(self):
         blocks = BlockFamily(
             A0=np.zeros((1, 1)), A1=np.zeros((1, 1)),

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from guas_cert import MatrixPair, cli
 from guas_cert.cli import (
@@ -177,6 +178,41 @@ class TestSimulateCommand:
         assert code == EXIT_GUAS
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data[-1, 3] < data[0, 3]  # norm column decays
+
+    def test_binary_run_is_in_the_problems_coordinates(self, mason_file, tmp_path):
+        """mason carries P: the last state of u = 0 for T = 1 is expm(B0) x0."""
+        out = tmp_path / "b0.csv"
+        code = main([
+            "simulate", mason_file, "--signal", "binary:1=0", "--x0", "0,1",
+            "--T", "1", "--dt", "0.01", "--out", str(out),
+        ])
+        assert code == EXIT_GUAS
+        last = np.loadtxt(out, delimiter=",", skiprows=1)[-1]
+        np.testing.assert_allclose(last[1:3], expm(mason().B0) @ [0.0, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("signal", ["binary:1=0,1=1", "relaxed:2=0.5", "worst"])
+    def test_states_start_at_x0_with_their_P_norm(self, mason_file, tmp_path, signal):
+        out = tmp_path / "run.csv"
+        code = main([
+            "simulate", mason_file, "--signal", signal, "--x0", "0,1",
+            "--T", "2", "--dt", "0.01", "--out", str(out),
+        ])
+        assert code == EXIT_GUAS
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        x, norm = data[:, 1:3], data[:, 3]
+        np.testing.assert_allclose(x[0], [0.0, 1.0], atol=1e-12)
+        P = mason().P
+        np.testing.assert_allclose(norm, np.sqrt(np.einsum("ti,ij,tj->t", x, P, x)),
+                                   rtol=1e-12)
+
+    def test_full_state_x0_of_wrong_length_is_io_error(self, mason_file, tmp_path,
+                                                       capsys):
+        code = main([
+            "simulate", mason_file, "--signal", "worst", "--x0", "1,0,0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_IO
+        assert "x0 has length 3, system dimension is 2" in capsys.readouterr().err
 
     def test_badlocus_takes_x0_in_K(self, kdeux_pm_file, tmp_path, capsys):
         out = tmp_path / "bad.csv"

@@ -1,3 +1,6 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,12 +23,6 @@ from guas_cert.errors import (
     NotPositiveDefinite,
 )
 from guas_cert.gallery import mason
-from guas_cert.matrix_core import (
-    _QR_BASIS,
-    _det_and_trace,
-    _det_roots_in_r,
-    _lyapunov_forms,
-)
 
 S2 = np.sqrt(2.0)
 
@@ -198,6 +195,14 @@ class TestNormalize:
         with pytest.raises(DimensionMismatch):
             MatrixPair(-np.eye(2), -np.eye(2), np.eye(3))
 
+    def test_pair_rejects_asymmetric_P(self):
+        with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+            MatrixPair(-np.eye(2), -np.eye(2), [[1.0, 0.5], [0.0, 1.0]])
+
+    def test_pair_rejects_B0_and_B1_of_different_shapes(self):
+        with pytest.raises(DimensionMismatch, match="identical shapes"):
+            MatrixPair(-np.eye(2), -np.eye(3))
+
     def test_rejects_non_finite_entries(self):
         B0 = -np.eye(2)
         B0[0, 1] = np.nan
@@ -303,39 +308,108 @@ class TestStrictLyapunov2x2:
             strict_lyapunov_2x2(MatrixPair(-np.eye(3), -np.eye(3)))
 
 
-def _det_roots_loop(coeffs, q_values):
-    """Reference: the roots in r of det M(q, r) = 0, one q at a time."""
-    f0, f1, f2 = (_det_and_trace(coeffs, q_values, np.full_like(q_values, r))[0]
-                  for r in (0.0, 1.0, 2.0))
-    points = []
-    for q, a, b, c in zip(q_values, 0.5 * (f0 - 2.0 * f1 + f2),
-                          0.5 * (-3.0 * f0 + 4.0 * f1 - f2), f0):
-        if abs(a) < 1e-14 * (abs(b) + abs(c) + 1.0):
-            if abs(b) > 1e-14:
-                points.append((q, -c / b))
-            continue
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
-        sq = np.sqrt(disc)
-        points.append((q, (-b - sq) / (2.0 * a)))
-        points.append((q, (-b + sq) / (2.0 * a)))
-    return np.array(points).reshape(-1, 2)
+def _random_hurwitz_pairs(n):
+    """Seeded standard-normal Hurwitz pairs; B0[1, 0] = 0 in every fifth."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    while len(pairs) < n:
+        B = rng.standard_normal((2, 2, 2))
+        if len(pairs) % 5 == 0:
+            B[0, 1, 0] = 0.0
+        if is_hurwitz(B).hurwitz.all():
+            pairs.append(MatrixPair(*B))
+    return pairs
 
 
-def test_det_roots_match_the_loop_reference():
-    """The batched roots equal the per-q loop's bit for bit, as a set of
-    (q, r) rows; B[1, 0] = 0 makes det M linear in r."""
-    rng = np.random.default_rng(8)
-    q_values = np.linspace(-50.0, 50.0, 4001)
-    for i in range(20):
-        B = rng.standard_normal((2, 2))
-        if i % 4 == 0:
-            B[1, 0] = 0.0
-        coeffs, _ = _lyapunov_forms(B, _QR_BASIS)
-        got, want = _det_roots_in_r(coeffs, q_values), _det_roots_loop(coeffs, q_values)
-        assert got.shape == want.shape and want.size
-        np.testing.assert_array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+def _has_negative_real_eigenvalue(M):
+    w = np.linalg.eigvals(M)
+    return bool(np.any((w.imag == 0.0) & (w.real < 0.0)))
+
+
+def test_found_exactly_when_shorten_narendra_holds():
+    """Two Hurwitz 2x2 matrices have a strict common P exactly when neither
+    B0 B1 nor B0 B1^{-1} has a negative real eigenvalue (Shorten and
+    Narendra 2002); every P found passes the eigvalsh check."""
+    found = 0
+    for pair in _random_hurwitz_pairs(1000):
+        res = strict_lyapunov_2x2(pair)
+        exists = not any(_has_negative_real_eigenvalue(pair.B0 @ M)
+                         for M in (pair.B1, np.linalg.inv(pair.B1)))
+        assert res.found == exists
+        if res.found:
+            _assert_strict(res, pair)
+            found += 1
+    assert found == 833
+
+
+@pytest.mark.parametrize("scale, found", [
+    (1.0 - 1e-6, True), (1.0 - 1e-8, True), (1.0 + 1e-4, False),
+])
+def test_mason_perturbations(scale, found):
+    """Shrinking B1[0, 1] opens a thin strict set that the search finds."""
+    B1 = mason().B1.copy()
+    B1[0, 1] *= scale
+    pair = MatrixPair(mason().B0, B1)
+    res = strict_lyapunov_2x2(pair)
+    assert res.found == found
+    if found:
+        _assert_strict(res, pair)
+
+
+def test_upper_triangular_pair_found_at_q_zero():
+    """B0[1, 0] = B1[1, 0] = 0: every q has a strict interval unbounded above."""
+    pair = MatrixPair([[-1.0, 5.0], [0.0, -2.0]], [[-3.0, -4.0], [0.0, -1.0]])
+    res = strict_lyapunov_2x2(pair)
+    assert res.found and res.P[0, 1] == 0.0
+    _assert_strict(res, pair)
+
+
+@pytest.mark.parametrize("B0, B1", [
+    ([[1.0, 0.0], [1.0, -2.0]], -np.eye(2)),
+    ([[0.0, 1.0], [-1.0, 0.0]], -np.eye(2)),
+    # saddles: only an indefinite P = [[1, q], [q, r]] makes both M_i < 0
+    ([[-1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]),
+    ([[-1.0, 2.0], [1.0, -1.0]], [[-1.0, 2.0], [1.0, -1.0]]),
+], ids=["unstable", "rotation", "diagonal-saddle", "saddle"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_hurwitz_pair_not_found(B0, B1):
+    res = strict_lyapunov_2x2(MatrixPair(B0, B1))
+    assert not res.found
+    assert "no strict common quadratic Lyapunov" in res.message
+
+
+def _exact_roots(B):
+    """Real roots in r of det(B^T P + P B) at P = [[1, 0], [0, r]]: the
+    quadratic is fitted through r = 0, 1, 2 in exact rational arithmetic on
+    the float entries, then solved with a 50-digit square root."""
+    B = [[Fraction(float(x)) for x in row] for row in B]
+
+    def det_M(r):
+        PB = [B[0], [r * x for x in B[1]]]
+        M = [[PB[i][j] + PB[j][i] for j in range(2)] for i in range(2)]
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+
+    f0, f1, f2 = det_M(0), det_M(1), det_M(2)
+    alpha, beta, gamma = (f0 - 2 * f1 + f2) / 2, (-3 * f0 + 4 * f1 - f2) / 2, f0
+    if alpha == 0:
+        return [float(-gamma / beta)] if beta else []
+    disc = beta * beta - 4 * alpha * gamma
+    if disc < 0:
+        return []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+        beta, alpha = (Decimal(x.numerator) / Decimal(x.denominator) for x in (beta, alpha))
+        return sorted(float((-beta + sign * root) / (2 * alpha)) for sign in (-1, 1))
+
+
+def test_vertex_ordinates_match_exact_arithmetic():
+    for pair in _random_hurwitz_pairs(200):
+        res = strict_lyapunov_2x2(pair)
+        for B, got in zip((pair.B0, pair.B1), res.vertex_ordinates):
+            want = _exact_roots(B)
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _assert_strict(res, pair):

@@ -113,6 +113,12 @@ class TestIntegrate:
         per_step = np.array([blocks.C(l) @ s for l, s in zip(lam, traj.states)])
         np.testing.assert_allclose(traj.outputs, per_step, rtol=0, atol=1e-14)
 
+    def test_x0_of_wrong_length_raises(self, mason_pair, kdeux_reduced):
+        signal = SwitchingSignal.binary([(1.0, 0)])
+        for system in (mason_pair, kdeux_reduced):
+            with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
+                integrate(system, signal, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
+
     def test_overflowing_x0_raises(self, mason_pair, kdeux_reduced):
         # finite entries whose norm overflows
         signal = SwitchingSignal.relaxed([(1.0, 0.3)])
