@@ -4,12 +4,10 @@ system on the common kernel."""
 
 from .analyzer import AnalyzerOptions, Verdict, analyze, empirical_evidence
 from .bad_locus import (
-    LocusGeometry,
     in_F,
     in_G,
     kpetit_classify,
     lambda_of,
-    locus_geometry,
     scan_G,
     wedge,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "AnalyzerOptions",
     "BlockFamily",
     "KernelDecomposition",
-    "LocusGeometry",
     "MatrixPair",
     "NormalizedPair",
     "ObservabilityReport",
@@ -76,7 +73,6 @@ __all__ = [
     "kalman_matrix",
     "kpetit_classify",
     "lambda_of",
-    "locus_geometry",
     "normalize",
     "output_measure",
     "pair_observable",

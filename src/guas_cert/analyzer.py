@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bad_locus import kpetit_classify, locus_geometry, scan_G
+from .bad_locus import kpetit_classify, scan_G
 from .decomposition import (
     RANK_MARGIN_FLOOR,
     block_form,
@@ -181,19 +181,22 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     Raises NonFiniteInput on a NaN or infinite entry, and NotHurwitz /
     NoCommonWeakLyapunov (from normalize) when the standing hypotheses
-    fail, and ValueError on options out of range (a tol that is not
-    finite and positive, n_grid outside [2, MAX_GRID], or an evidence_T
-    and evidence_dt that the simulator's horizon rule rejects: not finite
-    and positive, a step longer than the horizon, or a step count T / dt
-    that overflows);
-    otherwise always returns a Verdict.
+    fail, and ValueError, before any stage runs, on options out of range:
+    a tol that is not finite and positive; an n_grid, evidence_runs or seed
+    that is not an integer in [2, MAX_GRID], >= 1 or >= 0; or an
+    evidence_T and evidence_dt that the simulator's horizon rule rejects
+    (not finite and positive, a step longer than the horizon, or a step
+    count T / dt that overflows).  Otherwise always returns a Verdict.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not 2 <= opt.n_grid <= MAX_GRID:
-        raise ValueError(f"n_grid must be in [2, {MAX_GRID}], got {opt.n_grid}")
+    for name, low, high in (("n_grid", 2, MAX_GRID), ("evidence_runs", 1, np.inf),
+                            ("seed", 0, np.inf)):
+        value = getattr(opt, name)
+        if not (isinstance(value, (int, np.integer)) and low <= value <= high):
+            raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value}")
     _n_steps(opt.evidence_T, opt.evidence_dt)  # the evidence runs' horizon rule
     require_finite(pair)
 
@@ -273,36 +276,34 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             margins=margins,
         ))
 
-    # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz with
-    # constant ||C1 - C0||_2; a value below the threshold rules it out.  The
-    # margin is the proved bound when certified, else the smallest value
-    # computed, as for observability_margin
-    if blocks.k_prime >= blocks.k and sweep.verdict == "observable_for_all_lambda":
-        run = sigma_C_bisection(blocks, blocks.k, sweep)
-        lambda_evals += run.n_evals
-        certified = run.verdict == "certified"
-        margins["C_injectivity_margin"] = run.bound if certified else run.value
-        if certified:
+    scan = None
+    if sweep.verdict == "observable_for_all_lambda":
+        # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz
+        # with constant ||C1 - C0||_2; a value below the threshold rules it
+        # out.  The margin is the proved bound when certified, else the
+        # smallest value computed, as for observability_margin
+        if blocks.k_prime >= blocks.k:
+            run = sigma_C_bisection(blocks, blocks.k, sweep)
+            lambda_evals += run.n_evals
+            certified = run.verdict == "certified"
+            margins["C_injectivity_margin"] = run.bound if certified else run.value
+            if certified:
+                return finish(Verdict(
+                    "GUAS_C_injective",
+                    "ker C_lambda = {0} for all lambda: no output can vanish",
+                    certificate={"min_sigma_C_lower_bound": run.bound},
+                    margins=margins,
+                ))
+
+        if blocks.k <= 2:
             return finish(Verdict(
-                "GUAS_C_injective",
-                "ker C_lambda = {0} for all lambda: no output can vanish",
-                certificate={"min_sigma_C_lower_bound": run.bound},
+                "GUAS_dimK_le2",
+                "dim K <= 2 and (C_lambda, A_lambda) observable for every lambda",
+                certificate={"k": blocks.k, "case": kpetit_classify(blocks, tol)},
                 margins=margins,
             ))
 
-    if blocks.k <= 2 and sweep.verdict == "observable_for_all_lambda":
-        kp = kpetit_classify(blocks, sweep, tol)
-        return finish(Verdict(
-            "GUAS_dimK_le2",
-            "dim K <= 2 and (C_lambda, A_lambda) observable for every lambda",
-            certificate={"k": blocks.k, "case": kp.case},
-            margins=margins,
-        ))
-
-    scan = None
-    if sweep.verdict == "observable_for_all_lambda":
-        geometry = locus_geometry(blocks, tol)
-        scan = scan_G(geometry, sweep, tol)
+        scan = scan_G(blocks, sweep, tol)
         lambda_evals += scan.n_samples
         margins["scan_hits"] = scan.n_hits
         if scan.verdict == "discrete":
@@ -324,13 +325,13 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             ))
 
     notes = ""
-    if sweep.verdict == "observable_for_all_lambda":
+    if scan is not None:  # the sweep proved observability for every lambda
         notes = (
             "observable for every constant input, but no proved sufficient "
             "condition applies; only the open conjecture would upgrade this "
             "to GUAS, and it is never used as a decision rule"
         )
-        if scan is not None and scan.note:
+        if scan.note:
             notes += "; " + scan.note
     return finish(Verdict(
         "INCONCLUSIVE",

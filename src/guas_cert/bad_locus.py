@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -46,24 +45,6 @@ def wedge(u, v) -> np.ndarray:
     m = np.arange(u.shape[-1])
     i, j = np.nonzero(m[:, None] < m)  # np.triu_indices(m, 1), at a fifth of its cost
     return u[..., i] * v[..., j] - u[..., j] * v[..., i]
-
-
-@dataclass(frozen=True)
-class LocusGeometry:
-    """Output blocks together with N = ker C0 ∩ ker C1."""
-
-    blocks: BlockFamily
-    N_basis: np.ndarray
-    k: int
-    k_prime: int
-
-
-def locus_geometry(blocks: BlockFamily, tol: float = 1e-9) -> LocusGeometry:
-    if blocks.k_prime == 0:
-        N = np.eye(blocks.k)
-    else:
-        N = numerical_rank(np.vstack([blocks.C0, blocks.C1]), tol).basis
-    return LocusGeometry(blocks, N, blocks.k, blocks.k_prime)
 
 
 _dot = partial(np.einsum, "...i,...i->...")  # <u, v> over the last axis
@@ -231,21 +212,23 @@ class GScanReport:
     sigma_C_lower_bound: float = 0.0  # of sigma_(k-1)(C_lam) on [0, 1]
 
 
-def scan_G(geometry: LocusGeometry, obs: ObservabilityReport,
+def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
            tol: float = 1e-9) -> GScanReport:
     """Decide exactly whether G is discrete, for dim K <= 3 and N = {0}.
 
-    With sigma_(k-1)(C_lam) > obs.cert_threshold proved on [0, 1], ker C_lam
-    is at most a line.  k' >= k: it is nonzero only at roots of det(C^T C),
-    of degree 2k, so F ∩ S is finite once sigma_k(C_lam) clearly is not 0.
-    k' = k - 1: F ∩ S is the curve ± n/||n||, n = kernel_vector(C_lam), on
-    which the tangency residual is a polynomial g(lam) of degree 2k - 1; G
-    is finite once g clearly is not 0 (as in_G scales it), else a curve.
+    Reads the reduced blocks and the sweep's report; N = ker C0 ∩ ker C1 is
+    computed only once k is in range.  With sigma_(k-1)(C_lam) >
+    obs.cert_threshold proved on [0, 1], ker C_lam is at most a line.
+    k' >= k: it is nonzero only at roots of det(C^T C), of degree 2k, so
+    F ∩ S is finite once sigma_k(C_lam) clearly is not 0.  k' = k - 1:
+    F ∩ S is the curve ± n/||n||, n = kernel_vector(C_lam), on which the
+    tangency residual is a polynomial g(lam) of degree 2k - 1; G is finite
+    once g clearly is not 0 (as in_G scales it), else a curve.
     """
-    k, blocks, threshold = geometry.k, geometry.blocks, CERT_FACTOR * tol
+    k, threshold = blocks.k, CERT_FACTOR * tol
     if k <= 1:
         return GScanReport("discrete", note="F ∩ S has at most two points")
-    if k > 3 or geometry.N_basis.shape[1]:
+    if k > 3 or numerical_rank(np.vstack([blocks.C0, blocks.C1]), tol).basis.shape[1]:
         why = f"k = {k} > 3" if k > 3 else "N = ker C0 ∩ ker C1 is nontrivial"
         return GScanReport("inconclusive", note=why + ": discreteness of G undecided")
     run = sigma_C_bisection(blocks, k - 1, obs)
@@ -255,7 +238,7 @@ def scan_G(geometry: LocusGeometry, obs: ObservabilityReport,
         return report
     report.n_samples += len(NODES)
     C = blocks.C(NODES[:, None, None])
-    if geometry.k_prime >= k:
+    if blocks.k_prime >= k:
         sigma = float(np.linalg.svd(C, compute_uv=False)[:, k - 1].max())
         c = max(blocks.norms.C0, blocks.norms.C1)
         report.rule, report.degree, report.margin = "finite_F", 2 * k, sigma / (1 + c)
@@ -281,53 +264,26 @@ def scan_G(geometry: LocusGeometry, obs: ObservabilityReport,
     return report
 
 
-@dataclass
-class KPetitVerdict:
-    """Uniform-observability classification for kernel dimension <= 2."""
+def kpetit_classify(blocks: BlockFamily, tol: float = 1e-9) -> str:
+    """Which geometric mechanism applies for dim K <= 2, as a label.
 
-    uniformly_observable: Optional[bool]  # None when the sweep was inconclusive
-    case: str
-    notes: str = ""
-
-
-def kpetit_classify(
-    blocks: BlockFamily, obs: ObservabilityReport, tol: float = 1e-9
-) -> KPetitVerdict:
-    """For dim K <= 2: uniformly observable iff observable for all lambda.
-
-    The equivalence is free in this dimension; the case diagnostic reports
-    which geometric mechanism applies when k = 2.
+    For k <= 2, uniform observability is equivalent to observability for
+    every lambda, which the sweep decides; the label only says why.
     """
     k = blocks.k
     if k > 2:
         raise DimensionTooLarge(f"classification requires dim K <= 2, got {k}")
-    verdict = {
-        "observable_for_all_lambda": True,
-        "fails_at": False,
-        "inconclusive": None,
-    }[obs.verdict]
     if k == 0:
-        return KPetitVerdict(True, "trivial", "K = {0}")
+        return "trivial"
     if k == 1:
-        e = np.ones(1)
-        case = (
-            "no lambda kills C_lambda e1"
-            if not in_F(blocks, e, tol)
-            else "some lambda in [0,1] kills the output on K"
-        )
-        return KPetitVerdict(verdict, case)
-    # k == 2 diagnostics
-    r0, r1 = numerical_rank(blocks.C0, tol), numerical_rank(blocks.C1, tol)
-    notes = f"rank C0 margin {r0.margin:.2e}, rank C1 margin {r1.margin:.2e}"
-    n0, n1 = r0.basis, r1.basis
+        if in_F(blocks, np.ones(1), tol):
+            return "some lambda in [0,1] kills the output on K"
+        return "no lambda kills C_lambda e1"
+    n0, n1 = numerical_rank(blocks.C0, tol).basis, numerical_rank(blocks.C1, tol).basis
     if n0.shape[1] == 1 and n1.shape[1] == 1 and (
         abs(float(n0[:, 0] @ n1[:, 0])) > 1.0 - 1e-9
     ):
-        return KPetitVerdict(verdict, "equal_output_kernels", notes)
-    a0 = float(blocks.A0[0, 1])
-    a1 = float(blocks.A1[0, 1])
-    if a0 * a1 > tol:
-        case = "distinct_kernels_common_rotation_direction"
-    else:
-        case = "A_lambda vanishes for some lambda in [0,1]"
-    return KPetitVerdict(verdict, case, notes)
+        return "equal_output_kernels"
+    if float(blocks.A0[0, 1]) * float(blocks.A1[0, 1]) > tol:
+        return "distinct_kernels_common_rotation_direction"
+    return "A_lambda vanishes for some lambda in [0,1]"

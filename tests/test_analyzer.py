@@ -17,6 +17,7 @@ from guas_cert import (
     output_measure,
     sweep_lambda,
 )
+from guas_cert import analyzer
 from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
 from guas_cert.observability import sigma_C_bisection
 from guas_cert.gallery import kdeux, mason, shared_output, torus
@@ -222,6 +223,24 @@ class TestDispatchCounts:
         }
         assert counts["norm(2)"] == 0
 
+    def test_torus_without_evidence(self, monkeypatch):
+        # k = 4 > 3: scan_G refuses before it computes N = ker C0 ∩ ker C1,
+        # so no SVD of [C0; C1] is made
+        opts = AnalyzerOptions(with_evidence=False)
+        v, counts = linalg_calls(monkeypatch, lambda: analyze(torus(), options=opts))
+        assert v.conclusion == "INCONCLUSIVE"
+        assert v.notes.endswith("k = 4 > 3: discreteness of G undecided")
+        assert {name: counts[name] for name in LINALG} == {
+            "svd": 5, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 2,
+        }
+
+    def test_kdeux_k2_labels_the_case(self, monkeypatch):
+        # k = 2: kpetit_classify's two rank decisions on C0 and C1 are SVDs
+        opts = AnalyzerOptions(with_evidence=False)
+        v, counts = linalg_calls(monkeypatch, lambda: analyze(kdeux(1.0, 2.0), options=opts))
+        assert v.conclusion == "GUAS_dimK_le2"
+        assert v.certificate["case"] == "distinct_kernels_common_rotation_direction"
+        assert counts["svd"] == 7
 
     def test_mason_carrying_its_P(self, monkeypatch):
         # the pair decomposed P when it was built, outside the count
@@ -232,6 +251,37 @@ class TestDispatchCounts:
             "svd": 1, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 1,
         }
         assert counts["norm(2)"] == 0
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("option, message", [
+        ({"seed": -1}, "seed must be an integer in [0, inf], got -1"),
+        ({"seed": 1.5}, "seed must be an integer in [0, inf], got 1.5"),
+        ({"evidence_runs": 0, "with_evidence": True},
+         "evidence_runs must be an integer in [1, inf], got 0"),
+        ({"evidence_runs": 2.5}, "evidence_runs must be an integer in [1, inf], got 2.5"),
+        ({"n_grid": 257.0}, "n_grid must be an integer in [2, 65537], got 257.0"),
+        ({"n_grid": 1}, "n_grid must be an integer in [2, 65537], got 1"),
+    ], ids=["negative-seed", "float-seed", "zero-runs", "float-runs", "float-grid",
+            "grid-1"])
+    def test_refused_before_any_stage(self, option, message, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before the options were checked")
+
+        monkeypatch.setattr(analyzer, "is_hurwitz", no_stage)
+        pair = MatrixPair(-np.eye(2), -2.0 * np.eye(2))
+        with pytest.raises(ValueError) as info:
+            analyze(pair, options=AnalyzerOptions(**option))
+        assert str(info.value) == message
+
+    def test_integer_numpy_options_accepted(self):
+        opts = AnalyzerOptions(n_grid=np.int64(65), seed=np.uint8(3),
+                               evidence_runs=np.int32(2), evidence_T=1.0,
+                               evidence_dt=0.1, with_evidence=True)
+        v = analyze(MatrixPair(-np.eye(2), -2.0 * np.eye(2)), options=opts)
+        assert v.conclusion == "GUAS_trivial_kernel"
+        assert v.grid["n_grid"] == 65
+        assert v.evidence.n_runs == 2  # K = {0} adds no basis starts
 
 
 class TestDeterminism:

@@ -10,7 +10,6 @@ from guas_cert import (
     in_G,
     kpetit_classify,
     lambda_of,
-    locus_geometry,
     normalize,
     scan_G,
     sweep_lambda,
@@ -32,6 +31,24 @@ def kdeux_blocks(a, b):
         C1=np.array([[0.0, 1.0]]),
         D0=-np.eye(1), D1=-np.eye(1), k=2, k_prime=1, frame=np.eye(3),
     )
+
+
+def k1_blocks(c0, c1):
+    return BlockFamily(
+        A0=np.zeros((1, 1)), A1=np.zeros((1, 1)),
+        C0=np.array([[c0]]), C1=np.array([[c1]]),
+        D0=-np.eye(1), D1=-np.eye(1), k=1, k_prime=1, frame=np.eye(2),
+    )
+
+
+def no_output_blocks(k):
+    """k' = 0: C_lam is empty, so (C_lam, A_lam) is unobservable at every lam
+    and N = ker C0 ∩ ker C1 is all of K."""
+    rng = np.random.default_rng(k)
+    return BlockFamily(A0=skew(rng, k), A1=skew(rng, k),
+                       C0=np.zeros((0, k)), C1=np.zeros((0, k)),
+                       D0=np.zeros((0, 0)), D1=np.zeros((0, 0)),
+                       k=k, k_prime=0, frame=np.eye(k))
 
 
 def shared_C_blocks():
@@ -271,7 +288,7 @@ def k3_blocks(A0, A1, C0, C1):
 
 
 def scan(blocks):
-    return scan_G(locus_geometry(blocks), sweep_lambda(blocks))
+    return scan_G(blocks, sweep_lambda(blocks))
 
 
 def no_drift():
@@ -349,44 +366,73 @@ class TestScanG:
         if make is off_grid_k3:
             assert report.rule == "finite_F"
 
+    def test_k1_discrete(self):
+        report = scan(k1_blocks(1.0, 1.0))
+        assert report.verdict == "discrete"
+        assert report.note == "F ∩ S has at most two points"
+
+    @pytest.mark.parametrize("k, note", [
+        (2, "N = ker C0 ∩ ker C1 is nontrivial"),
+        (3, "N = ker C0 ∩ ker C1 is nontrivial"),
+        (4, "k = 4 > 3"),
+    ])
+    def test_no_output_blocks(self, k, note):
+        """k' = 0: the sweep refutes at the first grid point, and scan_G takes
+        N = K from the empty output stack, after the k > 3 gate."""
+        blocks = no_output_blocks(k)
+        obs = sweep_lambda(blocks)
+        assert obs.verdict == "fails_at" and obs.lambda_star == 0.0
+        report = scan_G(blocks, obs)
+        assert report.verdict == "inconclusive" and report.n_samples == 0
+        assert report.note == note + ": discreteness of G undecided"
+
     def test_torus_scan_does_not_crash_near_cone_boundary(self):
         npair = normalize(torus())
         blocks = block_form(npair, common_kernel(npair))
-        report = scan_G(locus_geometry(blocks), sweep_lambda(blocks))
+        report = scan_G(blocks, sweep_lambda(blocks))
         # k = 4 > 3: no decision is taken
         assert report.verdict == "inconclusive"
         assert report.n_samples == 0
 
 
 class TestKPetit:
+    """kpetit_classify only labels the mechanism; the k <= 2 verdict itself is
+    the sweep's, so each test states both."""
+
     def test_trivial_case(self):
         blocks = kdeux_blocks(1.0, 1.0)
-        obs = sweep_lambda(kdeux_blocks(1.0, 1.0))
-        verdict = kpetit_classify(blocks, obs)
-        assert verdict.uniformly_observable
+        assert sweep_lambda(blocks).verdict == "observable_for_all_lambda"
+        assert kpetit_classify(blocks) == "distinct_kernels_common_rotation_direction"
 
     def test_opposite_rates_flagged(self):
         blocks = kdeux_blocks(1.0, -1.0)
-        obs = sweep_lambda(blocks)
-        verdict = kpetit_classify(blocks, obs)
-        assert not verdict.uniformly_observable
-        assert "vanishes" in verdict.case
+        assert sweep_lambda(blocks).verdict == "fails_at"
+        assert kpetit_classify(blocks) == "A_lambda vanishes for some lambda in [0,1]"
 
     def test_equal_output_kernels(self):
         """C0 = C1 = [1, 0]: both outputs vanish on one line of K."""
         blocks = replace(kdeux_blocks(1.0, 2.0), C1=np.array([[1.0, 0.0]]))
-        verdict = kpetit_classify(blocks, sweep_lambda(blocks))
-        assert verdict.uniformly_observable
-        assert verdict.case == "equal_output_kernels"
+        assert sweep_lambda(blocks).verdict == "observable_for_all_lambda"
+        assert kpetit_classify(blocks) == "equal_output_kernels"
 
     def test_k1_always_decidable(self):
+        blocks = k1_blocks(1.0, 1.0)
+        assert sweep_lambda(blocks).verdict == "observable_for_all_lambda"
+        assert kpetit_classify(blocks) == "no lambda kills C_lambda e1"
+
+    def test_k1_output_killed(self):
+        """C0 = 1, C1 = -1: lam = 1/2 kills the output on K."""
+        blocks = k1_blocks(1.0, -1.0)
+        assert sweep_lambda(blocks).verdict == "fails_at"
+        assert kpetit_classify(blocks) == "some lambda in [0,1] kills the output on K"
+
+    def test_k0_is_trivial(self):
         blocks = BlockFamily(
-            A0=np.zeros((1, 1)), A1=np.zeros((1, 1)),
-            C0=np.array([[1.0]]), C1=np.array([[1.0]]),
-            D0=-np.eye(1), D1=-np.eye(1), k=1, k_prime=1, frame=np.eye(2),
+            A0=np.zeros((0, 0)), A1=np.zeros((0, 0)),
+            C0=np.zeros((1, 0)), C1=np.zeros((1, 0)),
+            D0=-np.eye(1), D1=-np.eye(1), k=0, k_prime=1, frame=np.eye(1),
         )
-        verdict = kpetit_classify(blocks, sweep_lambda(blocks))
-        assert verdict.uniformly_observable
+        assert kpetit_classify(blocks) == "trivial"
 
     def test_rejects_k3(self):
         from guas_cert.errors import DimensionTooLarge
@@ -398,4 +444,4 @@ class TestKPetit:
             D0=-np.eye(2), D1=-np.eye(2), k=3, k_prime=2, frame=np.eye(5),
         )
         with pytest.raises(DimensionTooLarge):
-            kpetit_classify(blocks, sweep_lambda(blocks))
+            kpetit_classify(blocks)

@@ -224,6 +224,18 @@ class TestSimulateCommand:
         assert "final norm ratio" in capsys.readouterr().out
         assert out.read_text().splitlines()[0].startswith("t,x_1,x_2,norm")
 
+    def test_badlocus_exits_F(self, tmp_path, capsys):
+        """kdeux(1, 1): the feedback run from x0 in F leaves F at t = pi/4."""
+        path = tmp_path / "kdeux.json"
+        save_problem(kdeux(1.0, 1.0), str(path))
+        h = str(np.sqrt(0.5))
+        argv = ["simulate", str(path), "--signal", "badlocus", "--T", "2",
+                "--dt", "1e-3", "--out", str(tmp_path / "bad.csv")]
+        assert main(argv + ["--x0", f"{h},-{h}"]) == EXIT_GUAS
+        assert "exited F at t = 0.786" in capsys.readouterr().out
+        assert main(argv + ["--x0", f"{h},{h}"]) == EXIT_IO
+        assert "requires x0 in F" in capsys.readouterr().err
+
     def test_badlocus_full_state_x0_is_io_error(self, kdeux_pm_file, tmp_path, capsys):
         code = main([
             "simulate", kdeux_pm_file, "--signal", "badlocus",
@@ -342,6 +354,14 @@ class TestExampleCommand:
     def test_nan_parameter_is_io_error(self):
         assert main(["example", "kdeux", "--a", "nan"]) == EXIT_IO
 
+    def test_torus_rates_count(self, capsys):
+        """q = 2 blocks take two rates."""
+        assert main(["example", "torus", "--rates", "1", "--T", "1",
+                     "--dt", "0.01"]) == EXIT_IO
+        assert "need 2 rates, got 1" in capsys.readouterr().err
+        assert main(["example", "torus", "--rates", "1,2", "--T", "1",
+                     "--dt", "0.01"]) == EXIT_INCONCLUSIVE
+
     @pytest.mark.parametrize("name, flags", [
         ("torus", ["--T", "-5"]),
         ("torus", ["--dt", "1e9"]),
@@ -355,10 +375,13 @@ class TestExampleCommand:
         ("kdeux", ["--b", "-1", "--tol", "nan"]),
         ("kdeux", ["--b", "-1", "--tol", "inf"]),
         ("kdeux", ["--b", "-1", "--tol", "0"]),
+        ("mason", ["--seed", "-1"]),
+        ("torus", ["--seed", "-1", "--T", "1", "--dt", "0.01"]),
     ], ids=["negative-T", "dt-past-T", "infinite-T", "step-count-overflow",
             "step-count-overflow-without-evidence", "step-count-cap", "grid-1",
             "grid-above-cap", "negative-tol",
-            "nan-tol", "infinite-tol", "zero-tol"])
+            "nan-tol", "infinite-tol", "zero-tol", "negative-seed-without-evidence",
+            "negative-seed"])
     def test_bad_analyzer_option_is_io_error(self, name, flags, capsys):
         """Rejected before any stage runs: no verdict, so no exit code 0-2."""
         assert main(["example", name, *flags]) == EXIT_IO

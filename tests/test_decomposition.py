@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from guas_cert import (
+    AnalyzerOptions,
     MatrixPair,
     NormalizedPair,
+    analyze,
     block_form,
     common_kernel,
     normalize,
     verify_kernel_lemma,
 )
+from guas_cert import decomposition
 from guas_cert.decomposition import numerical_rank, subspace_distance
 from guas_cert.errors import StructureViolation
 from guas_cert.gallery import assemble, kdeux, mason
@@ -243,6 +246,28 @@ class TestBlockFormCheckOrder:
         with pytest.raises(StructureViolation) as err:
             block_form(npair, decomp)
         assert str(err.value).startswith("D_lam^T + D_lam not negative definite at lam = 0.25 ")
+
+    @pytest.mark.parametrize("eps", [2.5e-8, 3e-8, 3.9e-8])
+    def test_quarter_sample_decides_a_convex_pair(self, eps, monkeypatch):
+        """B1 = B0 - diag(0, eps/2, 0): K = span(e1) and the largest eigenvalue
+        of D_lam^T + D_lam is -lam eps, convex in lam.  It clears -10 tol at
+        lam = 1/2 but not at 1/4, so dropping the samples 1/4 and 3/4 would
+        turn this refusal (exit 5) into GUAS_C_injective (exit 0)."""
+        B0 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, -0.5]])
+        pair = MatrixPair(B0, B0 - np.diag([0.0, eps / 2, 0.0]))
+        npair = normalize(pair)
+        decomp = common_kernel(npair)
+        assert decomp.k == 1 and np.isinf(decomp.rank_margin)
+        np.testing.assert_array_equal(np.abs(decomp.K_basis[:, 0]), [1.0, 0.0, 0.0])
+        with pytest.raises(StructureViolation) as err:
+            block_form(npair, decomp)
+        assert str(err.value) == (
+            f"D_lam^T + D_lam not negative definite at lam = 0.25 "
+            f"(max eigenvalue {-0.25 * eps:.3e}); kernel rank may be ambiguous"
+        )
+        monkeypatch.setattr(decomposition, "INTERIOR_LAMBDAS", (0.5,))
+        options = AnalyzerOptions(with_evidence=False)
+        assert analyze(pair, options=options).conclusion == "GUAS_C_injective"
 
 
 class TestSpectralNorms:

@@ -119,6 +119,10 @@ class TestIntegrate:
             with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
                 integrate(system, signal, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
 
+    def test_worst_case_x0_of_wrong_length_raises(self, mason_pair):
+        with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
+            worst_case_switching(mason_pair, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
+
     def test_overflowing_x0_raises(self, mason_pair, kdeux_reduced):
         # finite entries whose norm overflows
         signal = SwitchingSignal.relaxed([(1.0, 0.3)])

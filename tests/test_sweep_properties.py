@@ -22,7 +22,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from guas_cert import (  # noqa: E402
     in_G,
     kalman_matrix,
-    locus_geometry,
     observability,
     scan_G,
     sweep_lambda,
@@ -170,7 +169,7 @@ ORACLE_TOL = 1e-4
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scan_finds_every_tangency_point(seed):
     blocks = family("random", 3, 2, seed, 0.5)
-    report = scan_G(locus_geometry(blocks), sweep_lambda(blocks))
+    report = scan_G(blocks, sweep_lambda(blocks))
     if report.verdict != "discrete":
         return
     assert len(report.roots) <= report.degree
