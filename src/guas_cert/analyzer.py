@@ -150,7 +150,10 @@ def empirical_evidence(
     All runs step together as one (n_runs, d) array in ``worst_case_runs``,
     the greedy engine of ``worst_case_switching`` keeping norms only, in
     blocks of L <= 256 steps while no run switches, each read from one
-    product with tables of quadratic forms: O(256 d^2 + n_runs L) numbers.
+    product with tables of three quadratic forms (rule margin, squared norm
+    and its one-step rise): O(256 d^2 + n_runs L) numbers.  A norm's sqrt
+    is taken only at a block's ends and the window start, and at every
+    state of a block only where some rise is positive or not finite.
     A run is non-decaying when its norm plateaus over the last quarter of
     [0, T] above 1e-6 of its start.  Heuristic evidence, never a certificate.
     """

@@ -221,14 +221,15 @@ def sweep_lambda(
     """Certify observability of (C_lam, A_lam) on all of [0, 1], or refute it.
 
     Runs ``weyl_bisection`` on sigma_k of the Kalman matrix O(lam) over the
-    n_grid partition, 2 <= n_grid <= MAX_GRID.
+    n_grid partition; ValueError unless n_grid is an integer (numpy
+    integers count) in [2, MAX_GRID].
     fails_at: a computed sigma_k below tol_eff = tol (1 + max ||O(lam)||
     over lam in {0, 1/2, 1}); observable_for_all_lambda: every interval
     bound of the cover above CERT_FACTOR * tol_eff; inconclusive: neither.
     ``n_evals`` counts the three lambdas of tol_eff too.
     """
-    if not 2 <= n_grid <= MAX_GRID:
-        raise ValueError(f"n_grid must be in [2, {MAX_GRID}], got {n_grid}")
+    if not (isinstance(n_grid, (int, np.integer)) and 2 <= n_grid <= MAX_GRID):
+        raise ValueError(f"n_grid must be an integer in [2, {MAX_GRID}], got {n_grid}")
     k = blocks.k
     grid = np.linspace(0.0, 1.0, n_grid)
     if k == 0:

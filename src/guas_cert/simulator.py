@@ -14,12 +14,15 @@ The greedy adversary has one engine, ``_greedy_stretches``.  It steps many
 runs as one (m, d) array and hands them out in stretches of constant
 input.  While no run switches it steps them in blocks of up to
 ``BLOCK_CAP`` steps without computing the states inside a block: the rule
-margin and the squared norm at E_u^i x are quadratic forms of the block's
-start state x, whose packed coefficients ``_form_tables`` builds once per
-call, O(BLOCK_CAP d^2) numbers.  One product of the runs' packed x x^T with
-those tables gives every margin and norm of a block, and x advances by the
+margin, the squared norm N_i at E_u^i x and its rise N_{i+1} - N_i are
+quadratic forms of the block's start state x, whose packed coefficients
+``_form_tables`` builds once per call, three forms of O(BLOCK_CAP d^2)
+numbers.  One product of the runs' packed x x^T with those tables gives
+every margin, squared norm and rise of a block, and x advances by the
 power E_u^s.  ``worst_case_runs`` keeps only norms: per run its initial,
-window-start and final norms and its largest one-step norm increase.
+window-start and final norms and its largest one-step norm increase.  It
+takes a square root only at a block's ends and the window start, and
+every norm of a block only where a rise is positive or not finite.
 ``worst_case_switching`` keeps every state of one run, built from the
 first state of each stretch with the same powers.  Both are heuristic
 evidence, never a certificate.
@@ -75,7 +78,7 @@ class SwitchingSignal:
 
 @dataclass
 class Trajectory:
-    """A integrated run: time grid, states, norms, optional outputs."""
+    """An integrated run: time grid, states, norms, optional outputs."""
 
     times: np.ndarray
     states: np.ndarray             # (n+1, dim)
@@ -265,36 +268,41 @@ def _step_powers(pair: NormalizedPair, dt: float, cap: int) -> np.ndarray:
 
 
 def _form_tables(pair: NormalizedPair, P: np.ndarray) -> np.ndarray:
-    """The packed coefficients of two quadratic forms of a block's start
-    state x at each power E_u^i of P, i < cap, a (2, cap, 2, p) array indexed
+    """The packed coefficients of three quadratic forms of a block's start
+    state x at each power E_u^i of P, i < cap, a (3, cap, 2, p) array indexed
     by (form, i, u, coefficient), p = d (d + 1) / 2.
 
     With xx the entries x_a x_b, a <= b, of x x^T, xx @ table[0, i, u] is
     the rule margin at E_u^i x, the form of
-    E_u^iT [(2u - 1)(S0 - S1) + TIE_TOL (S0 + S1)] E_u^i, and
-    xx @ table[1, i, u] the squared norm ||E_u^i x||^2.  The rows are built
-    by doubling, as the powers are: the forms at i + k are those at i under
-    the congruence F -> E_u^kT F E_u^k, a (p, p) matrix on packed forms.
+    E_u^iT [(2u - 1)(S0 - S1) + TIE_TOL (S0 + S1)] E_u^i,
+    xx @ table[1, i, u] the squared norm N_i = ||E_u^i x||^2 and
+    xx @ table[2, i, u] its rise N_{i+1} - N_i over the next step.  The
+    margin and norm rows, for i up to cap, are built by doubling, as the
+    powers are: the forms at i + k are those at i under the congruence
+    F -> E_u^kT F E_u^k, a (p, p) matrix on packed forms.  The rise rows
+    are one subtraction of consecutive norm rows.
     """
     d, n = pair.d, P.shape[1] - 1
     a, b = np.triu_indices(d)
     weight = np.where(a == b, 1.0, 2.0)  # x^T F x = sum over a <= b of w F_ab x_a x_b
     diff, both = pair.S0 - pair.S1, TIE_TOL * (pair.S0 + pair.S1)
-    table = np.empty((2, 2, n, len(a)))  # (u, form, i, coefficient) while built
-    table[:, 0, 0] = (both - diff)[a, b] * weight, (both + diff)[a, b] * weight
-    table[:, 1, 0] = a == b
+    table = np.empty((3, n + 1, 2, len(a)))  # (form, i, u, coefficient)
+    built = table.transpose(2, 0, 1, 3)  # the same array as (u, form, i, coefficient)
+    built[:, 0, 0] = (both - diff)[a, b] * weight, (both + diff)[a, b] * weight
+    built[:, 1, 0] = a == b
     # the transposed congruence by E = E_u^k, k = 1, 2, 4, ..., at
     # [(a_c, b_c), (a_r, b_r)]: w_r (E_ac,ar E_bc,br + E_ac,br E_bc,ar) / 2
-    E = P[:, 2 ** np.arange((n - 1).bit_length()), None]
+    E = P[:, 2 ** np.arange(n.bit_length()), None]
     ac, bc = a[:, None], b[:, None]
     KT = E[..., ac, a] * E[..., bc, b] + E[..., ac, b] * E[..., bc, a]
     KT *= 0.5 * weight
     k = 1
     for level in range(KT.shape[1]):
-        j = min(k, n - k)
-        np.matmul(table[:, :, :j], KT[:, level], out=table[:, :, k : k + j])
+        j = min(k, n + 1 - k)
+        np.matmul(built[:, :2, :j], KT[:, level], out=built[:, :2, k : k + j])
         k += j
-    return np.ascontiguousarray(table.transpose(1, 2, 0, 3))
+    np.subtract(table[1, 1:], table[1, :-1], out=table[2, :-1])
+    return table[:, :n]
 
 
 def _window_step(n_steps: int, dt: float, window: float) -> int:
@@ -310,29 +318,34 @@ def _window_step(n_steps: int, dt: float, window: float) -> int:
 def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
                       n_steps: int):
     """The greedy adversary from every row of the (m, d) array x, with the
-    step powers P of ``_step_powers``, as stretches (j, x, sq_norms, u) over
-    which no run switches.
+    step powers P of ``_step_powers``, as stretches (j, x, sq_norms, rises, u)
+    over which no run switches.
 
     ``x`` (m, d) holds the states at step j, ``sq_norms`` (s, m) the
-    squared norms at steps j .. j+s-1 and ``u`` (m,) each run's input on
-    the steps from them, so the state at step j + i is E_u^i x;
-    ``sq_norms`` and ``u`` change in place when the next stretch is asked
-    for.  The last stretch holds only the state at n_steps.
+    squared norms N at steps j .. j+s-1, ``rises`` (s-1, m) the rises
+    N_{i+1} - N_i between them, read from their own forms, and ``u`` (m,)
+    each run's input on the steps from them, so the state at step j + i is
+    E_u^i x; ``sq_norms``, ``rises`` and ``u`` change in place when the
+    next stretch is asked for.  The last stretch holds only the state at
+    n_steps.
 
     Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  A single
     step is one product x @ [S0 S1 I E0^T E1^T], which gives both
     quadratic forms, the squared norms and both candidate next states.  A
     block of L steps reads, from one product of the runs' packed x x^T with
-    their input's ``_form_tables`` columns, the rule margin and squared norm
-    at each of its states.  Since |q| >= -q, a run that the exact rule
-    switches has a margin above ``TIE_TOL``: the block ends at the first
-    state where some run's margin is above it, or where some run's squared
-    norm fell below ``BLOCK_DECAY`` of its start's, and that state takes a
-    single step.  So the switching sequence is the per-step rule's.  L
-    adapts to how often the runs switch: it doubles up to ``BLOCK_CAP``
-    after a block that no run cut short and halves after one that a run
-    did, and after a cut block the number of single steps before the next
-    one doubles.
+    their input's ``_form_tables`` columns, the rule margin, squared norm
+    and rise at each of its states.  Since |q| >= -q, a run that the exact
+    rule switches has a margin above ``TIE_TOL``: the block ends at the
+    first state where some run's margin is above it, or where some run's
+    squared norm fell below ``BLOCK_DECAY`` of its start's, and that state
+    takes a single step.  So the switching sequence is the per-step rule's.
+    Inputs change only in single steps, so whether every run holds one
+    input, whose half of the tables and power alone a block then reads, is
+    decided once per run of blocks.  L adapts to how often the runs switch:
+    it doubles up to ``BLOCK_CAP`` after a block that no run cut short and
+    halves after one that a run did, and after a cut block the number of
+    single steps before the next one doubles.  The last block ends at
+    n_steps.
     """
     m, d = x.shape
     if d != pair.d:
@@ -348,51 +361,53 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
     a, b = np.triu_indices(d)
     p = len(a)
     xx = np.empty((2, p, m))  # each run's x x^T in the half of its input
-    block = np.empty((2, cap, m))  # margins and squared norms of a block
+    block = np.empty((3, cap, m))  # margins, squared norms and rises of a block
+    no_rises = block[2, :0]
     L, wait, countdown = BLOCK_MIN, 1, 1  # a single step first
     j = 0
     while j < n_steps:
-        if countdown:  # a single step
+        for _ in range(min(countdown, n_steps - j)):  # single steps
             np.matmul(x, W, out=Y)
             q0, q1, sq_norms = np.einsum("ikd,id->ki", forms, x)
             diff = q0 - q1
             strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
             np.copyto(u, diff < 0.0, where=strict)
-            yield j, x, sq_norms[None], u
+            yield j, x, sq_norms[None], no_rises, u
             x = rows.take(after_u0 + u, axis=0)
             j += 1
-            countdown -= 1
-            continue
-
-        while j + L > n_steps:
-            L //= 2
-        # a block: margins and squared norms at E_u^i x for i = 0..L-1
-        xt = x.T
-        np.multiply(xt[a], xt[b], out=xx[1])
-        if u.min() == u.max():  # every run holds one input: its half of the table
-            coefs, packed = table[:, :L, u[0]], xx[1]
-        else:
-            np.multiply(xx[1], u == 0, out=xx[0])
-            xx[1] *= u
-            coefs, packed = table[:, :L].reshape(2, L, 2 * p), xx.reshape(2 * p, m)
-        margins, sq_norms = np.matmul(coefs, packed, out=block[:, :L])
-        # norms do not grow, so a run that decays below BLOCK_DECAY in the
-        # block does so by its last state
-        floor = BLOCK_DECAY * sq_norms[0]
-        s = L
-        if np.fmax.reduce(margins, axis=None) > TIE_TOL or (sq_norms[-1] < floor).any():
-            cut = (margins > TIE_TOL).any(axis=1) | (sq_norms < floor).any(axis=1)
-            s = int(np.argmax(cut)) if cut.any() else L
-        if s:  # accept the states j .. j+s-1 and their steps
-            yield j, x, sq_norms[:s], u
-            z = P[:, s] @ xt
-            x = np.where(u[:, None], z[1].T, z[0].T)
-            j += s
-        if s == L:  # the next block follows at once
-            L, wait = min(2 * L, cap), 1
-        else:
-            L, countdown, wait = max(BLOCK_MIN, L // 2), wait, 2 * wait
-    yield n_steps, x, np.einsum("id,id->i", x, x)[None], u
+        one = u[0] if u.min() == u.max() else None  # the input every run holds
+        while j < n_steps:
+            # a block: margins, squared norms and rises at E_u^i x, i < L
+            L = min(L, n_steps - j)
+            xt = x.T
+            np.multiply(xt[a], xt[b], out=xx[1])
+            if one is not None:
+                coefs, packed = table[:, :L, one], xx[1]
+            else:
+                np.multiply(xx[1], u == 0, out=xx[0])
+                xx[1] *= u
+                coefs, packed = table[:, :L].reshape(3, L, 2 * p), xx.reshape(2 * p, m)
+            margins, sq_norms, rises = np.matmul(coefs, packed, out=block[:, :L])
+            # norms do not grow, so a run that decays below BLOCK_DECAY in the
+            # block does so by its last state
+            floor = BLOCK_DECAY * sq_norms[0]
+            s = L
+            if np.fmax.reduce(margins, axis=None) > TIE_TOL or (sq_norms[-1] < floor).any():
+                cut = (margins > TIE_TOL).any(axis=1) | (sq_norms < floor).any(axis=1)
+                s = int(np.argmax(cut)) if cut.any() else L
+            if s:  # accept the states j .. j+s-1 and their steps
+                yield j, x, sq_norms[:s], rises[: s - 1], u
+                if one is None:
+                    z = P[:, s] @ xt
+                    x = np.where(u[:, None], z[1].T, z[0].T)
+                else:
+                    x = (P[one, s] @ xt).T
+                j += s
+            if s < L:  # single steps from the state that cut it
+                L, countdown, wait = max(BLOCK_MIN, L // 2), wait, 2 * wait
+                break
+            L, wait = min(2 * L, cap), 1  # the next block follows at once
+    yield n_steps, x, np.einsum("id,id->i", x, x)[None], no_rises, u
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -410,7 +425,7 @@ def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Traje
     P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
     states = np.empty((n_steps + 1, len(x0)))
     inputs = np.empty(n_steps + 1)
-    for j, x, sq_norms, u in _greedy_stretches(pair, P, x0[None], n_steps):
+    for j, x, sq_norms, _, u in _greedy_stretches(pair, P, x0[None], n_steps):
         s = len(sq_norms)
         states[j : j + s] = x[0] if s == 1 else P[u[0], :s] @ x[0]
         inputs[j : j + s] = u[0]
@@ -427,8 +442,11 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     final) of each run's norm at t = 0, at the first step of the last
     quarter of [0, T] (the tail ``estimate_omega_limit`` reads with window
     T / 4) and at T.  Each run's largest one-step norm increase is checked
-    against a bound from its own initial norm.  Heuristic evidence only,
-    never a certificate.
+    against a bound from its own initial norm.  A norm is taken, by a
+    square root, only at a stretch's first and last state and at the
+    window start, unless some rise in a block is positive or not finite:
+    then every norm of that block is, and the increases are their
+    differences.  Heuristic evidence only, never a certificate.
     """
     n_steps = _n_steps(T, dt)
     x = np.array(starts, float, ndmin=2)
@@ -436,15 +454,19 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     window_step = _window_step(n_steps, dt, T / 4.0)
     initial = np.linalg.norm(x, axis=1)
     worst = np.zeros(len(x))
-    for j, _, sq_norms, _ in _greedy_stretches(pair, P, x, n_steps):
-        norms = np.sqrt(sq_norms)
-        if j <= window_step < j + len(norms):
-            window_start = norms[window_step - j]
+    for j, _, sq_norms, rises, _ in _greedy_stretches(pair, P, x, n_steps):
+        s = len(sq_norms)
+        first = np.sqrt(sq_norms[0])
         if j:  # the step into state j
-            np.maximum(worst, norms[0] - last, out=worst)
-        if len(norms) > 1:
-            np.maximum(worst, np.diff(norms, axis=0).max(axis=0), out=worst)
-        last = norms[-1]
+            np.maximum(worst, first - last, out=worst)
+        last = first
+        if s > 1:
+            if not rises.max() <= 0.0:  # np.max, unlike np.fmax, keeps a NaN
+                norms = np.sqrt(sq_norms)
+                np.maximum(worst, np.diff(norms, axis=0).max(axis=0), out=worst)
+            last = np.sqrt(sq_norms[-1])
+        if j <= window_step < j + s:
+            window_start = np.sqrt(sq_norms[window_step - j])
     _check_full_norms(worst, _exact_step_bound(initial, n_steps))
     return initial, window_start, last
 

@@ -132,6 +132,16 @@ class TestSweepLambda:
         with pytest.raises(ValueError, match=message):
             sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=MAX_GRID + 1)
 
+    def test_grid_size_must_be_an_integer(self):
+        """A float grid size is refused with the range check's ValueError,
+        not np.linspace's TypeError; a numpy integer is accepted."""
+        blocks = kdeux_blocks(1.0, 2.0)
+        with pytest.raises(ValueError, match="n_grid must be an integer .* got 257.0$"):
+            sweep_lambda(blocks, n_grid=257.0)
+        report = sweep_lambda(blocks, n_grid=np.int64(257))
+        assert len(report.grid) == 257
+        assert report.verdict == sweep_lambda(blocks, n_grid=257).verdict
+
     def test_well_conditioned_family_is_cheap(self, monkeypatch):
         """kdeux(1, 2) clears from a few grid points: fewer than n_grid // 4
         evaluations, each of them a point of the grid."""

@@ -425,7 +425,7 @@ class TestWorstCaseRuns:
             assert final[i] == pytest.approx(traj.norms[-1], rel=1e-13)
         # the steps of blocks, not single steps, in which both inputs are held
         P = simulator._step_powers(npair, dt, simulator.BLOCK_CAP)
-        mixed = sum(len(sq_norms) for _, _, sq_norms, u
+        mixed = sum(len(sq_norms) for _, _, sq_norms, _, u
                     in simulator._greedy_stretches(npair, P, starts, round(T / dt))
                     if len(sq_norms) > 1 and u.min() != u.max())
         assert mixed >= 900
@@ -443,7 +443,7 @@ class TestWorstCaseRuns:
         starts = np.array([Q[:, 0] + 1e-6 * Q[:, 1], Q[:, 1]])
         n_steps, dt = 600, 1e-2
         P = simulator._step_powers(npair, dt, simulator.BLOCK_CAP)
-        for j, x, sq_norms, u in simulator._greedy_stretches(npair, P, starts, n_steps):
+        for j, x, sq_norms, _, u in simulator._greedy_stretches(npair, P, starts, n_steps):
             states = np.einsum("iab,rb->ira", P[u[0], : len(sq_norms)], x)
             np.testing.assert_allclose(sq_norms, (states**2).sum(axis=2), rtol=1e-13)
 
@@ -471,20 +471,64 @@ class TestWorstCaseRuns:
         with pytest.raises(StepTooLarge, match=r"increased by 1\.000e-09 in run 1"):
             worst_case_runs(npair, starts, T, dt)
 
+    def test_norm_check_reads_a_rise_inside_a_block(self, monkeypatch):
+        """Every step is stretched by (1 + eps) along e1 and shrunk along e2,
+        and the drift rotates, so the norm rises in some steps and falls in
+        others.  The largest rise, near angle pi, lies inside a block and
+        exceeds every rise at a block's ends: the check must read it there."""
+        B = np.array([[0.0, -1.0], [1.0, 0.0]])
+        npair = NormalizedPair(B, B.copy())
+        eps, T, dt = 1e-9, 2.0, 1e-2
+        stretch = np.diag([1.0 + eps, 1.0 - eps])
+        monkeypatch.setattr(simulator, "expm", lambda M: expm(M) @ stretch)
+        x = np.array([np.cos(np.pi - 0.9), np.sin(np.pi - 0.9)])
+        states = [x]
+        for _ in range(round(T / dt)):
+            states.append(expm(B * dt) @ stretch @ states[-1])
+        want = np.diff(np.linalg.norm(states, axis=1)).max()
+        with pytest.raises(StepTooLarge, match="in run 0") as raised:
+            worst_case_runs(npair, x[None], T, dt)
+        got = float(str(raised.value).split("increased by ")[1].split()[0])
+        assert got == pytest.approx(want, rel=1e-3)
+        # 10% above the rise at the block end j = 61, angle pi - 0.29
+        assert want > 1.1 * eps * np.cos(0.58)
+
+    def test_overflowing_start_is_not_finite(self):
+        """A start whose norm overflows raises "not finite", also for a pair
+        that never switches, whose steps lie inside blocks."""
+        npair = normalize(torus(2))
+        starts = np.vstack([np.full(npair.d, 1e308), np.eye(npair.d)[0]])
+        with pytest.raises(StepTooLarge, match="norm is not finite in run 0"):
+            worst_case_runs(npair, starts, 20.0, 5e-3)
+
+    def test_torus_run_takes_few_stretches(self):
+        """The torus never switches: after the first single step its 4,000
+        steps go in blocks that double to BLOCK_CAP, and the last block ends
+        at the horizon instead of halving down to it."""
+        npair = normalize(torus(2))
+        K_basis = common_kernel(npair).K_basis
+        starts = np.random.default_rng(0).standard_normal((32, npair.d))
+        starts = np.vstack([starts, K_basis.T])
+        n_steps = 4000
+        P = simulator._step_powers(npair, 5e-3, simulator.BLOCK_CAP)
+        stretches = [j for j, *_ in simulator._greedy_stretches(npair, P, starts, n_steps)
+                     if j < n_steps]
+        assert len(stretches) <= 25
+
 
 class TestFormTables:
     def test_tables_give_forms_at_stepped_states(self, monkeypatch):
-        """Row i of the packed tables gives the rule margin and the squared
-        norm at E_u^i x, x stepped one at a time, for i < BLOCK_CAP; the
-        powers reach E_u^BLOCK_CAP.  A loose TIE_TOL makes its term of the
-        margin visible."""
+        """Row i of the packed tables gives the rule margin, the squared
+        norm at E_u^i x and its rise over the next step, x stepped one at a
+        time, for i < BLOCK_CAP; the powers reach E_u^BLOCK_CAP.  A loose
+        TIE_TOL makes its term of the margin visible."""
         monkeypatch.setattr(simulator, "TIE_TOL", 1e-3)
         npair = normalize(switching_pair())
         d, dt, cap = npair.d, 1e-2, simulator.BLOCK_CAP
         P = simulator._step_powers(npair, dt, cap)
         table = simulator._form_tables(npair, P)
         a, b = np.triu_indices(d)
-        assert table.shape == (2, cap, 2, len(a))
+        assert table.shape == (3, cap, 2, len(a))
         x = np.random.default_rng(4).standard_normal(d)
         x /= np.linalg.norm(x)
         xx = x[a] * x[b]
@@ -497,6 +541,8 @@ class TestFormTables:
                 margin = (2 * u - 1) * (q0 - q1) + 1e-3 * (q0 + q1)
                 assert abs(xx @ table[0, i, u] - margin) <= 1e-12, (u, i)
                 assert abs(xx @ table[1, i, u] - y @ y) <= 1e-12, (u, i)
+                rise = (E @ y) @ (E @ y) - y @ y
+                assert abs(xx @ table[2, i, u] - rise) <= 1e-12, (u, i)
                 y = E @ y
             np.testing.assert_allclose(P[u, cap] @ x, y, rtol=0, atol=1e-12)
 
