@@ -8,18 +8,21 @@ the drift A_lam x is (weakly) tangent to F; discreteness of G certifies
 uniform observability.  scan_G decides discreteness by algebra on the
 curve F ∩ S, whose points are kernel vectors of C_lam: the tangency
 residual along it is a polynomial in lam, so a few values prove whether it
-vanishes identically.  The oracles in_F, in_F_dual, in_N, in_G and
-lambda_of read one classification of C0 x, C1 x over points x (..., k).
+vanishes identically.  Its inputs never change (the Chebyshev NODES and
+degree 2k - 1), so the scan is fixed linear algebra: one batched det gives
+the kernel vectors, a cached least-squares operator per degree the
+residual's coefficients, and a companion matrix their roots.  The oracles
+in_F, in_F_dual, in_N, in_G and lambda_of read one classification of
+C0 x, C1 x over points x (..., k).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .decomposition import BlockFamily, numerical_rank
 from .errors import (
@@ -42,13 +45,23 @@ def wedge(u, v) -> np.ndarray:
     v = np.asarray(v, float)
     if u.shape != v.shape:
         raise DimensionMismatch(f"wedge operands {u.shape} vs {v.shape}")
-    m = np.arange(u.shape[-1])
-    i, j = np.nonzero(m[:, None] < m)  # np.triu_indices(m, 1), at a fifth of its cost
+    i, j = _pairs(u.shape[-1])
     return u[..., i] * v[..., j] - u[..., j] * v[..., i]
 
 
+@cache
+def _pairs(m: int):
+    """The index pairs i < j of m coordinates, as np.triu_indices(m, 1)."""
+    return np.nonzero(np.arange(m)[:, None] < np.arange(m))
+
+
 _dot = partial(np.einsum, "...i,...i->...")  # <u, v> over the last axis
-_norm = partial(np.linalg.norm, axis=-1)
+
+
+def _norm(u):
+    """||u|| over the last axis: np.linalg.norm's own arithmetic, without
+    its argument checks."""
+    return np.sqrt(np.add.reduce(u * u, axis=-1))
 
 
 def _colinear_opposed(u, v, nu, nv, tol: float):
@@ -188,11 +201,55 @@ def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
 NODES = 0.5 - 0.5 * np.cos((2.0 * np.arange(11) + 1.0) * np.pi / 22.0)  # Chebyshev
 
 
+#: the fit's window variable: NODES mapped affinely onto [-1, 1], as
+#: Polynomial.fit maps its domain [min, max] of the nodes
+_MID, _HALF = (NODES[-1] + NODES[0]) / 2.0, (NODES[-1] - NODES[0]) / 2.0
+
+
+@cache
+def _fit_operator(degree: int) -> np.ndarray:
+    """The (degree + 1, len(NODES)) least-squares operator from values at
+    NODES to power coefficients in the window variable, the pseudo-inverse
+    of the Vandermonde matrix there.  ValueError when NODES are too few to
+    determine a polynomial of that degree."""
+    if degree + 1 > len(NODES):
+        raise ValueError(f"a degree-{degree} fit needs {degree + 1} nodes, "
+                         f"NODES has {len(NODES)}")
+    op = np.linalg.pinv(np.vander((NODES - _MID) / _HALF, degree + 1, increasing=True))
+    op.flags.writeable = False  # shared by every call through the cache
+    return op
+
+
+def _window_roots(c) -> np.ndarray:
+    """Complex roots of the power series c once coefficients at most
+    1e-12 max|c| are trimmed off its top: the eigenvalues of its companion
+    matrix, none for a constant."""
+    big = np.flatnonzero(np.abs(c) > 1e-12 * np.abs(c).max())
+    n = big[-1] if big.size else 0  # the degree after the trim
+    if n == 0:
+        return np.empty(0)
+    companion = np.eye(n, k=-1)
+    companion[:, -1] -= c[:n] / c[n]
+    return np.linalg.eigvals(companion)
+
+
+@cache
+def _minor_columns(k: int):
+    """Row i: the k - 1 columns left when column i of a k-column matrix is
+    deleted; and the cofactor signs (-1)^i."""
+    return np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1), (-1.0) ** np.arange(k)
+
+
 def kernel_vector(C) -> np.ndarray:
     """Signed maximal minors of (k-1) x k matrices (batched): C n = 0, and n
-    spans ker C when rank C = k - 1 (for k = 3, the cross product of rows)."""
-    return np.stack([(-1.0) ** i * np.linalg.det(np.delete(C, i, axis=-1))
-                     for i in range(C.shape[-1])], axis=-1)
+    spans ker C when rank C = k - 1 (for k = 3, the cross product of rows).
+
+    One batched det over the k minors of every matrix, with the same bits
+    as one det per deleted column.
+    """
+    C = np.asarray(C, float)
+    cols, signs = _minor_columns(C.shape[-1])
+    return signs * np.linalg.det(np.swapaxes(C[..., cols], -3, -2))
 
 
 @dataclass
@@ -223,7 +280,10 @@ def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
     F ∩ S is finite once sigma_k(C_lam) clearly is not 0.  k' = k - 1:
     F ∩ S is the curve ± n/||n||, n = kernel_vector(C_lam), on which the
     tangency residual is a polynomial g(lam) of degree 2k - 1; G is finite
-    once g clearly is not 0 (as in_G scales it), else a curve.
+    once g clearly is not 0 (as in_G scales it), else a curve.  The points
+    of a finite G are reported for the certificate only: the real roots in
+    [0, 1] of the fit of n_sq g (its first component) by ``_fit_operator``,
+    found by ``_window_roots``, and the kernel vectors there.
     """
     k, threshold = blocks.k, CERT_FACTOR * tol
     if k <= 1:
@@ -254,8 +314,7 @@ def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
         return report
     # roots locate G for the certificate only (k' = 2: g has one component);
     # a rounding-level top coefficient is trimmed, its spurious root spoils all
-    fit = Polynomial.fit(NODES, n_sq * g[:, 0], report.degree)
-    r = fit.trim(1e-12 * np.abs(fit.coef).max()).roots()
+    r = _MID + _HALF * _window_roots(_fit_operator(report.degree) @ (n_sq * g[:, 0]))
     r = r.real[(np.abs(r.imag) <= 1e-6) & (np.abs(r.real - 0.5) <= 0.5 + 1e-9)]
     report.verdict, report.roots = "discrete", np.clip(np.sort(r), 0.0, 1.0)
     x = kernel_vector(blocks.C(report.roots[:, None, None]))

@@ -25,6 +25,26 @@ from guas_cert.gallery import kdeux, mason, shared_output, torus
 FAST = AnalyzerOptions(evidence_runs=4, evidence_T=20.0, evidence_dt=1e-2)
 
 
+def frozen_k3():
+    """A k = 3, k' = 2 pair with one drift whose G is two points."""
+    from guas_cert.gallery import assemble
+
+    w = np.array([0.6953031944582878, -1.344214547285082,
+                  -0.45761576104021817])
+    A = np.array([[0.0, -w[2], w[1]],
+                  [w[2], 0.0, -w[0]],
+                  [-w[1], w[0], 0.0]])
+    C0 = np.array([
+        [-1.901222739800844, -1.289537739784976, -1.8417350377917323],
+        [-0.23509113107468127, -1.2674464814437032, 0.2712643588217015],
+    ])
+    C1 = np.array([
+        [0.15675108662422516, -0.18693094462995438, -2.516759710820513],
+        [-0.5386928958466366, -0.04850094540107198, 0.11330898600330756],
+    ])
+    return MatrixPair(assemble(A, C0, -np.eye(2)), assemble(A, C1, -2.0 * np.eye(2)))
+
+
 class TestBranches:
     def test_mason_trivial_kernel(self):
         v = analyze(mason(), mason().P, options=FAST)
@@ -93,24 +113,7 @@ class TestBranches:
         assert v.evidence.non_decaying_runs == 0
 
     def test_frozen_k3_discrete_instance(self):
-        from guas_cert.gallery import assemble
-
-        w = np.array([0.6953031944582878, -1.344214547285082,
-                      -0.45761576104021817])
-        A = np.array([[0.0, -w[2], w[1]],
-                      [w[2], 0.0, -w[0]],
-                      [-w[1], w[0], 0.0]])
-        C0 = np.array([
-            [-1.901222739800844, -1.289537739784976, -1.8417350377917323],
-            [-0.23509113107468127, -1.2674464814437032, 0.2712643588217015],
-        ])
-        C1 = np.array([
-            [0.15675108662422516, -0.18693094462995438, -2.516759710820513],
-            [-0.5386928958466366, -0.04850094540107198, 0.11330898600330756],
-        ])
-        pair = MatrixPair(assemble(A, C0, -np.eye(2)),
-                          assemble(A, C1, -2.0 * np.eye(2)))
-        v = analyze(pair, options=FAST)
+        v = analyze(frozen_k3(), options=FAST)
         assert v.conclusion == "GUAS_G_discrete"
 
     def test_off_grid_singular_C_is_not_C_injective(self):
@@ -179,13 +182,14 @@ class TestBranches:
 
 
 LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh")
+SOLVES = ("det", "lstsq")  # counted too, but not part of the LINALG dicts
 
 
 def linalg_calls(monkeypatch, call):
-    """call()'s result, and a Counter of the numpy.linalg decompositions it
-    made and of its norm calls by ord ("norm(2)", "norm(fro)", ...)."""
+    """call()'s result, and a Counter of the numpy.linalg decompositions and
+    solves it made and of its norm calls by ord ("norm(2)", "norm(fro)", ...)."""
     counts = Counter()
-    for name in LINALG + ("norm",):
+    for name in LINALG + SOLVES + ("norm",):
         def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             if _name == "norm":
                 ord_ = args[1] if len(args) > 1 else kwargs.get("ord")
@@ -251,6 +255,19 @@ class TestDispatchCounts:
             "svd": 1, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 1,
         }
         assert counts["norm(2)"] == 0
+
+    def test_frozen_k3_curve_rule(self, monkeypatch):
+        # the curve rule fits with its cached operator (built by the first
+        # call, outside the count), not lstsq; one det per kernel-vector
+        # batch (at the nodes, at the root); eigvals for the Hurwitz check
+        # and for the companion matrix of the fit
+        pair, opts = frozen_k3(), AnalyzerOptions(with_evidence=False)
+        analyze(pair, options=opts)
+        v, counts = linalg_calls(monkeypatch, lambda: analyze(pair, options=opts))
+        assert v.conclusion == "GUAS_G_discrete"
+        assert len(v.certificate["roots"]) == 1
+        assert {name: counts[name] for name in SOLVES} == {"det": 2, "lstsq": 0}
+        assert counts["eigvals"] == 2
 
 
 class TestOptionChecks:

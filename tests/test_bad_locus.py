@@ -15,7 +15,7 @@ from guas_cert import (
     sweep_lambda,
     wedge,
 )
-from guas_cert.bad_locus import in_F_dual, in_N, kernel_vector
+from guas_cert.bad_locus import NODES, _fit_operator, in_F_dual, in_N, kernel_vector
 from guas_cert.decomposition import BlockFamily
 from guas_cert.errors import InNullSpace, NotInF
 from guas_cert.gallery import kdeux, torus
@@ -385,6 +385,32 @@ class TestScanG:
         report = scan_G(blocks, obs)
         assert report.verdict == "inconclusive" and report.n_samples == 0
         assert report.note == note + ": discreteness of G undecided"
+
+    def test_fit_needs_a_node_per_coefficient(self):
+        """The fit operator recovers a polynomial of degree up to
+        len(NODES) - 1 from its values at NODES, in the window variable
+        that maps the nodes onto [-1, 1]; degree 11 would be
+        underdetermined on the eleven nodes and is refused."""
+        coef = np.random.default_rng(8).standard_normal(len(NODES))
+        t = (2.0 * NODES - NODES[0] - NODES[-1]) / (NODES[-1] - NODES[0])
+        for degree in (3, 5, len(NODES) - 1):
+            values = np.polynomial.polynomial.polyval(t, coef[: degree + 1])
+            np.testing.assert_allclose(_fit_operator(degree) @ values,
+                                       coef[: degree + 1], rtol=0, atol=1e-10)
+        with pytest.raises(ValueError, match="degree-11 fit needs 12 nodes, NODES has 11"):
+            _fit_operator(11)
+
+    def test_kernel_vector_bits_are_per_column_minors(self):
+        """One batched det over the k minors gives the bits of one det per
+        deleted column, for every k the curve rule could meet."""
+        rng = np.random.default_rng(9)
+        for k in range(1, 6):
+            C = rng.standard_normal((11, k - 1, k))
+            minors = [(-1.0) ** i * np.linalg.det(np.delete(C, i, axis=-1))
+                      for i in range(k)]
+            np.testing.assert_array_equal(kernel_vector(C), np.stack(minors, axis=-1))
+            n = kernel_vector(C[0])
+            np.testing.assert_allclose(C[0] @ n, 0.0, atol=1e-12 * (1.0 + np.abs(n).max()))
 
     def test_torus_scan_does_not_crash_near_cone_boundary(self):
         npair = normalize(torus())

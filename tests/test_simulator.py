@@ -501,6 +501,26 @@ class TestWorstCaseRuns:
         with pytest.raises(StepTooLarge, match="norm is not finite in run 0"):
             worst_case_runs(npair, starts, 20.0, 5e-3)
 
+    def test_nan_rise_inside_a_block_is_not_finite(self, monkeypatch):
+        """A squared norm that is NaN inside every block, with the two rises
+        next to it NaN as the tables' subtraction makes them, raises "not
+        finite" though each block's end norms are finite: the rises are
+        tested with a reduction that keeps a NaN, so the block's norms are
+        taken and their NaN differences read."""
+        build = simulator._form_tables
+
+        def nan_inside(pair, P):
+            table = build(pair, P)
+            table[1, 2] = np.nan  # the squared norm at E_u^2 x
+            table[2, 1:3] = np.nan  # the rises into and out of it
+            return table
+
+        monkeypatch.setattr(simulator, "_form_tables", nan_inside)
+        npair = normalize(torus(2))
+        # off K every rise is negative: only the NaN ones call for the norms
+        with pytest.raises(StepTooLarge, match="norm is not finite in run 0"):
+            worst_case_runs(npair, np.ones((1, npair.d)), 20.0, 5e-3)
+
     def test_torus_run_takes_few_stretches(self):
         """The torus never switches: after the first single step its 4,000
         steps go in blocks that double to BLOCK_CAP, and the last block ends

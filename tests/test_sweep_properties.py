@@ -5,7 +5,9 @@ points, and every fails_at witness must be (numerically) unobservable.
 The families include C1 = -c C0, whose output vanishes at lam* = 1/(1 + c),
 and families built to be unobservable at a random lam* off the grid.  On
 random k = 3, k' = 2 families, the points of G that scan_G reports must
-pass in_G, and in_G along the curve F ∩ S must find no other point of G.
+pass in_G, and in_G along the curve F ∩ S must find no other point of G;
+its verdict and margin must be those of a reference curve rule by
+numpy.polynomial, and its roots within 1e-9 of the reference's.
 On every family, the bisection from its first pass must reach the
 verdicts of the one from every grid point, and refute only where the value
 is below the floor.
@@ -15,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -26,8 +29,9 @@ from guas_cert import (  # noqa: E402
     scan_G,
     sweep_lambda,
 )
+from guas_cert.bad_locus import NODES  # noqa: E402
 from guas_cert.decomposition import BlockFamily  # noqa: E402
-from guas_cert.observability import sigma_C_bisection  # noqa: E402
+from guas_cert.observability import CERT_FACTOR, sigma_C_bisection  # noqa: E402
 
 from conftest import full_grid_bisection, skew  # noqa: E402
 
@@ -180,3 +184,41 @@ def test_scan_finds_every_tangency_point(seed):
     member = in_G(blocks, n / np.linalg.norm(n, axis=1, keepdims=True), ORACLE_TOL)[0]
     gap = np.abs(lams[member, None] - report.roots)
     assert np.all(np.min(gap, axis=1, initial=np.inf) <= 1e-2)
+
+
+def reference_curve_rule(blocks, tol=1e-9):
+    """The curve rule at k = 3, k' = 2 by per-column minors, np.linalg.norm
+    and Polynomial.fit: its verdict, the margin of the tangency residual g
+    along F ∩ S at NODES, and the real roots in [0, 1] of the first
+    component of n_sq g, with the same top trim."""
+    C = blocks.C(NODES[:, None, None])
+    n = np.stack([(-1.0) ** i * np.linalg.det(np.delete(C, i, axis=-1))
+                  for i in range(3)], axis=-1)
+    n_sq = np.sum(n * n, axis=-1)
+    x, lam = n / np.sqrt(n_sq)[:, None], NODES[:, None]
+    Ax = (1.0 - lam) * (x @ blocks.A0.T) + lam * (x @ blocks.A1.T)
+    c0, c1 = x @ blocks.C0.T, x @ blocks.C1.T
+    a0, a1 = Ax @ blocks.C0.T, Ax @ blocks.C1.T
+    norm = np.linalg.norm
+    scale = 1.0 + norm(a0, axis=-1) * norm(c1, axis=-1) + norm(c0, axis=-1) * norm(a1, axis=-1)
+    g = (a0[:, :1] * c1[:, 1:] - a0[:, 1:] * c1[:, :1]
+         + (c0[:, :1] * a1[:, 1:] - c0[:, 1:] * a1[:, :1]))  # the 2-vector wedges
+    margin = float(np.max(norm(g, axis=-1) / scale, initial=0.0))
+    if margin <= CERT_FACTOR * tol:
+        return "not_discrete", margin, np.empty(0)
+    fit = Polynomial.fit(NODES, n_sq * g[:, 0], 5)
+    r = fit.trim(1e-12 * np.abs(fit.coef).max()).roots()
+    r = r.real[(np.abs(r.imag) <= 1e-6) & (np.abs(r.real - 0.5) <= 0.5 + 1e-9)]
+    return "discrete", margin, np.clip(np.sort(r), 0.0, 1.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_curve_rule_matches_polynomial_reference(seed):
+    blocks = family("random", 3, 2, seed, 0.5)
+    report = scan_G(blocks, sweep_lambda(blocks))
+    if report.rule != "curve":  # a gate or the sigma_C bisection stopped it
+        return
+    verdict, margin, roots = reference_curve_rule(blocks)
+    assert (report.verdict, report.margin) == (verdict, margin)
+    assert report.roots.shape == roots.shape
+    np.testing.assert_allclose(report.roots, roots, rtol=0, atol=1e-9)
