@@ -16,13 +16,11 @@ from .decomposition import (
     KernelDecomposition,
     block_form,
     common_kernel,
-    verify_kernel_lemma,
 )
 from .matrix_core import (
     MatrixPair,
     NormalizedPair,
     check_weak_lyapunov,
-    convex_combination,
     is_hurwitz,
     normalize,
     strict_lyapunov_2x2,
@@ -39,7 +37,6 @@ from .simulator import (
     SwitchingSignal,
     Trajectory,
     bad_feedback_trajectory,
-    estimate_omega_limit,
     integrate,
     output_measure,
     worst_case_switching,
@@ -62,9 +59,7 @@ __all__ = [
     "block_form",
     "check_weak_lyapunov",
     "common_kernel",
-    "convex_combination",
     "empirical_evidence",
-    "estimate_omega_limit",
     "hurwitz_observability_crosscheck",
     "in_F",
     "in_G",
@@ -80,7 +75,6 @@ __all__ = [
     "strict_lyapunov_2x2",
     "sweep_lambda",
     "symmetric_part",
-    "verify_kernel_lemma",
     "wedge",
     "worst_case_switching",
 ]

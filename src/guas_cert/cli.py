@@ -21,7 +21,6 @@ from .decomposition import block_form, common_kernel
 from .errors import (
     BadSignalSpec,
     DimensionMismatch,
-    LambdaOutOfRange,
     NoCommonWeakLyapunov,
     NonFiniteInput,
     NotHurwitz,
@@ -34,9 +33,10 @@ from .matrix_core import MatrixPair, normalize, strict_lyapunov_2x2
 from .observability import hurwitz_observability_crosscheck
 from .simulator import (
     SwitchingSignal,
+    _window_step,
     bad_feedback_trajectory,
-    estimate_omega_limit,
     integrate,
+    plateau_rule,
     worst_case_switching,
 )
 
@@ -54,7 +54,7 @@ _EXIT_CODES = (
      EXIT_PRECONDITION, "precondition failed"),
     ((np.linalg.LinAlgError,), EXIT_INTERNAL, "internal error"),
     ((OSError, ValueError, DimensionMismatch, NonFiniteInput, BadSignalSpec,
-      UnknownExample, LambdaOutOfRange, NotInF, StepTooLarge),
+      UnknownExample, NotInF, StepTooLarge),
      EXIT_IO, "error"),
     ((Exception,), EXIT_INTERNAL, "internal error"),
 )
@@ -192,8 +192,10 @@ def cmd_simulate(args) -> int:
     traj.to_csv(args.out)
     print(f"final norm ratio: {traj.final_ratio():.6e}")
     if len(traj.times) > 4:
-        r, plateaued = estimate_omega_limit(traj, window=traj.T / 4.0)
-        print(f"limit radius estimate: {r:.6e} (plateaued: {plateaued})")
+        norms = traj.norms
+        window_start = norms[_window_step(len(norms) - 1, traj.dt, traj.T / 4.0)]
+        plateaued = plateau_rule(norms[0], window_start, norms[-1])
+        print(f"limit radius estimate: {norms[-1]:.6e} (plateaued: {plateaued})")
     print(f"trajectory written to {args.out}")
     return EXIT_GUAS
 

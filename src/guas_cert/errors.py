@@ -25,10 +25,6 @@ class NotHurwitz(GuasCertError):
     """A system matrix fails the Hurwitz precondition."""
 
 
-class LambdaOutOfRange(GuasCertError):
-    """Convex-combination parameter outside [0, 1]."""
-
-
 class StructureViolation(GuasCertError):
     """The block decomposition does not have the expected structure.
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    LambdaOutOfRange,
     NoCommonWeakLyapunov,
     NonFiniteInput,
     NotPositiveDefinite,
@@ -136,9 +135,6 @@ class NormalizedPair:
     def S1(self) -> np.ndarray:
         return symmetric_part(self.B1n)
 
-    def B(self, lam: float) -> np.ndarray:
-        return convex_combination(self, lam)
-
 
 def _lyapunov_forms(B: np.ndarray, P: np.ndarray):
     """The symmetrized forms M = B^T P + P B over a (..., d, d) stack of B
@@ -241,13 +237,6 @@ def is_hurwitz(B, tol: float = 1e-9) -> HurwitzResult:
     if B.ndim == 2:
         return HurwitzResult(bool(hurwitz), float(abscissa), bool(marginal))
     return HurwitzResult(hurwitz, abscissa, marginal)
-
-
-def convex_combination(pair: NormalizedPair, lam: float) -> np.ndarray:
-    """B_lam = (1 - lam) B0 + lam B1 for lam in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRange(f"lambda = {lam} outside [0, 1]")
-    return (1.0 - lam) * pair.B0n + lam * pair.B1n
 
 
 # ---------------------------------------------------------------------------

@@ -440,12 +440,12 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     No per-step data is kept beyond the current block, O(m L) numbers with
     L at most ``BLOCK_CAP``.  Returns the arrays (initial, window_start,
     final) of each run's norm at t = 0, at the first step of the last
-    quarter of [0, T] (the tail ``estimate_omega_limit`` reads with window
-    T / 4) and at T.  Each run's largest one-step norm increase is checked
-    against a bound from its own initial norm.  A norm is taken, by a
-    square root, only at a stretch's first and last state and at the
-    window start, unless some rise in a block is positive or not finite:
-    then every norm of that block is, and the increases are their
+    quarter of [0, T] (``_window_step`` with window T / 4) and at T, the
+    three norms ``plateau_rule`` reads.  Each run's largest one-step norm
+    increase is checked against a bound from its own initial norm.  A norm
+    is taken, by a square root, only at a stretch's first and last state
+    and at the window start, unless some rise in a block is positive or not
+    finite: then every norm of that block is, and the increases are their
     differences.  Heuristic evidence only, never a certificate.
     """
     n_steps = _n_steps(T, dt)
@@ -527,22 +527,6 @@ def bad_feedback_trajectory(
                         np.array(outputs + outputs[-1:]) if outputs else None,
                         np.array(lam_used) if lam_used else None)
     return BadFeedbackRun(traj, exit_time, status)
-
-
-def estimate_omega_limit(
-    traj: Trajectory, window: float, tol_plateau: float = 1e-3
-) -> tuple[float, bool]:
-    """Estimate the limit-sphere radius from the tail of a run.
-
-    Returns (r, plateaued): r is the final norm, plateaued means the norm
-    decreased by less than tol_plateau * r over the last window (or already
-    collapsed to zero).
-    """
-    if not 0.0 < 2.0 * window <= traj.T:
-        raise ValueError("window must be positive; trajectory must last two windows")
-    r = float(traj.norms[-1])
-    window_start = traj.norms[_window_step(len(traj.times) - 1, traj.dt, window)]
-    return r, bool(plateau_rule(traj.norms[0], window_start, r, tol_plateau))
 
 
 def plateau_rule(initial, window_start, final, tol_plateau: float = 1e-3):

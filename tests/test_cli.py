@@ -169,6 +169,31 @@ class TestSimulateCommand:
         assert len(lines) == 202
         assert "final norm ratio" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("problem, argv, lines", [
+        pytest.param(torus, ["worst", "--x0", "1,0,0,0,0", "--T", "20", "--dt", "5e-3"],
+                     ["final norm ratio: 4.190721e-01",
+                      "limit radius estimate: 4.190721e-01 (plateaued: False)"],
+                     id="torus-worst"),
+        pytest.param(mason, ["binary:1=0", "--x0", "0,1", "--T", "1", "--dt", "0.01"],
+                     ["final norm ratio: 2.365361e-01",
+                      "limit radius estimate: 5.710487e-01 (plateaued: False)"],
+                     id="mason-binary"),
+        pytest.param(torus, ["badlocus", "--x0", "1,0,0,0", "--T", "5", "--dt", "1e-2"],
+                     ["exited F at t = 1.58",
+                      "final norm ratio: 1.000000e+00",
+                      "limit radius estimate: 1.000000e+00 (plateaued: True)"],
+                     id="torus-badlocus"),
+    ])
+    def test_stdout(self, problem, argv, lines, tmp_path, capsys):
+        """The printed lines, the limit radius with its plateau flag included."""
+        path, out = tmp_path / "problem.json", tmp_path / "run.csv"
+        save_problem(problem(), str(path))
+        code = main(["simulate", str(path), "--signal", *argv, "--out", str(out)])
+        assert code == EXIT_GUAS
+        assert capsys.readouterr().out.splitlines() == [
+            *lines, f"trajectory written to {out}"
+        ]
+
     def test_worst_signal(self, mason_file, tmp_path):
         out = tmp_path / "worst.csv"
         code = main([

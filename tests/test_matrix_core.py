@@ -8,7 +8,6 @@ from guas_cert import (
     MatrixPair,
     analyze,
     check_weak_lyapunov,
-    convex_combination,
     is_hurwitz,
     normalize,
     strict_lyapunov_2x2,
@@ -16,7 +15,6 @@ from guas_cert import (
 )
 from guas_cert.errors import (
     DimensionMismatch,
-    LambdaOutOfRange,
     NoCommonWeakLyapunov,
     NonFiniteInput,
     NotHurwitz,
@@ -253,22 +251,6 @@ class TestIsHurwitz:
         abscissa = is_hurwitz(B1).abscissa
         assert abscissa > 0.0
         assert str(err.value) == f"B1 is not Hurwitz (unstable, abscissa {abscissa:.3e})"
-
-
-class TestConvexCombination:
-    def test_endpoints(self):
-        npair = normalize(mason())
-        np.testing.assert_array_equal(convex_combination(npair, 0.0), npair.B0n)
-        np.testing.assert_array_equal(convex_combination(npair, 1.0), npair.B1n)
-
-    def test_scalar_average(self):
-        npair = normalize(MatrixPair(-np.eye(2), -3.0 * np.eye(2)))
-        np.testing.assert_allclose(convex_combination(npair, 0.5), -2.0 * np.eye(2))
-
-    def test_out_of_range(self):
-        npair = normalize(mason())
-        with pytest.raises(LambdaOutOfRange):
-            convex_combination(npair, 1.5)
 
 
 class TestStrictLyapunov2x2:

@@ -13,7 +13,6 @@ from guas_cert import (
     block_form,
     common_kernel,
     empirical_evidence,
-    estimate_omega_limit,
     integrate,
     normalize,
     output_measure,
@@ -21,7 +20,7 @@ from guas_cert import (
 )
 from guas_cert.errors import BadSignalSpec, NoOutputs, StepTooLarge
 from guas_cert.gallery import assemble, kdeux, mason, torus
-from guas_cert.simulator import worst_case_runs
+from guas_cert.simulator import _window_step, plateau_rule, worst_case_runs
 
 from conftest import greedy_reference, stable_block
 
@@ -342,7 +341,9 @@ class TestWorstCaseRuns:
         ratios, plateaued, non_decaying, switches = [], [], 0, 0
         for x0 in starts:
             traj = greedy_reference(npair, x0, self.T, self.DT)
-            r, p = estimate_omega_limit(traj, window=self.T / 4.0)
+            norms = traj.norms
+            tail = norms[_window_step(len(norms) - 1, traj.dt, self.T / 4.0)]
+            r, p = norms[-1], bool(plateau_rule(norms[0], tail, norms[-1]))
             ratios.append(traj.final_ratio())
             plateaued.append(p)
             non_decaying += p and r > 1e-6 * traj.norms[0]
@@ -600,14 +601,18 @@ class TestOmegaLimitAndMeasure:
         blocks = kdeux_reduced
         traj = integrate(blocks, SwitchingSignal.relaxed([(50.0, 0.5)]),
                          [1.0, 0.0], T=50.0, dt=1e-2)
-        r, plateaued = estimate_omega_limit(traj, window=10.0)
+        norms = traj.norms
+        tail = norms[_window_step(len(norms) - 1, traj.dt, 10.0)]
+        r, plateaued = norms[-1], plateau_rule(norms[0], tail, norms[-1])
         assert plateaued
         assert r == pytest.approx(1.0, abs=1e-6)
 
     def test_decay_not_a_plateau(self, mason_pair):
         traj = integrate(mason_pair, SwitchingSignal.binary([(20.0, 0)]),
                          [1.0, 0.0], T=20.0, dt=1e-2)
-        r, plateaued = estimate_omega_limit(traj, window=5.0)
+        norms = traj.norms
+        tail = norms[_window_step(len(norms) - 1, traj.dt, 5.0)]
+        r, plateaued = norms[-1], plateau_rule(norms[0], tail, norms[-1])
         assert not plateaued or r < 1e-6
 
     def test_output_measure_positive_when_visible(self, kdeux_reduced):
