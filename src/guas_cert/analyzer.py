@@ -17,7 +17,7 @@ would suffice) is never used as a decision rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -182,14 +182,16 @@ def empirical_evidence(
 def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None) -> Verdict:
     """Run the full decision pipeline on a matrix pair.
 
-    Raises NonFiniteInput on a NaN or infinite entry, and NotHurwitz /
-    NoCommonWeakLyapunov (from normalize) when the standing hypotheses
-    fail, and ValueError, before any stage runs, on options out of range:
-    a tol that is not finite and positive; an n_grid, evidence_runs or seed
-    that is not an integer in [2, MAX_GRID], >= 1 or >= 0; or an
-    evidence_T and evidence_dt that the simulator's horizon rule rejects
-    (not finite and positive, a step longer than the horizon, or a step
-    count T / dt that overflows).  Otherwise always returns a Verdict.
+    A P given here replaces pair.P, which validates it, after the Hurwitz
+    check and before normalization.  Raises NonFiniteInput on a NaN or
+    infinite entry, and NotHurwitz / NoCommonWeakLyapunov (from normalize)
+    when the standing hypotheses fail, and ValueError, before any stage
+    runs, on options out of range: a tol that is not finite and positive;
+    an n_grid, evidence_runs or seed that is not an integer in
+    [2, MAX_GRID], >= 1 or >= 0; or an evidence_T and evidence_dt that the
+    simulator's horizon rule rejects (not finite and positive, a step
+    longer than the horizon, or a step count T / dt that overflows).
+    Otherwise always returns a Verdict.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
@@ -213,7 +215,9 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                 f"{name} is not Hurwitz ({kind}, abscissa {abscissa:.3e})"
             )
 
-    npair = normalize(pair, P)
+    if P is not None:
+        pair = replace(pair, P=P)  # validates P
+    npair = normalize(pair)
     decomp = common_kernel(npair, tol)
     lambda_evals = 0  # lambdas at which the sweep, injectivity and scan evaluated
 
@@ -283,14 +287,12 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     if sweep.verdict == "observable_for_all_lambda":
         # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz
         # with constant ||C1 - C0||_2; a value below the threshold rules it
-        # out.  The margin is the proved bound when certified, else the
-        # smallest value computed, as for observability_margin
+        # out
         if blocks.k_prime >= blocks.k:
             run = sigma_C_bisection(blocks, blocks.k, sweep)
             lambda_evals += run.n_evals
-            certified = run.verdict == "certified"
-            margins["C_injectivity_margin"] = run.bound if certified else run.value
-            if certified:
+            margins["C_injectivity_margin"] = run.margin
+            if run.verdict == "certified":
                 return finish(Verdict(
                     "GUAS_C_injective",
                     "ker C_lambda = {0} for all lambda: no output can vanish",

@@ -9,7 +9,8 @@ R^d = K ⊕ K⊥ every convex combination B_lam takes the block form
 
 with A_lam skew-symmetric and D_lam^T + D_lam negative definite for
 lam in (0, 1).  The blocks (A, C) define the reduced bilinear system whose
-uniform observability is equivalent to GUAS of the switched pair.
+uniform observability is equivalent to GUAS of the switched pair, and a
+``BlockFamily`` holds exactly them; D_lam is checked and then dropped.
 
 Each decision here is one batched LAPACK call: one SVD of [S0; S1] for the
 kernel, one ``eigvalsh`` over D_lam^T + D_lam at lam = 0, 1/2, 1 for the
@@ -86,12 +87,15 @@ def numerical_rank(M: np.ndarray, tol: float = 1e-9) -> NumericalRank:
 class KernelDecomposition:
     """Orthonormal frame R^d = K ⊕ K⊥ adapted to the common kernel."""
 
-    K_basis: np.ndarray       # d x k, orthonormal columns spanning K
-    k: int
-    k_prime: int
-    frame: np.ndarray         # [K_basis | basis of K⊥], orthogonal
+    frame: np.ndarray         # [basis of K | basis of K⊥], orthogonal
+    k: int                    # dim K
     rank_margin: float        # kept/discarded singular value ratio
     threshold: float          # absolute singular value cutoff used
+
+    @property
+    def K_basis(self) -> np.ndarray:
+        """d x k, orthonormal columns spanning K."""
+        return self.frame[:, : self.k]
 
     @property
     def certifiable_rank(self) -> bool:
@@ -104,12 +108,9 @@ def common_kernel(pair: NormalizedPair, tol: float = 1e-9) -> KernelDecompositio
     k = 0 and k = d are both valid outcomes.
     """
     rank = numerical_rank(np.vstack([pair.S0, pair.S1]), tol)
-    K, Kperp = rank.basis, rank.complement
     return KernelDecomposition(
-        K_basis=K,
-        k=K.shape[1],
-        k_prime=Kperp.shape[1],
-        frame=np.hstack([K, Kperp]),
+        frame=np.hstack([rank.basis, rank.complement]),
+        k=rank.basis.shape[1],
         rank_margin=rank.margin,
         threshold=rank.threshold,
     )
@@ -129,29 +130,32 @@ class SpectralNorms(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockFamily:
-    """The lambda-parametrized blocks (A_lam, C_lam, D_lam) in the K-frame.
+    """The reduced bilinear system (A_lam, C_lam) on K, in K's coordinates.
 
-    A(lam), C(lam), D(lam) are affine in lam; A0 and A1 are skew-symmetric.
+    A(lam) and C(lam) are affine in lam; A0 and A1 are k x k skew-symmetric,
+    C0 and C1 are k' x k.  The sizes are read from the blocks.
     """
 
     A0: np.ndarray
     A1: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
-    D0: np.ndarray
-    D1: np.ndarray
-    k: int
-    k_prime: int
-    frame: np.ndarray
+
+    @property
+    def k(self) -> int:
+        """dim K."""
+        return self.A0.shape[0]
+
+    @property
+    def k_prime(self) -> int:
+        """dim K⊥, the number of outputs."""
+        return self.C0.shape[0]
 
     def A(self, lam: float) -> np.ndarray:
         return (1.0 - lam) * self.A0 + lam * self.A1
 
     def C(self, lam: float) -> np.ndarray:
         return (1.0 - lam) * self.C0 + lam * self.C1
-
-    def D(self, lam: float) -> np.ndarray:
-        return (1.0 - lam) * self.D0 + lam * self.D1
 
     @cached_property
     def norms(self) -> SpectralNorms:
@@ -168,20 +172,14 @@ class BlockFamily:
         ]
         return SpectralNorms(*np.concatenate(norms).tolist())
 
-    def framed(self, lam: float) -> np.ndarray:
-        """Reassemble the framed B_lam from the blocks."""
-        C = self.C(lam)
-        top = np.hstack([self.A(lam), -C.T])
-        bottom = np.hstack([C, self.D(lam)])
-        return np.vstack([top, bottom])
-
 
 def block_form(
     pair: NormalizedPair,
     decomp: KernelDecomposition,
     tol: float = 1e-9,
 ) -> BlockFamily:
-    """Read the blocks off frame^T B_i frame and validate their structure.
+    """Read the blocks A_i, C_i off frame^T B_i frame and validate the
+    structure of all three blocks.
 
     Raises StructureViolation when the skew-symmetry of A, the -C^T
     top-right identity, or the negativity of D_lam^T + D_lam fails by more
@@ -234,8 +232,5 @@ def block_form(
             f"(max eigenvalue {w_max[2]:.3e}); kernel rank may be ambiguous"
         )
     return BlockFamily(
-        A0=blocks[0][0], A1=blocks[1][0],
-        C0=blocks[0][1], C1=blocks[1][1],
-        D0=D0, D1=D1,
-        k=k, k_prime=decomp.k_prime, frame=F,
+        A0=blocks[0][0], A1=blocks[1][0], C0=blocks[0][1], C1=blocks[1][1]
     )

@@ -22,11 +22,11 @@ def assemble(A, C, D) -> np.ndarray:
     return np.block([[A, -C.T], [C, D]])
 
 
-def hurwitz_demo(d_value: float = -1.0) -> np.ndarray:
+def hurwitz_demo() -> np.ndarray:
     """Single 3x3 matrix with a rotation on its kernel: Hurwitz by observability."""
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     C = np.array([[1.0, 0.0]])
-    return assemble(A, C, [[d_value]])
+    return assemble(A, C, [[-1.0]])
 
 
 def shared_output() -> MatrixPair:

@@ -9,16 +9,16 @@ B_i^T + B_i <= 0, which is the form every downstream module assumes.
 
 Each check runs one batched decomposition over both matrices of the pair:
 one ``eigvals`` for Hurwitzness, one ``eigvalsh`` for the two Lyapunov
-forms, which ``_lyapunov_forms`` alone builds.  P is validated in one place,
-when a ``MatrixPair`` is built: the ``eigh`` that checks it is kept with the
-pair and gives the square roots ``normalize`` takes.  A P passed to
-``normalize`` or ``check_weak_lyapunov`` rebuilds the pair with it.  P = I,
-the default, is neither validated nor decomposed.
+forms, which ``_lyapunov_forms`` alone builds.  P enters only on the pair
+and is validated in one place, when a ``MatrixPair`` is built: the ``eigh``
+that checks it is kept with the pair and gives the square roots
+``normalize`` takes.  P = I, the default, is neither validated nor
+decomposed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -145,18 +145,15 @@ def _lyapunov_forms(B: np.ndarray, P: np.ndarray):
     return M, np.max(np.linalg.eigvalsh(M), axis=-1, initial=-np.inf)
 
 
-def check_weak_lyapunov(pair: MatrixPair, P=None):
+def check_weak_lyapunov(pair: MatrixPair):
     """Check that B_i^T P + P B_i is negative semidefinite for i = 0, 1.
 
-    P defaults to pair.P, or to the identity when that is None; a P given
-    here rebuilds the pair with it, which validates it.  Each form is held
-    to ``default_semidef_tol`` of itself, and a form that fails gets an
+    P is pair.P, or the identity when that is None.  Each form is held to
+    ``default_semidef_tol`` of itself, and a form that fails gets an
     ``eigh`` of its own for the witness.  Returns a pair of SemidefVerdict.
     When a check fails, the verdict carries the eigenvector realizing the
     positive eigenvalue as witness.
     """
-    if P is not None:
-        pair = replace(pair, P=P)
     P = np.eye(pair.d) if pair.P is None else pair.P
     M, w_max = _lyapunov_forms(np.stack([pair.B0, pair.B1]), P)
     verdicts = []
@@ -175,18 +172,15 @@ def require_finite(pair: MatrixPair) -> None:
             raise NonFiniteInput(f"{name} has a non-finite entry")
 
 
-def normalize(pair: MatrixPair, P=None) -> NormalizedPair:
+def normalize(pair: MatrixPair) -> NormalizedPair:
     """Reduce the pair to identity Lyapunov matrix: B -> P^{1/2} B P^{-1/2}.
 
     The transform is a similarity, so spectra are preserved, and
-    B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.  A P given here
-    rebuilds the pair with it; P then defaults to pair.P, and both square
-    roots come from the eigendecomposition the pair kept.  When both are
-    None, P = I: the pair is checked and copied, with no decomposition.
+    B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.  P is pair.P, and both
+    square roots come from the eigendecomposition the pair kept.  When it
+    is None, P = I: the pair is checked and copied, with no decomposition.
     """
     require_finite(pair)
-    if P is not None:
-        pair = replace(pair, P=P)
     v0, v1 = check_weak_lyapunov(pair)
     if not (v0.holds and v1.holds):
         bad = [i for i, v in enumerate((v0, v1)) if not v.holds]

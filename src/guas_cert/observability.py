@@ -83,6 +83,11 @@ class Bisection:
     lambda_star: float  # where the smallest computed value was found
     n_evals: int  # lambdas at which sigma was evaluated
 
+    @property
+    def margin(self) -> float:
+        """The proved bound if certified, else the smallest computed value."""
+        return self.bound if self.verdict == "certified" else self.value
+
 
 def _secant_probe(lams: np.ndarray, vals: np.ndarray, m: float, v: float):
     """The zero of the steeper of the two secants through (m, v) and its
@@ -262,12 +267,10 @@ def sweep_lambda(
     )
 
     if run.verdict != "refuted":
-        certified = run.verdict == "certified"
         return ObservabilityReport(
             grid, run.n_evals + len(ends),
-            "observable_for_all_lambda" if certified else "inconclusive",
-            run.bound if certified else run.value,
-            cert_threshold=cert_threshold, tol=tol_eff,
+            "observable_for_all_lambda" if run.verdict == "certified" else "inconclusive",
+            run.margin, cert_threshold=cert_threshold, tol=tol_eff,
         )
     lam = run.lambda_star
     rank = numerical_rank(kalman_matrix(blocks.C(lam), blocks.A(lam)), tol)

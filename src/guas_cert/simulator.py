@@ -529,12 +529,12 @@ def bad_feedback_trajectory(
     return BadFeedbackRun(traj, exit_time, status)
 
 
-def plateau_rule(initial, window_start, final, tol_plateau: float = 1e-3):
+def plateau_rule(initial, window_start, final):
     """The plateau test, elementwise over runs: the norm fell by at most
-    tol_plateau * final over the last window, or collapsed to zero."""
+    1e-3 * final over the last window, or collapsed to zero."""
     decrease = window_start - final
     collapsed = final <= 1e-12 * (1.0 + initial)
-    return collapsed | (decrease <= tol_plateau * np.maximum(final, 1e-300))
+    return collapsed | (decrease <= 1e-3 * np.maximum(final, 1e-300))
 
 
 def output_measure(traj: Trajectory, tol: float = 1e-9) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from guas_cert import MatrixPair, normalize, observability, simulator
+from guas_cert import BlockFamily, MatrixPair, normalize, observability, simulator
 from guas_cert.gallery import assemble, kdeux, mason, shared_output, torus
 
 try:
@@ -45,6 +45,17 @@ def block_pair(rng, k, k_prime, shared_C=False):
     C1 = C0 if shared_C else rng.standard_normal((k_prime, k))
     D0, D1 = stable_block(rng, k_prime), stable_block(rng, k_prime)
     return MatrixPair(assemble(A0, C0, D0), assemble(A1, C1, D1))
+
+
+def kdeux_blocks(a, b):
+    """The reduced system of ``kdeux(a, b)`` in its canonical block layout,
+    bypassing the SVD frame (which is free to permute or flip K's basis)."""
+    return BlockFamily(
+        A0=np.array([[0.0, a], [-a, 0.0]]),
+        A1=np.array([[0.0, b], [-b, 0.0]]),
+        C0=np.array([[1.0, 0.0]]),
+        C1=np.array([[0.0, 1.0]]),
+    )
 
 
 def corpus_pairs():

@@ -15,11 +15,9 @@ import pytest
 
 from guas_cert import (
     AnalyzerOptions,
-    MatrixPair,
     SwitchingSignal,
     analyze,
     bad_feedback_trajectory,
-    block_form,
     check_weak_lyapunov,
     common_kernel,
     in_F,
@@ -38,7 +36,7 @@ from guas_cert.matrix_core import is_hurwitz
 from guas_cert.observability import hurwitz_observability_crosscheck
 from guas_cert.simulator import worst_case_runs
 
-from conftest import corpus_pairs, skew, stable_block
+from conftest import corpus_pairs, kdeux_blocks, skew, stable_block
 
 S2 = np.sqrt(2.0)
 
@@ -59,17 +57,6 @@ def criterion(capsys, num, label):
     with capsys.disabled():
         print(f"[ACCEPTANCE {num}] {label}: PASS "
               f"({time.monotonic() - start:.2f}s)")
-
-
-def kdeux_blocks(a, b):
-    """The two-rotation family in its canonical block layout."""
-    return BlockFamily(
-        A0=np.array([[0.0, a], [-a, 0.0]]),
-        A1=np.array([[0.0, b], [-b, 0.0]]),
-        C0=np.array([[1.0, 0.0]]),
-        C1=np.array([[0.0, 1.0]]),
-        D0=-np.eye(1), D1=-np.eye(1), k=2, k_prime=1, frame=np.eye(3),
-    )
 
 
 def test_criterion_1_mason(capsys):
@@ -178,11 +165,7 @@ def test_criterion_5_bad_locus(capsys):
         C1 = rng.standard_normal((2, 4))
         M = np.vstack([C0, C1])
         assert np.linalg.cond(M) < 1e3
-        big = BlockFamily(
-            A0=skew(rng, 4), A1=skew(rng, 4), C0=C0, C1=C1,
-            D0=-np.eye(2), D1=-2.0 * np.eye(2), k=4, k_prime=2,
-            frame=np.eye(6),
-        )
+        big = BlockFamily(A0=skew(rng, 4), A1=skew(rng, 4), C0=C0, C1=C1)
 
         instances = [kdeux_blocks(1.0, 1.0), kdeux_blocks(2.0, -3.0), big]
         for blocks in instances:

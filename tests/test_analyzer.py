@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestBranches:
         assert v.conclusion == "NOT_GUAS_constant_input"
         lam = v.certificate["lambda_star"]
         assert lam == pytest.approx(1.0 / (1.0 - b), abs=1e-8)
-        npair = normalize(kdeux(1.0, b), np.eye(3))
+        npair = normalize(replace(kdeux(1.0, b), P=np.eye(3)))
         blocks = block_form(npair, common_kernel(npair))
         O = kalman_matrix(blocks.C(lam), blocks.A(lam))
         x = np.asarray(v.certificate["witness"], float)
@@ -96,7 +97,7 @@ class TestBranches:
     def test_grid_counts_lambda_evals(self):
         """The sweep's and the injectivity bisection's lambdas, fewer than
         the grid has; none for a trivial kernel."""
-        npair = normalize(shared_output(), np.eye(4))
+        npair = normalize(replace(shared_output(), P=np.eye(4)))
         blocks = block_form(npair, common_kernel(npair))
         sweep = sweep_lambda(blocks)
         run = sigma_C_bisection(blocks, blocks.k, sweep)
@@ -313,7 +314,7 @@ class TestRefutationIsConsistent:
         """Run the reduced system at the refuting lambda from the refuting
         state: the output must stay silent and the norm constant."""
         v = analyze(kdeux(1.0, -1.0), np.eye(3), options=FAST)
-        npair = normalize(kdeux(1.0, -1.0), np.eye(3))
+        npair = normalize(replace(kdeux(1.0, -1.0), P=np.eye(3)))
         decomp = common_kernel(npair)
         blocks = block_form(npair, decomp)
         lam = v.certificate["lambda_star"]
@@ -327,7 +328,7 @@ class TestRefutationIsConsistent:
         """Lift the witness to the full space and drive the original switched
         pair at the constant relaxed input: the norm must stay constant."""
         v = analyze(kdeux(1.0, -1.0), np.eye(3), options=FAST)
-        npair = normalize(kdeux(1.0, -1.0), np.eye(3))
+        npair = normalize(replace(kdeux(1.0, -1.0), P=np.eye(3)))
         decomp = common_kernel(npair)
         x0_full = decomp.K_basis @ np.asarray(v.certificate["witness"], float)
         lam = v.certificate["lambda_star"]

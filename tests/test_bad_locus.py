@@ -20,24 +20,13 @@ from guas_cert.decomposition import BlockFamily
 from guas_cert.errors import InNullSpace, NotInF
 from guas_cert.gallery import kdeux, torus
 
-from conftest import skew
-
-
-def kdeux_blocks(a, b):
-    return BlockFamily(
-        A0=np.array([[0.0, a], [-a, 0.0]]),
-        A1=np.array([[0.0, b], [-b, 0.0]]),
-        C0=np.array([[1.0, 0.0]]),
-        C1=np.array([[0.0, 1.0]]),
-        D0=-np.eye(1), D1=-np.eye(1), k=2, k_prime=1, frame=np.eye(3),
-    )
+from conftest import kdeux_blocks, skew
 
 
 def k1_blocks(c0, c1):
     return BlockFamily(
         A0=np.zeros((1, 1)), A1=np.zeros((1, 1)),
         C0=np.array([[c0]]), C1=np.array([[c1]]),
-        D0=-np.eye(1), D1=-np.eye(1), k=1, k_prime=1, frame=np.eye(2),
     )
 
 
@@ -46,9 +35,7 @@ def no_output_blocks(k):
     and N = ker C0 ∩ ker C1 is all of K."""
     rng = np.random.default_rng(k)
     return BlockFamily(A0=skew(rng, k), A1=skew(rng, k),
-                       C0=np.zeros((0, k)), C1=np.zeros((0, k)),
-                       D0=np.zeros((0, 0)), D1=np.zeros((0, 0)),
-                       k=k, k_prime=0, frame=np.eye(k))
+                       C0=np.zeros((0, k)), C1=np.zeros((0, k)))
 
 
 def shared_C_blocks():
@@ -57,8 +44,7 @@ def shared_C_blocks():
     return BlockFamily(
         A0=skew(np.random.default_rng(1), 3),
         A1=skew(np.random.default_rng(2), 3),
-        C0=C, C1=C, D0=-np.eye(2), D1=-2.0 * np.eye(2),
-        k=3, k_prime=2, frame=np.eye(5),
+        C0=C, C1=C,
     )
 
 
@@ -176,7 +162,6 @@ class TestInG:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         blocks = BlockFamily(
             A0=A, A1=A, C0=np.eye(2), C1=-np.diag([1.0, 2.0]),
-            D0=-np.eye(2), D1=-np.eye(2), k=2, k_prime=2, frame=np.eye(4),
         )
         e1 = np.array([1.0, 0.0])
         assert in_F(blocks, e1)
@@ -276,15 +261,7 @@ def frozen_k3_blocks():
         [0.15675108662422516, -0.18693094462995438, -2.516759710820513],
         [-0.5386928958466366, -0.04850094540107198, 0.11330898600330756],
     ])
-    return BlockFamily(A0=A, A1=A, C0=C0, C1=C1,
-                       D0=-np.eye(2), D1=-2.0 * np.eye(2),
-                       k=3, k_prime=2, frame=np.eye(5))
-
-
-def k3_blocks(A0, A1, C0, C1):
-    kp = C0.shape[0]
-    return BlockFamily(A0=A0, A1=A1, C0=C0, C1=C1, D0=-np.eye(kp),
-                       D1=-np.eye(kp), k=3, k_prime=kp, frame=np.eye(3 + kp))
+    return BlockFamily(A0=A, A1=A, C0=C0, C1=C1)
 
 
 def scan(blocks):
@@ -295,7 +272,7 @@ def no_drift():
     """A0 = A1 = 0: the tangency residual vanishes on the whole curve."""
     rng = np.random.default_rng(3)
     Z = np.zeros((3, 3))
-    return k3_blocks(Z, Z, rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
+    return BlockFamily(Z, Z, rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
 
 
 def rank_drop():
@@ -304,13 +281,13 @@ def rank_drop():
     rng = np.random.default_rng(5)
     C0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     C1 = np.array([[0.0, 0.0, 1.0], [0.0, -0.7391, 0.0]])
-    return k3_blocks(skew(rng, 3), skew(rng, 3), C0, C1)
+    return BlockFamily(skew(rng, 3), skew(rng, 3), C0, C1)
 
 
 def nontrivial_N():
     """k' = 1: e3 lies in ker C0 ∩ ker C1."""
     rng = np.random.default_rng(7)
-    return k3_blocks(skew(rng, 3), skew(rng, 3),
+    return BlockFamily(skew(rng, 3), skew(rng, 3),
                      np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
 
 
@@ -318,7 +295,7 @@ def off_grid_k3():
     """k' = k = 3: C_lam is singular only at lam = 1/1.7391."""
     w = (0.3, -1.1, 0.8)
     A = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-    return k3_blocks(A, A, np.eye(3), np.diag([-0.7391, 1.0, 1.0]))
+    return BlockFamily(A, A, np.eye(3), np.diag([-0.7391, 1.0, 1.0]))
 
 
 class TestScanG:
@@ -331,7 +308,6 @@ class TestScanG:
         blocks = BlockFamily(
             A0=np.zeros((2, 2)), A1=np.array([[0.0, 1.0], [-1.0, 0.0]]),
             C0=np.eye(2), C1=np.eye(2) * 2.0,  # positively proportional outputs
-            D0=-np.eye(2), D1=-np.eye(2), k=2, k_prime=2, frame=np.eye(4),
         )
         report = scan(blocks)
         assert report.verdict == "discrete"
@@ -456,7 +432,6 @@ class TestKPetit:
         blocks = BlockFamily(
             A0=np.zeros((0, 0)), A1=np.zeros((0, 0)),
             C0=np.zeros((1, 0)), C1=np.zeros((1, 0)),
-            D0=-np.eye(1), D1=-np.eye(1), k=0, k_prime=1, frame=np.eye(1),
         )
         assert kpetit_classify(blocks) == "trivial"
 
@@ -467,7 +442,6 @@ class TestKPetit:
         blocks = BlockFamily(
             A0=skew(rng, 3), A1=skew(rng, 3),
             C0=rng.standard_normal((2, 3)), C1=rng.standard_normal((2, 3)),
-            D0=-np.eye(2), D1=-np.eye(2), k=3, k_prime=2, frame=np.eye(5),
         )
         with pytest.raises(DimensionTooLarge):
             kpetit_classify(blocks)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestCommonKernel:
     def test_mason_kernel_trivial(self):
         decomp = common_kernel(normalize(mason()))
         assert decomp.k == 0
-        assert decomp.k_prime == 2
+        assert decomp.frame[:, decomp.k:].shape[1] == 2
         assert decomp.certifiable_rank
 
     def test_one_svd_per_call(self, monkeypatch):
@@ -99,7 +101,7 @@ class TestCommonKernel:
     def test_kdeux_kernel_dimension(self):
         decomp = common_kernel(normalize(kdeux(1.0, 1.0)))
         assert decomp.k == 2
-        assert decomp.k_prime == 1
+        assert decomp.frame[:, decomp.k:].shape[1] == 1
 
     def test_kernel_contained_in_both_endpoint_kernels(self, normalized_corpus):
         for name, npair in normalized_corpus.items():
@@ -119,14 +121,17 @@ class TestCommonKernel:
     def test_dimensions_add_up(self, normalized_corpus):
         for npair in normalized_corpus.values():
             decomp = common_kernel(npair)
-            assert decomp.k + decomp.k_prime == npair.B0n.shape[0]
+            d = npair.B0n.shape[0]
+            assert decomp.frame.shape == (d, d)
+            np.testing.assert_array_equal(decomp.K_basis, decomp.frame[:, :decomp.k])
 
     def test_block_constructed_pair_recovers_k(self):
         rng = np.random.default_rng(9)
         for k, kp in [(1, 1), (2, 2), (3, 1), (2, 3)]:
             pair = block_pair(rng, k, kp)
-            decomp = common_kernel(normalize(pair, np.eye(k + kp)))
-            assert decomp.k == k and decomp.k_prime == kp
+            npair = normalize(replace(pair, P=np.eye(k + kp)))
+            decomp = common_kernel(npair)
+            assert decomp.k == k and block_form(npair, decomp).k_prime == kp
 
 
 class TestBlockForm:
@@ -143,18 +148,20 @@ class TestBlockForm:
         assert np.linalg.matrix_rank(np.vstack([blocks.C0, blocks.C1])) == 2
 
     def test_framed_reconstruction(self, normalized_corpus):
-        """F^T B(lam) F must reproduce the assembled block family."""
+        """The A, -C^T and C blocks of F^T B(lam) F are the block family's."""
         for name, npair in normalized_corpus.items():
             decomp = common_kernel(npair)
             if decomp.k == 0:
                 continue
+            k = decomp.k
             blocks = block_form(npair, decomp)
             for lam in (0.0, 0.3, 1.0):
                 B = (1.0 - lam) * npair.B0n + lam * npair.B1n
                 direct = decomp.frame.T @ B @ decomp.frame
-                np.testing.assert_allclose(
-                    direct, blocks.framed(lam), atol=1e-10, err_msg=name
-                )
+                A, C = blocks.A(lam), blocks.C(lam)
+                for block, expected in ((direct[:k, :k], A), (direct[:k, k:], -C.T),
+                                        (direct[k:, :k], C)):
+                    np.testing.assert_allclose(block, expected, atol=1e-10, err_msg=name)
 
     def test_affine_in_lambda(self, normalized_corpus):
         for npair in normalized_corpus.values():
@@ -173,11 +180,12 @@ class TestBlockForm:
     def test_D_strictly_dissipative_in_interior(self, normalized_corpus):
         for name, npair in normalized_corpus.items():
             decomp = common_kernel(npair)
-            if decomp.k_prime == 0:
+            k = decomp.k
+            if k == npair.d:
                 continue
-            blocks = block_form(npair, decomp)
             for lam in (0.25, 0.5, 0.75):
-                D = blocks.D(lam)
+                B = (1.0 - lam) * npair.B0n + lam * npair.B1n
+                D = (decomp.frame.T @ B @ decomp.frame)[k:, k:]
                 assert np.linalg.eigvalsh(D + D.T)[-1] < 0, name
 
     def test_structure_violation_detected(self):
@@ -216,7 +224,7 @@ def _endpoint_D_max(decomp, B):
 
 
 class TestBlockFormCheckOrder:
-    """One eigvalsh covers all five D samples, yet with two violations the
+    """One eigvalsh covers all three D samples, yet with two violations the
     first one in the order A, top-right, D at B0, then at B1, then inside
     (0, 1), is the one raised."""
 
@@ -320,7 +328,7 @@ class TestKernelLemma:
             np.array([[0.0, 1.0]]),
             np.array([[-1.0]]),
         )
-        npair = normalize(MatrixPair(B0, B1), np.eye(3))
+        npair = normalize(MatrixPair(B0, B1, np.eye(3)))
         assert numerical_rank(npair.S0).basis.shape[1] == 3
         assert numerical_rank(npair.S1).basis.shape[1] == 2
         assert common_kernel(npair).k == 2

@@ -63,34 +63,35 @@ class TestCheckWeakLyapunov:
         )
 
     def test_strict_negative_case(self):
-        pair = MatrixPair(-np.eye(2), -np.eye(2))
-        v0, v1 = check_weak_lyapunov(pair, np.eye(2))
+        pair = MatrixPair(-np.eye(2), -np.eye(2), np.eye(2))
+        v0, v1 = check_weak_lyapunov(pair)
         assert v0.holds and v1.holds
         assert v0.max_eigenvalue == pytest.approx(-2.0)
 
     def test_positive_scalar_fails_with_witness(self):
-        pair = MatrixPair([[1.0]], [[-1.0]])
-        v0, _ = check_weak_lyapunov(pair, [[1.0]])
+        pair = MatrixPair([[1.0]], [[-1.0]], [[1.0]])
+        v0, _ = check_weak_lyapunov(pair)
         assert not v0.holds
         X = v0.witness
         S = 2.0 * np.array([[1.0]])
         assert X @ S @ X > 0
 
     def test_rejects_indefinite_P(self):
+        """A P given to analyze is validated before any form is checked."""
         pair = MatrixPair(-np.eye(2), -np.eye(2))
         with pytest.raises(NotPositiveDefinite):
-            check_weak_lyapunov(pair, np.diag([1.0, -1.0]))
+            analyze(pair, np.diag([1.0, -1.0]))
 
     def test_rejects_P_of_wrong_size(self):
         pair = MatrixPair(-np.eye(2), -np.eye(2))
         with pytest.raises(DimensionMismatch):
-            check_weak_lyapunov(pair, np.eye(3))
+            analyze(pair, np.eye(3))
 
     def test_failure_only_at_B1_gets_its_own_witness(self):
         """Both forms share one eigvalsh; the witness comes from B1's form."""
         B1 = np.array([[-1.0, 0.0, 0.0], [3.0, -1.0, 0.0], [0.0, 1.0, -2.0]])
         P = np.diag([1.0, 2.0, 3.0])
-        v0, v1 = check_weak_lyapunov(MatrixPair(-np.eye(3), B1), P)
+        v0, v1 = check_weak_lyapunov(MatrixPair(-np.eye(3), B1, P))
         assert v0.holds and v0.witness is None
         assert not v1.holds
         M1 = B1.T @ P + P @ B1
@@ -102,8 +103,8 @@ class TestCheckWeakLyapunov:
 
 class TestNormalize:
     def test_identity_P_is_noop(self):
-        pair = MatrixPair(-np.eye(2), [[-1.0, -1.0], [1.0, -1.0]])
-        npair = normalize(pair, np.eye(2))
+        pair = MatrixPair(-np.eye(2), [[-1.0, -1.0], [1.0, -1.0]], np.eye(2))
+        npair = normalize(pair)
         np.testing.assert_allclose(npair.B0n, pair.B0)
         np.testing.assert_allclose(npair.B1n, pair.B1)
 
@@ -125,7 +126,7 @@ class TestNormalize:
 
     @pytest.mark.parametrize("given_P", [False, True])
     def test_P_validated_once(self, monkeypatch, given_P):
-        """P is validated once whether the pair carries it or normalize gets
+        """P is validated once whether the pair carries it or analyze gets
         it: normalize reuses the decomposition the pair kept."""
         import guas_cert.matrix_core as matrix_core
 
@@ -139,7 +140,7 @@ class TestNormalize:
         original = matrix_core._check_spd
         monkeypatch.setattr(matrix_core, "_check_spd", counted)
         if given_P:
-            normalize(MatrixPair(m.B0, m.B1), m.P)
+            analyze(MatrixPair(m.B0, m.B1), m.P)
         else:
             normalize(MatrixPair(m.B0, m.B1, m.P))
         assert len(calls) == 1
@@ -184,9 +185,9 @@ class TestNormalize:
             assert np.max(np.einsum("ij,jk,ik->i", X, S, X)) <= tol
 
     def test_rejects_incompatible_P(self):
-        pair = MatrixPair([[1.0]], [[-1.0]])
+        pair = MatrixPair([[1.0]], [[-1.0]], [[1.0]])
         with pytest.raises(NoCommonWeakLyapunov):
-            normalize(pair, [[1.0]])
+            normalize(pair)
 
 
     def test_pair_rejects_P_of_wrong_size(self):
@@ -208,7 +209,7 @@ class TestNormalize:
         with pytest.raises(NonFiniteInput):
             normalize(pair)
         with pytest.raises(NonFiniteInput):
-            normalize(MatrixPair(-np.eye(2), -np.eye(2)), np.diag([1.0, np.inf]))
+            analyze(MatrixPair(-np.eye(2), -np.eye(2)), np.diag([1.0, np.inf]))
         with pytest.raises(NonFiniteInput):
             MatrixPair(-np.eye(2), -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]])
 

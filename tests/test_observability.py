@@ -14,19 +14,7 @@ from guas_cert.decomposition import BlockFamily
 from guas_cert.gallery import assemble, kdeux, shared_output, torus
 from guas_cert.observability import MAX_GRID, sigma_C_bisection, weyl_bisection
 
-from conftest import block_pair, full_grid_bisection, skew, stable_block
-
-
-def kdeux_blocks(a, b):
-    """Canonical block layout of the two-rotation family, bypassing the
-    SVD frame (which is free to permute/flip the K basis)."""
-    A0 = np.array([[0.0, a], [-a, 0.0]])
-    A1 = np.array([[0.0, b], [-b, 0.0]])
-    C0 = np.array([[1.0, 0.0]])
-    C1 = np.array([[0.0, 1.0]])
-    F = np.eye(3)
-    return BlockFamily(A0=A0, A1=A1, C0=C0, C1=C1,
-                       D0=-np.eye(1), D1=-np.eye(1), k=2, k_prime=1, frame=F)
+from conftest import block_pair, full_grid_bisection, kdeux_blocks, skew, stable_block
 
 
 class TestKalmanMatrix:
@@ -168,7 +156,6 @@ class TestSweepLambda:
         blocks = BlockFamily(
             A0=np.zeros((0, 0)), A1=np.zeros((0, 0)),
             C0=np.zeros((2, 0)), C1=np.zeros((2, 0)),
-            D0=-np.eye(2), D1=-np.eye(2), k=0, k_prime=2, frame=np.eye(2),
         )
         report = sweep_lambda(blocks)
         assert report.verdict == "observable_for_all_lambda"

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -29,3 +31,22 @@ def test_removed_name_is_gone(module, name):
 
 def test_normalized_pair_has_no_convex_combination():
     assert not hasattr(guas_cert.NormalizedPair, "B")
+
+
+def test_block_family_is_the_reduced_system():
+    """A family holds the four blocks of (A_lam, C_lam) and nothing else;
+    k and k' are read from their shapes."""
+    fields = [f.name for f in dataclasses.fields(guas_cert.BlockFamily)]
+    assert fields == ["A0", "A1", "C0", "C1"]
+    for name in ("D", "framed"):
+        assert not hasattr(guas_cert.BlockFamily, name), name
+
+
+def test_kernel_decomposition_stores_the_frame_once():
+    fields = [f.name for f in dataclasses.fields(guas_cert.KernelDecomposition)]
+    assert fields == ["frame", "k", "rank_margin", "threshold"]
+
+
+@pytest.mark.parametrize("function", [guas_cert.normalize, guas_cert.check_weak_lyapunov])
+def test_lyapunov_matrix_enters_only_on_the_pair(function):
+    assert list(inspect.signature(function).parameters) == ["pair"]

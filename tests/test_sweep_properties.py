@@ -50,9 +50,7 @@ def family(kind, k, k_prime, seed, lam_star):
         v /= np.linalg.norm(v)
         A1 = (1.0 - 1.0 / lam_star) * A0
         C1 = C0 - np.outer(C0 @ v, v) / lam_star
-    return BlockFamily(A0=A0, A1=A1, C0=C0, C1=C1,
-                       D0=-np.eye(k_prime), D1=-np.eye(k_prime),
-                       k=k, k_prime=k_prime, frame=np.eye(k + k_prime))
+    return BlockFamily(A0=A0, A1=A1, C0=C0, C1=C1)
 
 
 def sigma_k(blocks, lams):
