@@ -1,17 +1,21 @@
 """The verdict pipeline: certificate, counterexample, or inconclusive.
 
-The pipeline certifies GUAS only through proved implications:
+The pipeline certifies GUAS only through proved implications, cheapest
+proof first:
 
 * trivial common kernel K = {0};
-* C_lam injective for every lambda;
+* C_lam injective for every lambda (tried first when k' >= k; no Kalman
+  sweep runs when it holds, since O(lambda) holds C_lam as its top rows);
 * dim K <= 2 with (C_lam, A_lam) observable for all lambda;
 * G discrete with (C_lam, A_lam) observable for all lambda.
 
 A constant-input observability failure at some lambda* refutes GUAS of the
-convexified system, which is equivalent to the binary one.  Everything else
-is reported inconclusive, with adversarial simulation evidence attached;
-in particular the open conjecture (observability for every constant input
-would suffice) is never used as a decision rule.
+convexified system, which is equivalent to the binary one.  With k' >= k
+such a lambda* is a zero of sigma_k(C_lam), so the sweep first evaluates the
+lambda where the injectivity bisection found its smallest value.
+Everything else is reported inconclusive, with adversarial simulation
+evidence attached; in particular the open conjecture (observability for
+every constant input would suffice) is never used as a decision rule.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .matrix_core import (
     normalize,
     require_finite,
 )
-from .observability import MAX_GRID, sigma_C_bisection, sweep_lambda
+from .observability import MAX_GRID, sigma_C_bisection, sweep_lambda, sweep_scale
 from .simulator import _n_steps, plateau_rule, worst_case_runs
 
 CONCLUSIONS = (
@@ -261,7 +265,30 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         ))
 
     blocks = block_form(npair, decomp, tol)
-    sweep = sweep_lambda(blocks, opt.n_grid, tol)
+    # ker C_lam = {0} for every lam proves GUAS without the Kalman sweep.
+    # O(lam) holds C_lam as its top rows, so sigma_k(O(lam)) >= sigma_k(C_lam)
+    # and the proved bound is an observability margin too.  Otherwise the
+    # bisection's lam* is the sweep's first lambda: when k' >= k, every
+    # unobservable lam is a zero of sigma_k(C_lam)
+    run = scale = None
+    if blocks.k_prime >= blocks.k:
+        scale = sweep_scale(blocks, opt.n_grid, tol)
+        run = sigma_C_bisection(blocks, blocks.k, scale)
+        lambda_evals += run.n_evals
+        if run.verdict == "certified":
+            lambda_evals += scale.n_evals  # the sweep counts them otherwise
+            return finish(Verdict(
+                "GUAS_C_injective",
+                "ker C_lambda = {0} for all lambda: no output can vanish",
+                certificate={"min_sigma_C_lower_bound": run.bound},
+                margins={
+                    "observability_margin": run.bound,
+                    "rank_margin": decomp.rank_margin,
+                    "C_injectivity_margin": run.margin,
+                },
+            ))
+    sweep = sweep_lambda(blocks, opt.n_grid, tol, scale=scale,
+                         lam_hat=None if run is None else run.lambda_star)
     lambda_evals += sweep.n_evals
     margins = {
         "observability_margin": sweep.margin,
@@ -285,20 +312,8 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
 
     scan = None
     if sweep.verdict == "observable_for_all_lambda":
-        # injectivity of C_lam on all of [0, 1]: sigma_k(C_lam) is Lipschitz
-        # with constant ||C1 - C0||_2; a value below the threshold rules it
-        # out
-        if blocks.k_prime >= blocks.k:
-            run = sigma_C_bisection(blocks, blocks.k, sweep)
-            lambda_evals += run.n_evals
+        if run is not None:
             margins["C_injectivity_margin"] = run.margin
-            if run.verdict == "certified":
-                return finish(Verdict(
-                    "GUAS_C_injective",
-                    "ker C_lambda = {0} for all lambda: no output can vanish",
-                    certificate={"min_sigma_C_lower_bound": run.bound},
-                    margins=margins,
-                ))
 
         if blocks.k <= 2:
             return finish(Verdict(

@@ -24,7 +24,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .decomposition import BlockFamily, numerical_rank
+from .decomposition import BlockFamily, numerical_rank, rank_threshold
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -269,6 +269,14 @@ class GScanReport:
     sigma_C_lower_bound: float = 0.0  # of sigma_(k-1)(C_lam) on [0, 1]
 
 
+def _nontrivial_N(blocks: BlockFamily, tol: float) -> bool:
+    """Whether N = ker C0 ∩ ker C1 is nonzero by the rank rule of
+    ``numerical_rank``, from the singular values of [C0; C1] alone."""
+    CC = np.vstack([blocks.C0, blocks.C1])
+    s, threshold = rank_threshold(np.linalg.svd(CC, compute_uv=False), blocks.k, tol)
+    return bool(np.any(s <= threshold))
+
+
 def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
            tol: float = 1e-9) -> GScanReport:
     """Decide exactly whether G is discrete, for dim K <= 3 and N = {0}.
@@ -288,7 +296,7 @@ def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
     k, threshold = blocks.k, CERT_FACTOR * tol
     if k <= 1:
         return GScanReport("discrete", note="F ∩ S has at most two points")
-    if k > 3 or numerical_rank(np.vstack([blocks.C0, blocks.C1]), tol).basis.shape[1]:
+    if k > 3 or _nontrivial_N(blocks, tol):
         why = f"k = {k} > 3" if k > 3 else "N = ker C0 ∩ ker C1 is nontrivial"
         return GScanReport("inconclusive", note=why + ": discreteness of G undecided")
     run = sigma_C_bisection(blocks, k - 1, obs)

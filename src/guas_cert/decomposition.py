@@ -56,10 +56,17 @@ class NumericalRank:
     margin: float                # smallest kept / largest discarded value
 
 
-def numerical_rank(M: np.ndarray, tol: float = 1e-9) -> NumericalRank:
-    """Rank of M by singular value thresholding: the one rank rule.
+def rank_threshold(s: np.ndarray, n: int, tol: float):
+    """The one rank rule, on the singular values s of an m x n matrix: s
+    padded with zeros to n, and the threshold tol * sigma_max * sqrt(n) at
+    or below which a value counts as zero (0 when every value is 0)."""
+    s = np.concatenate([s, np.zeros(n - len(s))])
+    return s, float(tol * s[0] * np.sqrt(n))
 
-    Singular values at or below tol * sigma_max * sqrt(n) count as zero.
+
+def numerical_rank(M: np.ndarray, tol: float = 1e-9) -> NumericalRank:
+    """Rank of M by singular value thresholding, by ``rank_threshold``.
+
     The margin is inf when one of the two groups is empty or the largest
     discarded value is exactly 0.  An empty or all-zero M has the identity
     as null-space basis, threshold 0 and margin inf.
@@ -69,8 +76,7 @@ def numerical_rank(M: np.ndarray, tol: float = 1e-9) -> NumericalRank:
     if M.shape[0] == 0 or not np.any(M):
         return NumericalRank(np.eye(n), np.zeros((n, 0)), np.zeros(n), 0.0, np.inf)
     _, s, Vh = np.linalg.svd(M)
-    s = np.concatenate([s, np.zeros(n - len(s))])
-    threshold = float(tol * s[0] * np.sqrt(n))
+    s, threshold = rank_threshold(s, n, tol)
     null = s <= threshold
     kept, discarded = s[~null], s[null]
     if kept.size and discarded.size and discarded.max() > 0:

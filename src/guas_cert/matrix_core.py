@@ -19,6 +19,7 @@ decomposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -127,11 +128,11 @@ class NormalizedPair:
     def d(self) -> int:
         return self.B0n.shape[0]
 
-    @property
+    @cached_property
     def S0(self) -> np.ndarray:
         return symmetric_part(self.B0n)
 
-    @property
+    @cached_property
     def S1(self) -> np.ndarray:
         return symmetric_part(self.B1n)
 

@@ -22,6 +22,13 @@ evaluated neighbours.  Near a simple zero sigma is V-shaped, the steeper
 secant lies on one branch, and a refutation takes a handful of levels
 instead of about twenty.  The probe never enters the cover, so it moves no
 bound; its value refutes or ends certifying like any other computed value.
+
+A sweep's grid and thresholds (``sweep_scale``) are set once per block
+family, from one SVD of O(lam) at lam = 0, 1/2, 1, and the sigma_j(C_lam)
+bisection runs on the same scale.  With k' >= k, every lam where (C_lam,
+A_lam) is unobservable is a zero of sigma_k(C_lam), so the analyzer runs
+that bisection first and hands its lam* to the sweep as ``lam_hat``: one
+value there below the floor refutes without a bisection.
 """
 
 from __future__ import annotations
@@ -187,6 +194,48 @@ def weyl_bisection(
         s_hi = np.concatenate([mid_vals, s_hi])
 
 
+@dataclass(frozen=True)
+class SweepScale:
+    """The grid and thresholds of a lambda sweep, set once per block family.
+
+    ``floor`` is tol_eff = tol (1 + max ||O(lam)|| over lam in {0, 1/2, 1}):
+    a computed sigma_k(O(lam)) below it refutes.  ``cert_threshold`` is
+    CERT_FACTOR * floor: a cover whose every bound clears it certifies.
+    """
+
+    grid: np.ndarray  # the partition of [0, 1] a bisection may evaluate
+    tol: float  # the caller's tolerance: the witness's rank rule
+    floor: float
+    cert_threshold: float
+    n_evals: int  # lambdas evaluated to set floor: 3, none when k = 0
+
+
+def _kalman_sigmas(blocks: BlockFamily, lams: np.ndarray) -> np.ndarray:
+    """The k singular values of O(lam) at each of ``lams``, one batched SVD;
+    zeros when O has fewer than k rows."""
+    lam = lams[:, None, None]
+    O = kalman_matrix(blocks.C(lam), blocks.A(lam))
+    if O.shape[-2] < blocks.k:
+        return np.zeros((len(lams), blocks.k))
+    return np.linalg.svd(O, compute_uv=False)
+
+
+def sweep_scale(
+    blocks: BlockFamily, n_grid: int = 257, tol: float = 1e-9
+) -> SweepScale:
+    """The n_grid partition of [0, 1] and the thresholds of a sweep on it,
+    from one SVD of O(lam) at lam = 0, 1/2, 1; ValueError unless n_grid is
+    an integer (numpy integers count) in [2, MAX_GRID]."""
+    if not (isinstance(n_grid, (int, np.integer)) and 2 <= n_grid <= MAX_GRID):
+        raise ValueError(f"n_grid must be an integer in [2, {MAX_GRID}], got {n_grid}")
+    grid = np.linspace(0.0, 1.0, n_grid)
+    if blocks.k == 0:
+        return SweepScale(grid, tol, tol, 0.0, 0)
+    ends = _kalman_sigmas(blocks, np.array([0.0, 0.5, 1.0]))
+    floor = tol * (1.0 + float(np.max(ends[:, 0])))
+    return SweepScale(grid, tol, floor, CERT_FACTOR * floor, len(ends))
+
+
 @dataclass
 class ObservabilityReport:
     """Result of the lambda sweep over the Kalman matrices of (C_lam, A_lam)."""
@@ -202,57 +251,58 @@ class ObservabilityReport:
 
 
 def sigma_C_bisection(
-    blocks: BlockFamily, j: int, obs: ObservabilityReport
+    blocks: BlockFamily, j: int, scale: SweepScale | ObservabilityReport
 ) -> Bisection:
-    """Prove sigma_j(C_lam) > obs.cert_threshold on all of [0, 1].
+    """Prove sigma_j(C_lam) > scale.cert_threshold on all of [0, 1].
 
-    Every singular value of C_lam moves at most ||C1 - C0||_2 per unit of
-    lam (Weyl), so ``weyl_bisection`` runs over the sweep's grid with that
-    constant, read from ``blocks.norms``; a computed value below the
-    threshold ends it as refuted.
+    ``scale`` is a sweep's scale or the report of a sweep run on it; both
+    carry the grid and the threshold.  Every singular value of C_lam moves
+    at most ||C1 - C0||_2 per unit of lam (Weyl), so ``weyl_bisection``
+    runs over the grid with that constant, read from ``blocks.norms``; a
+    computed value below the threshold ends it as refuted.
     """
     return weyl_bisection(
         lambda lams: np.linalg.svd(
             blocks.C(lams[:, None, None]), compute_uv=False
         )[:, j - 1],
         blocks.norms.dC,
-        obs.grid, obs.cert_threshold, obs.cert_threshold,
+        scale.grid, scale.cert_threshold, scale.cert_threshold,
     )
 
 
 def sweep_lambda(
-    blocks: BlockFamily, n_grid: int = 257, tol: float = 1e-9
+    blocks: BlockFamily,
+    n_grid: int = 257,
+    tol: float = 1e-9,
+    *,
+    scale: Optional[SweepScale] = None,
+    lam_hat: Optional[float] = None,
 ) -> ObservabilityReport:
     """Certify observability of (C_lam, A_lam) on all of [0, 1], or refute it.
 
     Runs ``weyl_bisection`` on sigma_k of the Kalman matrix O(lam) over the
-    n_grid partition; ValueError unless n_grid is an integer (numpy
-    integers count) in [2, MAX_GRID].
-    fails_at: a computed sigma_k below tol_eff = tol (1 + max ||O(lam)||
-    over lam in {0, 1/2, 1}); observable_for_all_lambda: every interval
-    bound of the cover above CERT_FACTOR * tol_eff; inconclusive: neither.
-    ``n_evals`` counts the three lambdas of tol_eff too.
+    grid of ``scale``, which is ``sweep_scale(blocks, n_grid, tol)`` unless
+    the caller passes the one it has (n_grid and tol are then not read).
+    fails_at: a computed sigma_k below scale.floor; observable_for_all_lambda:
+    every interval bound of the cover above scale.cert_threshold;
+    inconclusive: neither.  A ``lam_hat`` is evaluated first, and a value
+    there below the floor refutes at once; otherwise the bisection runs as
+    without it.  ``n_evals`` counts the scale's lambdas and lam_hat too.
     """
-    if not (isinstance(n_grid, (int, np.integer)) and 2 <= n_grid <= MAX_GRID):
-        raise ValueError(f"n_grid must be an integer in [2, {MAX_GRID}], got {n_grid}")
+    if scale is None:
+        scale = sweep_scale(blocks, n_grid, tol)
     k = blocks.k
-    grid = np.linspace(0.0, 1.0, n_grid)
     if k == 0:
         return ObservabilityReport(
-            grid, 0, "observable_for_all_lambda",
-            np.inf, cert_threshold=0.0, tol=tol,
+            scale.grid, 0, "observable_for_all_lambda",
+            np.inf, cert_threshold=0.0, tol=scale.tol,
         )
-
-    def singular_values(lams: np.ndarray) -> np.ndarray:
-        lam = lams[:, None, None]
-        O = kalman_matrix(blocks.C(lam), blocks.A(lam))
-        if O.shape[-2] < k:
-            return np.zeros((len(lams), k))
-        return np.linalg.svd(O, compute_uv=False)
-
-    ends = singular_values(np.array([0.0, 0.5, 1.0]))
-    tol_eff = tol * (1.0 + float(np.max(ends[:, 0])))
-    cert_threshold = CERT_FACTOR * tol_eff
+    n_evals = scale.n_evals
+    if lam_hat is not None:
+        n_evals += 1
+        value = float(_kalman_sigmas(blocks, np.array([lam_hat]))[0, k - 1])
+        if value < scale.floor:
+            return _refuted(blocks, scale, lam_hat, value, n_evals)
     # d/dlam C A^j has norm at most ||dC|| a^j + j c a^(j-1) ||dA||, with
     # a = max ||A_i||_2 and c = max ||C_i||_2; the blocks add in quadrature
     norms = blocks.norms
@@ -262,24 +312,30 @@ def sweep_lambda(
         (dC * a**j + j * c * a ** max(j - 1, 0) * dA) ** 2 for j in range(k)
     ))
     run = weyl_bisection(
-        lambda lams: singular_values(lams)[:, k - 1],
-        lipschitz, grid, cert_threshold, tol_eff,
+        lambda lams: _kalman_sigmas(blocks, lams)[:, k - 1],
+        lipschitz, scale.grid, scale.cert_threshold, scale.floor,
+    )
+    n_evals += run.n_evals
+    if run.verdict == "refuted":
+        return _refuted(blocks, scale, run.lambda_star, run.value, n_evals)
+    return ObservabilityReport(
+        scale.grid, n_evals,
+        "observable_for_all_lambda" if run.verdict == "certified" else "inconclusive",
+        run.margin, cert_threshold=scale.cert_threshold, tol=scale.floor,
     )
 
-    if run.verdict != "refuted":
-        return ObservabilityReport(
-            grid, run.n_evals + len(ends),
-            "observable_for_all_lambda" if run.verdict == "certified" else "inconclusive",
-            run.margin, cert_threshold=cert_threshold, tol=tol_eff,
-        )
-    lam = run.lambda_star
-    rank = numerical_rank(kalman_matrix(blocks.C(lam), blocks.A(lam)), tol)
+
+def _refuted(
+    blocks: BlockFamily, scale: SweepScale, lam: float, value: float, n_evals: int
+) -> ObservabilityReport:
+    """The fails_at report at lam, with the witness from the rank rule."""
+    rank = numerical_rank(kalman_matrix(blocks.C(lam), blocks.A(lam)), scale.tol)
     # sigma_k can be tiny but above the rank threshold; the witness is then
     # the closest-to-null direction
     return ObservabilityReport(
-        grid, run.n_evals + len(ends), "fails_at", run.value, lam,
+        scale.grid, n_evals, "fails_at", value, lam,
         rank.basis if rank.basis.shape[1] else rank.complement[:, -1:],
-        cert_threshold, tol_eff,
+        scale.cert_threshold, scale.floor,
     )
 
 

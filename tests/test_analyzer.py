@@ -20,7 +20,7 @@ from guas_cert import (
 )
 from guas_cert import analyzer
 from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
-from guas_cert.observability import sigma_C_bisection
+from guas_cert.observability import sigma_C_bisection, sweep_scale
 from guas_cert.gallery import kdeux, mason, shared_output, torus
 
 FAST = AnalyzerOptions(evidence_runs=4, evidence_T=20.0, evidence_dt=1e-2)
@@ -95,15 +95,17 @@ class TestBranches:
         assert v.guas
 
     def test_grid_counts_lambda_evals(self):
-        """The sweep's and the injectivity bisection's lambdas, fewer than
-        the grid has; none for a trivial kernel."""
+        """A C-injective pair counts the three lambdas of the sweep's scale
+        and the injectivity bisection's, and runs no Kalman sweep: 3 + 17
+        here; none for a trivial kernel."""
         npair = normalize(replace(shared_output(), P=np.eye(4)))
         blocks = block_form(npair, common_kernel(npair))
-        sweep = sweep_lambda(blocks)
-        run = sigma_C_bisection(blocks, blocks.k, sweep)
+        scale = sweep_scale(blocks)
+        run = sigma_C_bisection(blocks, blocks.k, scale)
         v = analyze(shared_output(), np.eye(4), options=FAST)
-        assert v.grid == {"n_grid": 257, "lambda_evals": sweep.n_evals + run.n_evals}
-        assert v.grid["lambda_evals"] < 257
+        assert v.conclusion == "GUAS_C_injective"
+        assert v.grid == {"n_grid": 257, "lambda_evals": scale.n_evals + run.n_evals}
+        assert v.grid["lambda_evals"] == 20
         assert analyze(mason(), mason().P, options=FAST).grid["lambda_evals"] == 0
 
     def test_torus_inconclusive_with_decaying_evidence(self):
@@ -208,13 +210,14 @@ class TestDispatchCounts:
     spectral norms are one batched SVD: a split batch fails these counts."""
 
     def test_shared_output_without_P(self, monkeypatch):
-        # k = k' = 2: common_kernel, the norms, the sweep's tol_eff and first
-        # pass, and the injectivity bisection make one SVD each
+        # k = k' = 2: common_kernel, the norms, the sweep's threshold
+        # lambdas and the injectivity bisection's first pass make one SVD
+        # each; the bisection certifies, so no Kalman sweep runs
         pair = shared_output()
         v, counts = linalg_calls(monkeypatch, lambda: analyze(pair, options=FAST))
         assert v.conclusion == "GUAS_C_injective"
         assert {name: counts[name] for name in LINALG} == {
-            "svd": 5, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 2,
+            "svd": 4, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 2,
         }
         assert counts["norm(2)"] == 0
 
@@ -256,6 +259,23 @@ class TestDispatchCounts:
             "svd": 1, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 1,
         }
         assert counts["norm(2)"] == 0
+
+    def test_symmetric_parts_built_once(self, monkeypatch):
+        # the torus call reads S0 and S1 in common_kernel and in the evidence
+        # runs' tables and stretches; NormalizedPair builds each once
+        from guas_cert import matrix_core
+
+        calls = []
+        original = matrix_core.symmetric_part
+
+        def counted(B):
+            calls.append(B)
+            return original(B)
+
+        monkeypatch.setattr(matrix_core, "symmetric_part", counted)
+        v = analyze(torus(), options=FAST)
+        assert v.evidence is not None
+        assert len(calls) == 2
 
     def test_frozen_k3_curve_rule(self, monkeypatch):
         # the curve rule fits with its cached operator (built by the first

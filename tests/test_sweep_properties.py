@@ -10,7 +10,9 @@ its verdict and margin must be those of a reference curve rule by
 numpy.polynomial, and its roots within 1e-9 of the reference's.
 On every family, the bisection from its first pass must reach the
 verdicts of the one from every grid point, and refute only where the value
-is below the floor.
+is below the floor.  With k' >= k, analyze decides C-injectivity before the
+Kalman sweep; it must reach the conclusions of the sweep-first order, or
+prove GUAS_C_injective where that order was inconclusive.
 """
 
 from unittest import mock
@@ -20,20 +22,32 @@ import pytest
 from numpy.polynomial import Polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from guas_cert import (  # noqa: E402
+    AnalyzerOptions,
+    MatrixPair,
+    analyze,
+    block_form,
+    common_kernel,
     in_G,
     kalman_matrix,
+    normalize,
     observability,
     scan_G,
     sweep_lambda,
 )
 from guas_cert.bad_locus import NODES  # noqa: E402
 from guas_cert.decomposition import BlockFamily  # noqa: E402
-from guas_cert.observability import CERT_FACTOR, sigma_C_bisection  # noqa: E402
+from guas_cert.errors import NotHurwitz  # noqa: E402
+from guas_cert.gallery import assemble  # noqa: E402
+from guas_cert.observability import (  # noqa: E402
+    CERT_FACTOR,
+    sigma_C_bisection,
+    sweep_scale,
+)
 
-from conftest import full_grid_bisection, skew  # noqa: E402
+from conftest import block_pair, full_grid_bisection, skew, stable_block  # noqa: E402
 
 KINDS = ("random", "opposed", "off_grid")
 
@@ -220,3 +234,90 @@ def test_curve_rule_matches_polynomial_reference(seed):
     assert (report.verdict, report.margin) == (verdict, margin)
     assert report.roots.shape == roots.shape
     np.testing.assert_allclose(report.roots, roots, rtol=0, atol=1e-9)
+
+
+def sweep_first(pair, tol=1e-9):
+    """The analyzer's branch order with the Kalman sweep first and the
+    sigma_k(C_lam) bisection on its report after it: the conclusion, the
+    blocks and the sweep's report, for a pair with a nontrivial kernel."""
+    npair = normalize(pair)
+    blocks = block_form(npair, common_kernel(npair, tol), tol)
+    sweep = sweep_lambda(blocks, 257, tol)
+    if sweep.verdict == "fails_at":
+        return "NOT_GUAS_constant_input", blocks, sweep
+    if sweep.verdict == "observable_for_all_lambda":
+        if (blocks.k_prime >= blocks.k
+                and sigma_C_bisection(blocks, blocks.k, sweep).verdict == "certified"):
+            return "GUAS_C_injective", blocks, sweep
+        if blocks.k <= 2:
+            return "GUAS_dimK_le2", blocks, sweep
+        if scan_G(blocks, sweep, tol).verdict == "discrete":
+            return "GUAS_G_discrete", blocks, sweep
+    return "INCONCLUSIVE", blocks, sweep
+
+
+@given(
+    source=st.sampled_from(KINDS + ("shared_C",)),
+    k=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    lam_star=st.floats(0.05, 0.95),
+)
+def test_injectivity_first_keeps_the_sweep_first_conclusions(source, k, data, seed, lam_star):
+    """With k' >= k, analyze ends GUAS_C_injective without the Kalman sweep
+    where sigma_k(C_lam) is proved above the threshold, and otherwise hands
+    the sweep that bisection's lam* first.  The conclusion is the
+    sweep-first one, or GUAS_C_injective where that was INCONCLUSIVE; a
+    certified family is never refuted by the sweep, and its bound holds for
+    sigma_k of C_lam and of O(lam) between the evaluated points; every
+    refutation's lam* has its recomputed sigma_k(O(lam*)) below tol_eff."""
+    k_prime = data.draw(st.integers(k, 4))
+    rng = np.random.default_rng(seed)
+    if source == "shared_C":
+        pair = block_pair(rng, k, k_prime, shared_C=True)
+    else:
+        b = family(source, k, k_prime, seed, lam_star)
+        pair = MatrixPair(assemble(b.A0, b.C0, stable_block(rng, k_prime)),
+                          assemble(b.A1, b.C1, stable_block(rng, k_prime)))
+    try:
+        v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
+    except NotHurwitz:  # an endpoint pair (C_i, A_i) happens to be unobservable
+        assume(False)
+    conclusion, blocks, sweep = sweep_first(pair)
+    assert blocks.k == k
+    if v.conclusion != conclusion:
+        assert (conclusion, v.conclusion) == ("INCONCLUSIVE", "GUAS_C_injective")
+    if v.conclusion == "GUAS_C_injective":
+        bound = v.certificate["min_sigma_C_lower_bound"]
+        assert bound > sweep_scale(blocks).cert_threshold
+        assert v.margins["observability_margin"] == bound
+        assert sweep.verdict != "fails_at"
+        lams = np.random.default_rng(seed).uniform(0.0, 1.0, 500)
+        C = blocks.C(lams[:, None, None])
+        assert np.linalg.svd(C, compute_uv=False)[:, k - 1].min() >= bound - 1e-12
+        assert sigma_k(blocks, lams).min() >= bound - 1e-12
+    elif v.conclusion == "NOT_GUAS_constant_input":
+        lam = v.certificate["lambda_star"]
+        assert sigma_k(blocks, np.array([lam]))[0] < sweep_scale(blocks).floor
+
+
+@pytest.mark.parametrize("c", [0.7391, 2.0, 3.7])
+def test_vanishing_output_refutes_at_the_injectivity_lambda(c):
+    """k = k' = 2 with C1 = -c C0, so C_lam = (1 - lam (1 + c)) C0 vanishes
+    at lam* = 1/(1 + c).  The sigma_2(C_lam) bisection does not certify,
+    and sigma_2(O) at its lam* is already below tol_eff: the sweep refutes
+    there with one Kalman evaluation after the scale's three, and lam* is
+    within 1e-9 of 1/(1 + c)."""
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    C0 = np.array([[1.0, 0.3], [0.2, 1.0]])
+    pair = MatrixPair(assemble(J, C0, -np.eye(2)), assemble(2.0 * J, -c * C0, -2.0 * np.eye(2)))
+    v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
+    assert v.conclusion == "NOT_GUAS_constant_input"
+    assert abs(v.certificate["lambda_star"] - 1.0 / (1.0 + c)) <= 1e-9
+    npair = normalize(pair)
+    blocks = block_form(npair, common_kernel(npair))
+    scale = sweep_scale(blocks)
+    run = sigma_C_bisection(blocks, 2, scale)
+    assert run.verdict != "certified"
+    assert v.certificate["lambda_star"] == run.lambda_star
+    assert v.grid["lambda_evals"] == run.n_evals + scale.n_evals + 1
