@@ -28,10 +28,12 @@ from .matrix_core import (
 )
 from .observability import (
     ObservabilityReport,
+    SweepScale,
     hurwitz_observability_crosscheck,
     kalman_matrix,
     pair_observable,
     sweep_lambda,
+    sweep_scale,
 )
 from .simulator import (
     SwitchingSignal,
@@ -51,6 +53,7 @@ __all__ = [
     "MatrixPair",
     "NormalizedPair",
     "ObservabilityReport",
+    "SweepScale",
     "SwitchingSignal",
     "Trajectory",
     "Verdict",
@@ -74,6 +77,7 @@ __all__ = [
     "scan_G",
     "strict_lyapunov_2x2",
     "sweep_lambda",
+    "sweep_scale",
     "symmetric_part",
     "wedge",
     "worst_case_switching",

@@ -9,10 +9,13 @@ proof first:
 * dim K <= 2 with (C_lam, A_lam) observable for all lambda;
 * G discrete with (C_lam, A_lam) observable for all lambda.
 
-A constant-input observability failure at some lambda* refutes GUAS of the
-convexified system, which is equivalent to the binary one.  With k' >= k
-such a lambda* is a zero of sigma_k(C_lam), so the sweep first evaluates the
-lambda where the injectivity bisection found its smallest value.
+All lambda stages (the injectivity bisection, the Kalman sweep and the
+G-scan) run on one SweepScale, built once per family right after the block
+form.  A constant-input observability failure at some lambda* refutes GUAS
+of the convexified system, which is equivalent to the binary one.  With
+k' >= k such a lambda* is a zero of sigma_k(C_lam), so the sweep first
+evaluates the lambda where the injectivity bisection found its smallest
+value.
 Everything else is reported inconclusive, with adversarial simulation
 evidence attached; in particular the open conjecture (observability for
 every constant input would suffice) is never used as a decision rule.
@@ -223,7 +226,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         pair = replace(pair, P=P)  # validates P
     npair = normalize(pair)
     decomp = common_kernel(npair, tol)
-    lambda_evals = 0  # lambdas at which the sweep, injectivity and scan evaluated
+    lambda_evals = 0  # lambdas at which the scale, injectivity, sweep and scan evaluated
 
     def finish(verdict: Verdict) -> Verdict:
         verdict.tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
@@ -265,18 +268,19 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         ))
 
     blocks = block_form(npair, decomp, tol)
+    # the one grid and pair of thresholds every lambda stage below runs on
+    scale = sweep_scale(blocks, opt.n_grid, tol)
+    lambda_evals += scale.n_evals
     # ker C_lam = {0} for every lam proves GUAS without the Kalman sweep.
     # O(lam) holds C_lam as its top rows, so sigma_k(O(lam)) >= sigma_k(C_lam)
     # and the proved bound is an observability margin too.  Otherwise the
     # bisection's lam* is the sweep's first lambda: when k' >= k, every
     # unobservable lam is a zero of sigma_k(C_lam)
-    run = scale = None
+    run = None
     if blocks.k_prime >= blocks.k:
-        scale = sweep_scale(blocks, opt.n_grid, tol)
         run = sigma_C_bisection(blocks, blocks.k, scale)
         lambda_evals += run.n_evals
         if run.verdict == "certified":
-            lambda_evals += scale.n_evals  # the sweep counts them otherwise
             return finish(Verdict(
                 "GUAS_C_injective",
                 "ker C_lambda = {0} for all lambda: no output can vanish",
@@ -287,8 +291,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                     "C_injectivity_margin": run.margin,
                 },
             ))
-    sweep = sweep_lambda(blocks, opt.n_grid, tol, scale=scale,
-                         lam_hat=None if run is None else run.lambda_star)
+    sweep = sweep_lambda(blocks, scale, None if run is None else run.lambda_star)
     lambda_evals += sweep.n_evals
     margins = {
         "observability_margin": sweep.margin,
@@ -323,7 +326,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
                 margins=margins,
             ))
 
-        scan = scan_G(blocks, sweep, tol)
+        scan = scan_G(blocks, scale)
         lambda_evals += scan.n_samples
         margins["scan_hits"] = scan.n_hits
         if scan.verdict == "discrete":

@@ -31,7 +31,7 @@ from .errors import (
     InNullSpace,
     NotInF,
 )
-from .observability import CERT_FACTOR, ObservabilityReport, sigma_C_bisection
+from .observability import CERT_FACTOR, SweepScale, sigma_C_bisection
 
 
 def wedge(u, v) -> np.ndarray:
@@ -277,13 +277,13 @@ def _nontrivial_N(blocks: BlockFamily, tol: float) -> bool:
     return bool(np.any(s <= threshold))
 
 
-def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
-           tol: float = 1e-9) -> GScanReport:
+def scan_G(blocks: BlockFamily, scale: SweepScale) -> GScanReport:
     """Decide exactly whether G is discrete, for dim K <= 3 and N = {0}.
 
-    Reads the reduced blocks and the sweep's report; N = ker C0 ∩ ker C1 is
-    computed only once k is in range.  With sigma_(k-1)(C_lam) >
-    obs.cert_threshold proved on [0, 1], ker C_lam is at most a line.
+    Reads the reduced blocks and the family's sweep scale, whose ``tol``
+    sets the rank rule and the CERT_FACTOR * tol margins; N = ker C0 ∩
+    ker C1 is computed only once k is in range.  With sigma_(k-1)(C_lam) >
+    scale.cert_threshold proved on [0, 1], ker C_lam is at most a line.
     k' >= k: it is nonzero only at roots of det(C^T C), of degree 2k, so
     F ∩ S is finite once sigma_k(C_lam) clearly is not 0.  k' = k - 1:
     F ∩ S is the curve ± n/||n||, n = kernel_vector(C_lam), on which the
@@ -293,13 +293,13 @@ def scan_G(blocks: BlockFamily, obs: ObservabilityReport,
     [0, 1] of the fit of n_sq g (its first component) by ``_fit_operator``,
     found by ``_window_roots``, and the kernel vectors there.
     """
-    k, threshold = blocks.k, CERT_FACTOR * tol
+    k, threshold = blocks.k, CERT_FACTOR * scale.tol
     if k <= 1:
         return GScanReport("discrete", note="F ∩ S has at most two points")
-    if k > 3 or _nontrivial_N(blocks, tol):
+    if k > 3 or _nontrivial_N(blocks, scale.tol):
         why = f"k = {k} > 3" if k > 3 else "N = ker C0 ∩ ker C1 is nontrivial"
         return GScanReport("inconclusive", note=why + ": discreteness of G undecided")
-    run = sigma_C_bisection(blocks, k - 1, obs)
+    run = sigma_C_bisection(blocks, k - 1, scale)
     report = GScanReport("inconclusive", run.n_evals, sigma_C_lower_bound=run.bound)
     if run.verdict != "certified":
         report.note = "ker C_lambda may be a plane (sigma_(k-1) not proved > 0)"

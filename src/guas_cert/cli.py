@@ -69,11 +69,19 @@ def load_problem(path: str) -> MatrixPair:
     if "B0" not in data or "B1" not in data:
         raise ValueError("problem file must define B0 and B1")
     return MatrixPair(
-        np.array(data["B0"], dtype=float),
-        np.array(data["B1"], dtype=float),
-        np.array(data["P"], dtype=float) if data.get("P") is not None else None,
+        _matrix(data, "B0"),
+        _matrix(data, "B1"),
+        _matrix(data, "P") if data.get("P") is not None else None,
         label=str(data.get("label", "")),
     )
+
+
+def _matrix(data: dict, key: str) -> np.ndarray:
+    """data[key] as a float array; ValueError naming the key if numpy refuses it."""
+    try:
+        return np.array(data[key], dtype=float)
+    except TypeError as exc:  # a JSON object among the entries
+        raise ValueError(f"{key} is not a numeric matrix: {exc}") from exc
 
 
 def save_problem(pair: MatrixPair, path: str) -> None:

@@ -23,12 +23,12 @@ secant lies on one branch, and a refutation takes a handful of levels
 instead of about twenty.  The probe never enters the cover, so it moves no
 bound; its value refutes or ends certifying like any other computed value.
 
-A sweep's grid and thresholds (``sweep_scale``) are set once per block
-family, from one SVD of O(lam) at lam = 0, 1/2, 1, and the sigma_j(C_lam)
-bisection runs on the same scale.  With k' >= k, every lam where (C_lam,
-A_lam) is unobservable is a zero of sigma_k(C_lam), so the analyzer runs
-that bisection first and hands its lam* to the sweep as ``lam_hat``: one
-value there below the floor refutes without a bisection.
+A family's grid and thresholds are one ``SweepScale``, built once by
+``sweep_scale`` from one SVD of O(lam) at lam = 0, 1/2, 1; the Kalman sweep,
+the sigma_j(C_lam) bisection and the G-scan all take it.  With k' >= k,
+every lam where (C_lam, A_lam) is unobservable is a zero of sigma_k(C_lam),
+so the analyzer runs that bisection first and hands its lam* to the sweep
+as ``lam_hat``: one value there below the floor refutes without a bisection.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ class SweepScale:
     """
 
     grid: np.ndarray  # the partition of [0, 1] a bisection may evaluate
-    tol: float  # the caller's tolerance: the witness's rank rule
+    tol: float  # the caller's tolerance: the witness's rank rule and scan_G's
     floor: float
     cert_threshold: float
     n_evals: int  # lambdas evaluated to set floor: 3, none when k = 0
@@ -240,26 +240,21 @@ def sweep_scale(
 class ObservabilityReport:
     """Result of the lambda sweep over the Kalman matrices of (C_lam, A_lam)."""
 
-    grid: np.ndarray  # the partition of [0, 1] the bisection may evaluate
-    n_evals: int  # lambdas at which sigma_k of the Kalman matrix was evaluated
+    scale: SweepScale  # the grid and thresholds the sweep ran on
+    n_evals: int  # lambdas the sweep evaluated: lam_hat and the bisection's
     verdict: str  # observable_for_all_lambda | fails_at | inconclusive
     margin: float  # proved lower bound if observable, else the smallest sigma_k
     lambda_star: Optional[float] = None
     witness: Optional[np.ndarray] = None  # orthonormal unobservable basis
-    cert_threshold: float = 0.0
-    tol: float = 0.0
 
 
-def sigma_C_bisection(
-    blocks: BlockFamily, j: int, scale: SweepScale | ObservabilityReport
-) -> Bisection:
+def sigma_C_bisection(blocks: BlockFamily, j: int, scale: SweepScale) -> Bisection:
     """Prove sigma_j(C_lam) > scale.cert_threshold on all of [0, 1].
 
-    ``scale`` is a sweep's scale or the report of a sweep run on it; both
-    carry the grid and the threshold.  Every singular value of C_lam moves
-    at most ||C1 - C0||_2 per unit of lam (Weyl), so ``weyl_bisection``
-    runs over the grid with that constant, read from ``blocks.norms``; a
-    computed value below the threshold ends it as refuted.
+    Every singular value of C_lam moves at most ||C1 - C0||_2 per unit of
+    lam (Weyl), so ``weyl_bisection`` runs over the scale's grid with that
+    constant, read from ``blocks.norms``; a computed value below the
+    threshold ends it as refuted.
     """
     return weyl_bisection(
         lambda lams: np.linalg.svd(
@@ -271,33 +266,22 @@ def sigma_C_bisection(
 
 
 def sweep_lambda(
-    blocks: BlockFamily,
-    n_grid: int = 257,
-    tol: float = 1e-9,
-    *,
-    scale: Optional[SweepScale] = None,
-    lam_hat: Optional[float] = None,
+    blocks: BlockFamily, scale: SweepScale, lam_hat: Optional[float] = None
 ) -> ObservabilityReport:
     """Certify observability of (C_lam, A_lam) on all of [0, 1], or refute it.
 
     Runs ``weyl_bisection`` on sigma_k of the Kalman matrix O(lam) over the
-    grid of ``scale``, which is ``sweep_scale(blocks, n_grid, tol)`` unless
-    the caller passes the one it has (n_grid and tol are then not read).
-    fails_at: a computed sigma_k below scale.floor; observable_for_all_lambda:
-    every interval bound of the cover above scale.cert_threshold;
-    inconclusive: neither.  A ``lam_hat`` is evaluated first, and a value
-    there below the floor refutes at once; otherwise the bisection runs as
-    without it.  ``n_evals`` counts the scale's lambdas and lam_hat too.
+    grid of ``scale`` (from ``sweep_scale``).  fails_at: a computed sigma_k
+    below scale.floor; observable_for_all_lambda: every interval bound of
+    the cover above scale.cert_threshold; inconclusive: neither.  A
+    ``lam_hat`` is evaluated first, and a value there below the floor
+    refutes at once; otherwise the bisection runs as without it.
+    ``n_evals`` counts lam_hat and the bisection, not the scale's lambdas.
     """
-    if scale is None:
-        scale = sweep_scale(blocks, n_grid, tol)
     k = blocks.k
     if k == 0:
-        return ObservabilityReport(
-            scale.grid, 0, "observable_for_all_lambda",
-            np.inf, cert_threshold=0.0, tol=scale.tol,
-        )
-    n_evals = scale.n_evals
+        return ObservabilityReport(scale, 0, "observable_for_all_lambda", np.inf)
+    n_evals = 0
     if lam_hat is not None:
         n_evals += 1
         value = float(_kalman_sigmas(blocks, np.array([lam_hat]))[0, k - 1])
@@ -318,11 +302,8 @@ def sweep_lambda(
     n_evals += run.n_evals
     if run.verdict == "refuted":
         return _refuted(blocks, scale, run.lambda_star, run.value, n_evals)
-    return ObservabilityReport(
-        scale.grid, n_evals,
-        "observable_for_all_lambda" if run.verdict == "certified" else "inconclusive",
-        run.margin, cert_threshold=scale.cert_threshold, tol=scale.floor,
-    )
+    verdict = "observable_for_all_lambda" if run.verdict == "certified" else "inconclusive"
+    return ObservabilityReport(scale, n_evals, verdict, run.margin)
 
 
 def _refuted(
@@ -333,9 +314,8 @@ def _refuted(
     # sigma_k can be tiny but above the rank threshold; the witness is then
     # the closest-to-null direction
     return ObservabilityReport(
-        scale.grid, n_evals, "fails_at", value, lam,
+        scale, n_evals, "fails_at", value, lam,
         rank.basis if rank.basis.shape[1] else rank.complement[:, -1:],
-        scale.cert_threshold, scale.floor,
     )
 
 

@@ -16,11 +16,13 @@ from guas_cert import (
     kalman_matrix,
     normalize,
     output_measure,
+    scan_G,
     sweep_lambda,
+    sweep_scale,
 )
 from guas_cert import analyzer
 from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
-from guas_cert.observability import sigma_C_bisection, sweep_scale
+from guas_cert.observability import sigma_C_bisection
 from guas_cert.gallery import kdeux, mason, shared_output, torus
 
 FAST = AnalyzerOptions(evidence_runs=4, evidence_T=20.0, evidence_dt=1e-2)
@@ -87,25 +89,41 @@ class TestBranches:
         blocks = block_form(npair, common_kernel(npair))
         O = kalman_matrix(blocks.C(lam), blocks.A(lam))
         x = np.asarray(v.certificate["witness"], float)
-        assert np.linalg.norm(O @ x) <= sweep_lambda(blocks).tol
+        assert np.linalg.norm(O @ x) <= sweep_scale(blocks).floor
 
     def test_shared_output_injective(self):
         v = analyze(shared_output(), np.eye(4), options=FAST)
         assert v.conclusion == "GUAS_C_injective"
         assert v.guas
 
-    def test_grid_counts_lambda_evals(self):
-        """A C-injective pair counts the three lambdas of the sweep's scale
-        and the injectivity bisection's, and runs no Kalman sweep: 3 + 17
-        here; none for a trivial kernel."""
-        npair = normalize(replace(shared_output(), P=np.eye(4)))
+    @pytest.mark.parametrize("make, P, conclusion, total", [
+        (shared_output, np.eye(4), "GUAS_C_injective", 20),
+        (lambda: kdeux(1.0, 2.0), None, "GUAS_dimK_le2", 20),
+        (lambda: kdeux(1.0, -1.0), None, "NOT_GUAS_constant_input", 20),
+        (frozen_k3, None, "GUAS_G_discrete", 48),
+    ], ids=["C_injective", "dimK_le2", "constant_input", "G_discrete"])
+    def test_grid_counts_lambda_evals(self, make, P, conclusion, total):
+        """lambda_evals counts the three lambdas of the family's scale once,
+        on every branch, plus what each stage that ran evaluated: the
+        injectivity bisection where k' >= k (a C-injective pair runs no
+        Kalman sweep), the sweep, and the scan; none for a trivial kernel."""
+        pair = make() if P is None else replace(make(), P=P)
+        npair = normalize(pair)
         blocks = block_form(npair, common_kernel(npair))
         scale = sweep_scale(blocks)
-        run = sigma_C_bisection(blocks, blocks.k, scale)
-        v = analyze(shared_output(), np.eye(4), options=FAST)
-        assert v.conclusion == "GUAS_C_injective"
-        assert v.grid == {"n_grid": 257, "lambda_evals": scale.n_evals + run.n_evals}
-        assert v.grid["lambda_evals"] == 20
+        expected, run = scale.n_evals, None
+        if blocks.k_prime >= blocks.k:
+            run = sigma_C_bisection(blocks, blocks.k, scale)
+            expected += run.n_evals
+        if conclusion != "GUAS_C_injective":
+            lam_hat = None if run is None else run.lambda_star
+            expected += sweep_lambda(blocks, scale, lam_hat).n_evals
+        if conclusion == "GUAS_G_discrete":
+            expected += scan_G(blocks, scale).n_samples
+        v = analyze(make(), P, options=FAST)
+        assert v.conclusion == conclusion
+        assert v.grid == {"n_grid": 257, "lambda_evals": expected}
+        assert expected == total
         assert analyze(mason(), mason().P, options=FAST).grid["lambda_evals"] == 0
 
     def test_torus_inconclusive_with_decaying_evidence(self):
@@ -145,7 +163,7 @@ class TestBranches:
         v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
         npair = normalize(pair)
         blocks = block_form(npair, common_kernel(npair))
-        run = sigma_C_bisection(blocks, blocks.k, sweep_lambda(blocks))
+        run = sigma_C_bisection(blocks, blocks.k, sweep_scale(blocks))
         assert run.verdict == "refuted"
         assert v.margins["C_injectivity_margin"] == run.value >= 0.0
 

@@ -13,6 +13,7 @@ from guas_cert import (
     normalize,
     scan_G,
     sweep_lambda,
+    sweep_scale,
     wedge,
 )
 from guas_cert.bad_locus import NODES, _fit_operator, in_F_dual, in_N, kernel_vector
@@ -265,7 +266,7 @@ def frozen_k3_blocks():
 
 
 def scan(blocks):
-    return scan_G(blocks, sweep_lambda(blocks))
+    return scan_G(blocks, sweep_scale(blocks))
 
 
 def no_drift():
@@ -356,9 +357,10 @@ class TestScanG:
         """k' = 0: the sweep refutes at the first grid point, and scan_G takes
         N = K from the empty output stack, after the k > 3 gate."""
         blocks = no_output_blocks(k)
-        obs = sweep_lambda(blocks)
+        scale = sweep_scale(blocks)
+        obs = sweep_lambda(blocks, scale)
         assert obs.verdict == "fails_at" and obs.lambda_star == 0.0
-        report = scan_G(blocks, obs)
+        report = scan_G(blocks, scale)
         assert report.verdict == "inconclusive" and report.n_samples == 0
         assert report.note == note + ": discreteness of G undecided"
 
@@ -391,7 +393,7 @@ class TestScanG:
     def test_torus_scan_does_not_crash_near_cone_boundary(self):
         npair = normalize(torus())
         blocks = block_form(npair, common_kernel(npair))
-        report = scan_G(blocks, sweep_lambda(blocks))
+        report = scan_G(blocks, sweep_scale(blocks))
         # k = 4 > 3: no decision is taken
         assert report.verdict == "inconclusive"
         assert report.n_samples == 0
@@ -403,29 +405,29 @@ class TestKPetit:
 
     def test_trivial_case(self):
         blocks = kdeux_blocks(1.0, 1.0)
-        assert sweep_lambda(blocks).verdict == "observable_for_all_lambda"
+        assert sweep_lambda(blocks, sweep_scale(blocks)).verdict == "observable_for_all_lambda"
         assert kpetit_classify(blocks) == "distinct_kernels_common_rotation_direction"
 
     def test_opposite_rates_flagged(self):
         blocks = kdeux_blocks(1.0, -1.0)
-        assert sweep_lambda(blocks).verdict == "fails_at"
+        assert sweep_lambda(blocks, sweep_scale(blocks)).verdict == "fails_at"
         assert kpetit_classify(blocks) == "A_lambda vanishes for some lambda in [0,1]"
 
     def test_equal_output_kernels(self):
         """C0 = C1 = [1, 0]: both outputs vanish on one line of K."""
         blocks = replace(kdeux_blocks(1.0, 2.0), C1=np.array([[1.0, 0.0]]))
-        assert sweep_lambda(blocks).verdict == "observable_for_all_lambda"
+        assert sweep_lambda(blocks, sweep_scale(blocks)).verdict == "observable_for_all_lambda"
         assert kpetit_classify(blocks) == "equal_output_kernels"
 
     def test_k1_always_decidable(self):
         blocks = k1_blocks(1.0, 1.0)
-        assert sweep_lambda(blocks).verdict == "observable_for_all_lambda"
+        assert sweep_lambda(blocks, sweep_scale(blocks)).verdict == "observable_for_all_lambda"
         assert kpetit_classify(blocks) == "no lambda kills C_lambda e1"
 
     def test_k1_output_killed(self):
         """C0 = 1, C1 = -1: lam = 1/2 kills the output on K."""
         blocks = k1_blocks(1.0, -1.0)
-        assert sweep_lambda(blocks).verdict == "fails_at"
+        assert sweep_lambda(blocks, sweep_scale(blocks)).verdict == "fails_at"
         assert kpetit_classify(blocks) == "some lambda in [0,1] kills the output on K"
 
     def test_k0_is_trivial(self):

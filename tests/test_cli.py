@@ -64,10 +64,13 @@ class TestProblemFiles:
         np.testing.assert_array_equal(back.P, pair.P)
 
     def test_missing_keys(self, tmp_path, capsys):
-        """An object without B1, a number and a string are parse errors:
-        a ValueError, exit 4, and no traceback."""
+        """An object without B1, a number, a string and a JSON object in a
+        matrix are parse errors: a ValueError, exit 4, and no traceback."""
         path = tmp_path / "bad.json"
-        for text in ('{"B0": [[1]]}', "3", '"B0B1"'):
+        for text in ('{"B0": [[1]]}', "3", '"B0B1"',
+                     '{"B0": {"a": 1}, "B1": [[-1]]}',
+                     '{"B0": [[-1]], "B1": [[-1]], "P": {"a": 1}}',
+                     '{"B0": [[{"a": 1}]], "B1": [[-1]]}'):
             path.write_text(text)
             with pytest.raises(ValueError):
                 load_problem(str(path))

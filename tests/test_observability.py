@@ -12,7 +12,9 @@ from guas_cert import (
 )
 from guas_cert.decomposition import BlockFamily
 from guas_cert.gallery import assemble, kdeux, shared_output, torus
-from guas_cert.observability import MAX_GRID, sigma_C_bisection, weyl_bisection
+from guas_cert.observability import (
+    MAX_GRID, sigma_C_bisection, sweep_scale, weyl_bisection,
+)
 
 from conftest import block_pair, full_grid_bisection, kdeux_blocks, skew, stable_block
 
@@ -76,64 +78,69 @@ class TestPairObservable:
 
 class TestSweepLambda:
     def test_kdeux_same_sign_observable(self):
-        report = sweep_lambda(kdeux_blocks(1.0, 1.0))
+        blocks = kdeux_blocks(1.0, 1.0)
+        report = sweep_lambda(blocks, sweep_scale(blocks))
         assert report.verdict == "observable_for_all_lambda"
         assert report.margin > 0
         assert report.witness is None
 
     def test_kdeux_opposite_sign_fails_interior(self):
-        report = sweep_lambda(kdeux_blocks(1.0, -1.0))
+        blocks = kdeux_blocks(1.0, -1.0)
+        report = sweep_lambda(blocks, sweep_scale(blocks))
         assert report.verdict == "fails_at"
         # (1-lam) a + lam b = 0 at lam = 1/2 for (a, b) = (1, -1)
         assert report.lambda_star == pytest.approx(0.5, abs=1e-6)
         x = report.witness
         assert x is not None
-        M = kalman_matrix(
-            kdeux_blocks(1.0, -1.0).C(report.lambda_star),
-            kdeux_blocks(1.0, -1.0).A(report.lambda_star),
-        )
+        M = kalman_matrix(blocks.C(report.lambda_star), blocks.A(report.lambda_star))
         assert np.linalg.norm(M @ x) < 1e-6
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_failure_location_tracks_root(self):
         # (1-lam) * 1 + lam * -3 = 0 at lam = 1/4
-        report = sweep_lambda(kdeux_blocks(1.0, -3.0))
+        blocks = kdeux_blocks(1.0, -3.0)
+        report = sweep_lambda(blocks, sweep_scale(blocks))
         assert report.verdict == "fails_at"
         assert report.lambda_star == pytest.approx(0.25, abs=1e-6)
 
     def test_grid_covers_unit_interval(self):
-        report = sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=65)
-        assert report.grid[0] == 0.0 and report.grid[-1] == 1.0
-        assert len(report.grid) == 65
+        blocks = kdeux_blocks(1.0, 2.0)
+        report = sweep_lambda(blocks, sweep_scale(blocks, n_grid=65))
+        grid = report.scale.grid
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert len(grid) == 65
         # a well-conditioned family clears from a few grid points
-        assert 0 < report.n_evals < len(report.grid)
+        assert 0 < report.n_evals < len(grid)
 
     def test_grid_size_is_capped(self):
         """MAX_GRID points are accepted, and a well-conditioned family
-        clears from the first pass, every 16th point, plus the three lambdas
-        of tol_eff; one more point is refused."""
-        report = sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=MAX_GRID)
+        clears from the first pass, every 16th point (the scale's three
+        lambdas of tol_eff are its own count); one more point is refused."""
+        blocks = kdeux_blocks(1.0, 2.0)
+        report = sweep_lambda(blocks, sweep_scale(blocks, n_grid=MAX_GRID))
         assert report.verdict == "observable_for_all_lambda"
-        assert len(report.grid) == MAX_GRID
-        assert report.n_evals == (MAX_GRID - 1) // 16 + 1 + 3
+        assert len(report.scale.grid) == MAX_GRID
+        assert report.n_evals == (MAX_GRID - 1) // 16 + 1
         message = f"in \\[2, {MAX_GRID}\\], got {MAX_GRID + 1}$"
         with pytest.raises(ValueError, match=message):
-            sweep_lambda(kdeux_blocks(1.0, 2.0), n_grid=MAX_GRID + 1)
+            sweep_scale(blocks, n_grid=MAX_GRID + 1)
 
     def test_grid_size_must_be_an_integer(self):
         """A float grid size is refused with the range check's ValueError,
         not np.linspace's TypeError; a numpy integer is accepted."""
         blocks = kdeux_blocks(1.0, 2.0)
         with pytest.raises(ValueError, match="n_grid must be an integer .* got 257.0$"):
-            sweep_lambda(blocks, n_grid=257.0)
-        report = sweep_lambda(blocks, n_grid=np.int64(257))
-        assert len(report.grid) == 257
-        assert report.verdict == sweep_lambda(blocks, n_grid=257).verdict
+            sweep_scale(blocks, n_grid=257.0)
+        report = sweep_lambda(blocks, sweep_scale(blocks, n_grid=np.int64(257)))
+        assert len(report.scale.grid) == 257
+        assert report.verdict == sweep_lambda(blocks, sweep_scale(blocks, n_grid=257)).verdict
 
     def test_well_conditioned_family_is_cheap(self, monkeypatch):
         """kdeux(1, 2) clears from a few grid points: fewer than n_grid // 4
-        evaluations, each of them a point of the grid."""
+        evaluations, each of them a point of the grid.  The scale is built
+        before the recorder goes in, so it sees the sweep's lambdas only."""
         blocks = kdeux_blocks(1.0, 2.0)
+        scale = sweep_scale(blocks, n_grid=257)
         seen = []
         kalman = observability.kalman_matrix
 
@@ -142,14 +149,14 @@ class TestSweepLambda:
             return kalman(C, A)
 
         monkeypatch.setattr(observability, "kalman_matrix", recorded)
-        report = sweep_lambda(blocks, n_grid=257)
+        report = sweep_lambda(blocks, scale)
         assert report.verdict == "observable_for_all_lambda"
         assert report.n_evals < 257 // 4
         # C_lam[0, 0] = 1 - lam for this family
         lams = 1.0 - np.concatenate(seen)
         assert len(lams) == report.n_evals
-        assert np.all(np.min(np.abs(lams[:, None] - report.grid), axis=1) < 1e-15)
-        run = sigma_C_bisection(blocks, 1, report)
+        assert np.all(np.min(np.abs(lams[:, None] - scale.grid), axis=1) < 1e-15)
+        run = sigma_C_bisection(blocks, 1, scale)
         assert run.verdict == "certified" and run.n_evals < 257 // 4
 
     def test_trivial_kernel_observable(self):
@@ -157,14 +164,14 @@ class TestSweepLambda:
             A0=np.zeros((0, 0)), A1=np.zeros((0, 0)),
             C0=np.zeros((2, 0)), C1=np.zeros((2, 0)),
         )
-        report = sweep_lambda(blocks)
+        report = sweep_lambda(blocks, sweep_scale(blocks))
         assert report.verdict == "observable_for_all_lambda"
         assert np.isinf(report.margin)
 
     def test_shared_output_injective_everywhere(self):
         npair = normalize(shared_output())
         blocks_sh = __import__("guas_cert").block_form(npair, common_kernel(npair))
-        report = sweep_lambda(blocks_sh)
+        report = sweep_lambda(blocks_sh, sweep_scale(blocks_sh))
         assert report.verdict == "observable_for_all_lambda"
 
 

@@ -50,3 +50,17 @@ def test_kernel_decomposition_stores_the_frame_once():
 @pytest.mark.parametrize("function", [guas_cert.normalize, guas_cert.check_weak_lyapunov])
 def test_lyapunov_matrix_enters_only_on_the_pair(function):
     assert list(inspect.signature(function).parameters) == ["pair"]
+
+
+def test_sweep_stages_take_the_family_scale():
+    """A family's grid and thresholds live on its SweepScale alone: the
+    sweep report holds the scale, not copies of its fields, and the sweep
+    and the scan take it in place of a grid size and a tolerance."""
+    fields = [f.name for f in dataclasses.fields(guas_cert.ObservabilityReport)]
+    assert fields == ["scale", "n_evals", "verdict", "margin", "lambda_star", "witness"]
+    parameters = {
+        function.__name__: list(inspect.signature(function).parameters)
+        for function in (guas_cert.sweep_lambda, guas_cert.scan_G)
+    }
+    assert parameters == {"sweep_lambda": ["blocks", "scale", "lam_hat"],
+                          "scan_G": ["blocks", "scale"]}

@@ -82,19 +82,19 @@ def sigma_k(blocks, lams):
 )
 def test_sweep_verdicts_hold(kind, k, k_prime, seed, lam_star):
     blocks = family(kind, k, k_prime, seed, lam_star)
-    report = sweep_lambda(blocks)
+    report = sweep_lambda(blocks, sweep_scale(blocks))
     if kind != "random":
         assert report.verdict != "observable_for_all_lambda"
     if report.verdict == "observable_for_all_lambda":
         lams = np.random.default_rng(seed).uniform(0.0, 1.0, 2000)
         sigma = sigma_k(blocks, lams)
-        assert sigma.min() > report.cert_threshold
+        assert sigma.min() > report.scale.cert_threshold
         assert sigma.min() >= report.margin - 1e-12
     elif report.verdict == "fails_at":
         x = report.witness[:, 0]
         O = kalman_matrix(blocks.C(report.lambda_star), blocks.A(report.lambda_star))
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(O @ x) <= report.tol
+        assert np.linalg.norm(O @ x) <= report.scale.floor
 
 
 @given(
@@ -122,23 +122,24 @@ def test_lazy_cover_matches_full_grid(kind, k, k_prime, seed, lam_star):
     another path and count either way."""
     blocks = family(kind, k, k_prime, seed, lam_star)
     j = min(k, k_prime)
-    lazy = sweep_lambda(blocks)
+    scale = sweep_scale(blocks)
+    lazy = sweep_lambda(blocks, scale)
     with mock.patch.object(observability, "weyl_bisection", full_grid_bisection):
-        full = sweep_lambda(blocks)
-        full_C = sigma_C_bisection(blocks, j, full)
+        full = sweep_lambda(blocks, scale)
+        full_C = sigma_C_bisection(blocks, j, scale)
     assert lazy.verdict == full.verdict
     if full.verdict == "fails_at":
         for report in (lazy, full):
-            assert sigma_k(blocks, np.array([report.lambda_star]))[0] < report.tol
+            assert sigma_k(blocks, np.array([report.lambda_star]))[0] < scale.floor
     else:
         assert lazy.n_evals <= full.n_evals
-    lazy_C = sigma_C_bisection(blocks, j, lazy)
+    lazy_C = sigma_C_bisection(blocks, j, scale)
     assert lazy_C.verdict == full_C.verdict
     if full_C.verdict == "refuted":
         # its floor is cert_threshold = CERT_FACTOR tol_eff
-        for run, report in ((lazy_C, lazy), (full_C, full)):
+        for run in (lazy_C, full_C):
             C = blocks.C(run.lambda_star)
-            assert np.linalg.svd(C, compute_uv=False)[j - 1] < report.cert_threshold
+            assert np.linalg.svd(C, compute_uv=False)[j - 1] < scale.cert_threshold
     assert lazy_C.n_evals <= full_C.n_evals
 
 
@@ -163,15 +164,16 @@ def test_opposed_refutes_in_few_calls(k, data, seed, lam_star):
             return sigma(lams)
         return bisection(counted, *args)
 
+    scale = sweep_scale(blocks)
     with mock.patch.object(observability, "weyl_bisection", counting):
-        report = sweep_lambda(blocks)
+        report = sweep_lambda(blocks, scale)
     assert report.verdict == "fails_at"
     assert len(calls) <= 8
     # sigma_k(O(lam)) = |1 - lam / lam*| sigma_k(O_0(lam)), O_0 the Kalman
     # matrix of (C0, A_lam): a value below tol lies within about
     # lam* tol / sigma_k(O_0(lam*)) of lam*
     O_0 = kalman_matrix(blocks.C0, blocks.A(lam_star))
-    reach = lam_star * report.tol / np.linalg.svd(O_0, compute_uv=False)[k - 1]
+    reach = lam_star * scale.floor / np.linalg.svd(O_0, compute_uv=False)[k - 1]
     assert abs(report.lambda_star - lam_star) <= max(1e-8, 1.01 * reach)
 
 
@@ -185,7 +187,7 @@ ORACLE_TOL = 1e-4
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scan_finds_every_tangency_point(seed):
     blocks = family("random", 3, 2, seed, 0.5)
-    report = scan_G(blocks, sweep_lambda(blocks))
+    report = scan_G(blocks, sweep_scale(blocks))
     if report.verdict != "discrete":
         return
     assert len(report.roots) <= report.degree
@@ -227,7 +229,7 @@ def reference_curve_rule(blocks, tol=1e-9):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_curve_rule_matches_polynomial_reference(seed):
     blocks = family("random", 3, 2, seed, 0.5)
-    report = scan_G(blocks, sweep_lambda(blocks))
+    report = scan_G(blocks, sweep_scale(blocks))
     if report.rule != "curve":  # a gate or the sigma_C bisection stopped it
         return
     verdict, margin, roots = reference_curve_rule(blocks)
@@ -238,20 +240,21 @@ def test_curve_rule_matches_polynomial_reference(seed):
 
 def sweep_first(pair, tol=1e-9):
     """The analyzer's branch order with the Kalman sweep first and the
-    sigma_k(C_lam) bisection on its report after it: the conclusion, the
-    blocks and the sweep's report, for a pair with a nontrivial kernel."""
+    sigma_k(C_lam) bisection after it: the conclusion, the blocks and the
+    sweep's report, for a pair with a nontrivial kernel."""
     npair = normalize(pair)
     blocks = block_form(npair, common_kernel(npair, tol), tol)
-    sweep = sweep_lambda(blocks, 257, tol)
+    scale = sweep_scale(blocks, 257, tol)
+    sweep = sweep_lambda(blocks, scale)
     if sweep.verdict == "fails_at":
         return "NOT_GUAS_constant_input", blocks, sweep
     if sweep.verdict == "observable_for_all_lambda":
         if (blocks.k_prime >= blocks.k
-                and sigma_C_bisection(blocks, blocks.k, sweep).verdict == "certified"):
+                and sigma_C_bisection(blocks, blocks.k, scale).verdict == "certified"):
             return "GUAS_C_injective", blocks, sweep
         if blocks.k <= 2:
             return "GUAS_dimK_le2", blocks, sweep
-        if scan_G(blocks, sweep, tol).verdict == "discrete":
+        if scan_G(blocks, scale).verdict == "discrete":
             return "GUAS_G_discrete", blocks, sweep
     return "INCONCLUSIVE", blocks, sweep
 
