@@ -25,7 +25,20 @@ takes a square root only at a block's ends and the window start, and
 every norm of a block only where a rise is positive or not finite.
 ``worst_case_switching`` keeps every state of one run, built from the
 first state of each stretch with the same powers.  Both are heuristic
-evidence, never a certificate.
+evidence, never a certificate of GUAS.
+
+``worst_case_runs`` first tries to prove that no run ever switches.  If
+every run holds the same step-0 input u and lambda_max of the rule's margin
+form G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1), times a bound on every
+state's squared norm, stays below TIE_TOL with a rounding allowance, no
+state reaches the switching margin.  That holds whenever S0 >= S1, the
+gallery ``torus`` among them; it fails for pairs that switch and for
+S1 >= S0, whose starts in K tie at step 0 and keep u = 0.  The runs are
+then E_u^j x, and the window-start and final norms take O(log n) products
+by binary powering.  The norm check is the bound
+(sigma_max(E_u) - 1)_+ max(1, sigma_max(E_u))^n ||x_r|| on every one-step
+increase of run r.  When the certificate or that bound fails, or a number
+is not finite, the runs fall back to the engine.
 """
 
 from __future__ import annotations
@@ -432,27 +445,119 @@ def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Traje
     return _checked_run(states, dt, False, applied_lambda=inputs[:-1])
 
 
+def _advanced(E: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """The rows of the (m, d) array x advanced n steps by E, E^n x for each,
+    by binary powering: O(log n) products."""
+    while n:
+        if n & 1:
+            x = x @ E.T
+        n >>= 1
+        if n:
+            E = E @ E
+    return x
+
+
+def _held_runs(pair: NormalizedPair, x: np.ndarray, initial: np.ndarray,
+               n_steps: int, dt: float, window_step: int):
+    """The (window_start, final) norms of the greedy runs from the rows of
+    x, taken as the linear runs E_u^j x, when the certificate of
+    ``worst_case_runs`` shows that no run switches input and that every
+    one-step norm increase passes the check; else None: a mixed step-0
+    input, a failed bound or a number that is not finite."""
+    q0 = np.einsum("id,id->i", x @ pair.S0.T, x)
+    q1 = np.einsum("id,id->i", x @ pair.S1.T, x)
+    diff = q0 - q1
+    switched = (np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))) & (diff < 0.0)
+    if switched.min() != switched.max():
+        return None
+    u = int(switched[0])
+    E = expm((pair.B1n if u else pair.B0n) * dt)
+    if not np.isfinite(E).all():
+        return None
+    sigma = np.linalg.norm(E, 2)
+    growth = max(1.0, sigma) ** n_steps
+    # The rounding allowance.  With unit roundoff eps / 2, the engine's
+    # q_i = y^T S_i y (two length-d dot products) lie within
+    # e_i <= d eps ||S_i||_F ||y||^2 of the exact forms, and its tie test
+    # and difference round by at most 2 eps relative.  So u switches at y
+    # only if y^T G_u y > TIE_TOL (1 - 2 eps) - 2 (e_0 + e_1): the
+    # (1 + TIE_TOL) on the e_i and the TIE_TOL eps |q_i| terms are rounded
+    # up into the 2.  Forming G_u moves its entries by at most
+    # 2 eps (|S_0| + |S_1|), and eigvalsh, backward stable, lambda_max by
+    # d eps ||G_u||_2 more.  In all, (lambda_max(G_u) +
+    # 4 (d + 1) eps (||S_0||_F + ||S_1||_F)) ||y||^2 < TIE_TOL (1 - 2 eps)
+    # rules a switch at y out, as 2 d + d + 2 <= 4 (d + 1).  A computed
+    # state is E_u^j x to a relative d^2 eps per step spanned (the
+    # product's rounding, |E_u| <= sqrt(d) in norm), hence the factor
+    # (1 + n d^2 eps) in R.
+    d, eps = pair.d, np.finfo(float).eps
+    G = TIE_TOL * (pair.S0 + pair.S1) + (2 * u - 1) * (pair.S0 - pair.S1)
+    allowance = 4 * (d + 1) * eps * (np.linalg.norm(pair.S0) + np.linalg.norm(pair.S1))
+    R2 = (initial.max() * growth * (1.0 + n_steps * d * d * eps)) ** 2
+    if not (np.isfinite(R2)
+            and (np.linalg.eigvalsh(G)[-1] + allowance) * R2 < TIE_TOL * (1.0 - 2.0 * eps)
+            and (max(sigma - 1.0, 0.0) * growth * initial
+                 <= _exact_step_bound(initial, n_steps)).all()):
+        return None
+    window = _advanced(E, window_step, x)
+    final = _advanced(E, n_steps - window_step, window)
+    return np.linalg.norm(window, axis=1), np.linalg.norm(final, axis=1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
-    """The greedy adversary from every row of ``starts`` at once, as
-    ``_greedy_stretches`` of one (m, d) array, keeping only norms.
+    """The greedy adversary from every row of ``starts`` at once, keeping
+    only norms: the runs skip to T by matrix powers when a certificate
+    shows that none of them switches, and are otherwise
+    ``_greedy_stretches`` of one (m, d) array.
 
-    No per-step data is kept beyond the current block, O(m L) numbers with
-    L at most ``BLOCK_CAP``.  Returns the arrays (initial, window_start,
-    final) of each run's norm at t = 0, at the first step of the last
-    quarter of [0, T] (``_window_step`` with window T / 4) and at T, the
-    three norms ``plateau_rule`` reads.  Each run's largest one-step norm
-    increase is checked against a bound from its own initial norm.  A norm
-    is taken, by a square root, only at a stretch's first and last state
-    and at the window start, unless some rise in a block is positive or not
-    finite: then every norm of that block is, and the increases are their
-    differences.  Heuristic evidence only, never a certificate.
+    Returns the arrays (initial, window_start, final) of each run's norm at
+    t = 0, at the first step of the last quarter of [0, T]
+    (``_window_step`` with window T / 4) and at T, the three norms
+    ``plateau_rule`` reads; raises BadSignalSpec for an empty start set or
+    starts of the wrong length.
+
+    The certificate comes first.  Every run takes its step-0 input u by the
+    engine's single-step rule.  When all hold one u, the engine switches a
+    run at a state y only if y^T G_u y > TIE_TOL, with the margin form
+    G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1) of ``_form_tables``' row
+    0.  Norms do not grow, to the factor g = max(1, sigma_max(E_u))^n, so
+    if lambda_max(G_u) g^2 max_r ||x_r||^2 is below TIE_TOL, with a
+    rounding allowance, no state of any run reaches the switching margin
+    and the state at step j is E_u^j x.  This holds whenever S0 >= S1
+    (u = 0 throughout), whatever the A_i and C_i: every gallery ``torus``
+    and every pair with S0 = S1.  A pair with S1 >= S0 is not covered: its
+    starts in K tie at step 0 and keep u = 0, whose margin form is not
+    negative.  Nor are pairs that switch.  The window-start and final norms
+    are then ||E_u^w x|| and ||E_u^(n - w) E_u^w x||, w the window step,
+    from O(log n) d x d products by binary powering.  Every one-step norm
+    increase of run r is at most (sigma_max(E_u) - 1)_+ g ||x_r||; when
+    that is within the run's ``_exact_step_bound`` the norm check holds at
+    every step.  A mixed or refused input, a bound over its limit or a
+    number that is not finite falls back to the block engine, whose norm
+    check raises StepTooLarge as before.
+
+    The engine keeps no per-step data beyond the current block, O(m L)
+    numbers with L at most ``BLOCK_CAP``.  Each run's largest one-step
+    norm increase is checked against a bound from its own initial norm.  A
+    norm is taken, by a square root, only at a stretch's first and last
+    state and at the window start, unless some rise in a block is positive
+    or not finite: then every norm of that block is, and the increases are
+    their differences.  Heuristic evidence only, never a certificate of
+    GUAS.
     """
     n_steps = _n_steps(T, dt)
     x = np.array(starts, float, ndmin=2)
-    P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
+    if x.shape[1] != pair.d:
+        raise BadSignalSpec(f"x0 has length {x.shape[1]}, system dimension is {pair.d}")
+    if not len(x):
+        raise BadSignalSpec("worst_case_runs needs at least one start")
     window_step = _window_step(n_steps, dt, T / 4.0)
     initial = np.linalg.norm(x, axis=1)
+    held = _held_runs(pair, x, initial, n_steps, dt, window_step)
+    if held is not None:
+        return (initial, *held)
+    P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
     worst = np.zeros(len(x))
     for j, _, sq_norms, rises, _ in _greedy_stretches(pair, P, x, n_steps):
         s = len(sq_norms)

@@ -296,6 +296,13 @@ def slow_rotation_pair() -> NormalizedPair:
     return NormalizedPair(J - np.diag([0.5, 0.0]), J - np.diag([0.0, 0.5]))
 
 
+def swapped_torus() -> NormalizedPair:
+    """``torus(2)`` with its modes swapped, so S1 >= S0: a start off K
+    switches to u = 1 at step 0, and a start in K ties and keeps u = 0."""
+    pair = torus(2)
+    return normalize(MatrixPair(pair.B1, pair.B0))
+
+
 class TestGreedyReplay:
     @pytest.mark.parametrize("pair", [mason(), switching_pair()],
                              ids=["mason", "switching"])
@@ -517,10 +524,57 @@ class TestWorstCaseRuns:
             return table
 
         monkeypatch.setattr(simulator, "_form_tables", nan_inside)
-        npair = normalize(torus(2))
-        # off K every rise is negative: only the NaN ones call for the norms
+        npair = swapped_torus()
+        # off K every rise is negative: only the NaN ones call for the norms;
+        # the start in K, which ties at step 0 and keeps u = 0 while the other
+        # switches to 1, keeps the runs on the block engine
+        starts = np.vstack([np.ones(npair.d), common_kernel(npair).K_basis[:, 0]])
         with pytest.raises(StepTooLarge, match="norm is not finite in run 0"):
-            worst_case_runs(npair, np.ones((1, npair.d)), 20.0, 5e-3)
+            worst_case_runs(npair, starts, 20.0, 5e-3)
+
+    def test_held_runs_skip_the_block_engine(self, monkeypatch):
+        """The torus has S0 >= S1, so the certificate that no run switches
+        holds and its evidence builds no tables.  Pairs that switch, and the
+        swapped torus (S1 >= S0), whose starts in K tie at step 0 and keep
+        u = 0, run the block engine."""
+        build = simulator._form_tables
+        built = []
+        monkeypatch.setattr(simulator, "_form_tables",
+                            lambda pair, P: built.append(pair) or build(pair, P))
+        npair = normalize(torus(2))
+        empirical_evidence(npair, 32, 20.0, 5e-3, 1, common_kernel(npair).K_basis)
+        assert built == []
+
+        swapped = swapped_torus()
+        angles = np.linspace(0.1, 3.0, 4)
+        for pair, starts in (
+            (normalize(switching_pair()), np.random.default_rng(0).standard_normal((3, 5))),
+            (slow_rotation_pair(), np.column_stack([np.cos(angles), np.sin(angles)])),
+            (swapped, common_kernel(swapped).K_basis.T),
+            (swapped, np.vstack([np.ones(5), common_kernel(swapped).K_basis[:, 0]])),
+        ):
+            count = len(built)
+            worst_case_runs(pair, starts, 2.0, 1e-2)
+            assert built[count:] == [pair]
+
+    def test_inflated_step_on_the_torus_raises_the_engines_message(self, monkeypatch):
+        """A step inflated by 1 + 1e-9 breaks the certificate's rise bound,
+        so the torus runs fall back to the engine, whose check reports the
+        largest one-step increase of the runs in K."""
+        monkeypatch.setattr(simulator, "expm", lambda M: expm(M) * (1.0 + 1e-9))
+        npair = normalize(torus(2))
+        with pytest.raises(StepTooLarge, match=r"increased by 1\.000e-09 in run 0"):
+            worst_case_runs(npair, common_kernel(npair).K_basis.T, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("pair", [torus(2), switching_pair()], ids=["torus", "switching"])
+    def test_bad_start_set_raises(self, pair):
+        """An empty start set, or starts of the wrong length, raise
+        BadSignalSpec before the certificate or the engine runs."""
+        npair = normalize(pair)
+        with pytest.raises(BadSignalSpec, match="at least one start"):
+            worst_case_runs(npair, np.empty((0, npair.d)), 1.0, 1e-2)
+        with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 5"):
+            worst_case_runs(npair, np.ones((2, 3)), 1.0, 1e-2)
 
     def test_torus_run_takes_few_stretches(self):
         """The torus never switches: after the first single step its 4,000
