@@ -155,20 +155,12 @@ def empirical_evidence(
     """Greedy-adversary runs from random unit starts plus the K directions.
 
     All runs go together as one (n_runs, d) array to ``worst_case_runs``,
-    which keeps norms only.  It first tries a certificate that no run ever
-    switches: all runs hold one step-0 input u, and lambda_max of the rule's
-    margin form G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1) times a bound
-    on every squared norm stays below TIE_TOL, with a rounding allowance.
-    It holds whenever S0 >= S1, every gallery torus among them, and not
-    for S1 >= S0, whose starts in K tie at step 0 and keep u = 0.  The runs
-    then skip to T by binary powers of E_u = expm(B_u dt), and each one-step
-    norm increase is bounded by (sigma_max(E_u) - 1)_+
-    max(1, sigma_max(E_u))^n ||x_r||, which must pass the norm check.
-    Otherwise, or when that bound fails, the runs fall back to the greedy
-    engine of ``worst_case_switching``: blocks of L <= 256 steps while no
-    run switches, each read from one product with tables of three quadratic
-    forms (rule margin, squared norm and its one-step rise),
-    O(256 d^2 + n_runs L) numbers.
+    which keeps norms only.  When its certificate that no run ever switches
+    holds (see its docstring), the runs skip to T by binary powers of
+    E_u = expm(B_u dt).  Otherwise they fall back to the greedy engine of
+    ``worst_case_switching``: blocks of L <= 256 steps while no run
+    switches, each read from one product with tables of two quadratic forms
+    (rule margin and squared norm), O(256 d^2 + n_runs L) numbers.
     A run is non-decaying when its norm plateaus over the last quarter of
     [0, T] above 1e-6 of its start.  Heuristic evidence, never a certificate.
     """

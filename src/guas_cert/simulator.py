@@ -14,31 +14,22 @@ The greedy adversary has one engine, ``_greedy_stretches``.  It steps many
 runs as one (m, d) array and hands them out in stretches of constant
 input.  While no run switches it steps them in blocks of up to
 ``BLOCK_CAP`` steps without computing the states inside a block: the rule
-margin, the squared norm N_i at E_u^i x and its rise N_{i+1} - N_i are
-quadratic forms of the block's start state x, whose packed coefficients
-``_form_tables`` builds once per call, three forms of O(BLOCK_CAP d^2)
-numbers.  One product of the runs' packed x x^T with those tables gives
-every margin, squared norm and rise of a block, and x advances by the
-power E_u^s.  ``worst_case_runs`` keeps only norms: per run its initial,
-window-start and final norms and its largest one-step norm increase.  It
-takes a square root only at a block's ends and the window start, and
-every norm of a block only where a rise is positive or not finite.
+margin and the squared norm at E_u^i x are quadratic forms of the block's
+start state x, whose packed coefficients ``_form_tables`` builds once per
+call from the step powers, two forms of O(BLOCK_CAP d^2) numbers.  One
+product of the runs' packed x x^T with those tables gives every margin and
+squared norm of a block, and x advances by the power E_u^s.
+``worst_case_runs`` keeps only norms: per run its initial, window-start
+and final norms and its largest one-step norm increase.  It takes a square
+root only at a block's ends and the window start, and every norm of a
+block only where its squared norms are not non-increasing.
 ``worst_case_switching`` keeps every state of one run, built from the
 first state of each stretch with the same powers.  Both are heuristic
 evidence, never a certificate of GUAS.
 
-``worst_case_runs`` first tries to prove that no run ever switches.  If
-every run holds the same step-0 input u and lambda_max of the rule's margin
-form G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1), times a bound on every
-state's squared norm, stays below TIE_TOL with a rounding allowance, no
-state reaches the switching margin.  That holds whenever S0 >= S1, the
-gallery ``torus`` among them; it fails for pairs that switch and for
-S1 >= S0, whose starts in K tie at step 0 and keep u = 0.  The runs are
-then E_u^j x, and the window-start and final norms take O(log n) products
-by binary powering.  The norm check is the bound
-(sigma_max(E_u) - 1)_+ max(1, sigma_max(E_u))^n ||x_r|| on every one-step
-increase of run r.  When the certificate or that bound fails, or a number
-is not finite, the runs fall back to the engine.
+``worst_case_runs`` first tries its certificate that no run ever switches
+(see its docstring), and takes the runs to T by matrix powers when it
+holds; otherwise they fall back to the engine.
 """
 
 from __future__ import annotations
@@ -280,42 +271,32 @@ def _step_powers(pair: NormalizedPair, dt: float, cap: int) -> np.ndarray:
     return P
 
 
+def _margin_form(pair: NormalizedPair, u: int) -> np.ndarray:
+    """The greedy rule's margin form G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1)
+    for the held input u: a run holding u switches at a state y only if
+    y^T G_u y > TIE_TOL (``_greedy_stretches``)."""
+    return TIE_TOL * (pair.S0 + pair.S1) + (2 * u - 1) * (pair.S0 - pair.S1)
+
+
 def _form_tables(pair: NormalizedPair, P: np.ndarray) -> np.ndarray:
-    """The packed coefficients of three quadratic forms of a block's start
-    state x at each power E_u^i of P, i < cap, a (3, cap, 2, p) array indexed
+    """The packed coefficients of two quadratic forms of a block's start
+    state x at each power E_u^i of P, i < cap, a (2, cap, 2, p) array indexed
     by (form, i, u, coefficient), p = d (d + 1) / 2.
 
     With xx the entries x_a x_b, a <= b, of x x^T, xx @ table[0, i, u] is
-    the rule margin at E_u^i x, the form of
-    E_u^iT [(2u - 1)(S0 - S1) + TIE_TOL (S0 + S1)] E_u^i,
-    xx @ table[1, i, u] the squared norm N_i = ||E_u^i x||^2 and
-    xx @ table[2, i, u] its rise N_{i+1} - N_i over the next step.  The
-    margin and norm rows, for i up to cap, are built by doubling, as the
-    powers are: the forms at i + k are those at i under the congruence
-    F -> E_u^kT F E_u^k, a (p, p) matrix on packed forms.  The rise rows
-    are one subtraction of consecutive norm rows.
+    the rule margin at E_u^i x, the form E_u^iT G_u E_u^i of
+    ``_margin_form``, and xx @ table[1, i, u] the squared norm
+    ||E_u^i x||^2, the form E_u^iT E_u^i.  Both are computed straight from
+    the powers.
     """
-    d, n = pair.d, P.shape[1] - 1
+    d = pair.d
     a, b = np.triu_indices(d)
-    weight = np.where(a == b, 1.0, 2.0)  # x^T F x = sum over a <= b of w F_ab x_a x_b
-    diff, both = pair.S0 - pair.S1, TIE_TOL * (pair.S0 + pair.S1)
-    table = np.empty((3, n + 1, 2, len(a)))  # (form, i, u, coefficient)
-    built = table.transpose(2, 0, 1, 3)  # the same array as (u, form, i, coefficient)
-    built[:, 0, 0] = (both - diff)[a, b] * weight, (both + diff)[a, b] * weight
-    built[:, 1, 0] = a == b
-    # the transposed congruence by E = E_u^k, k = 1, 2, 4, ..., at
-    # [(a_c, b_c), (a_r, b_r)]: w_r (E_ac,ar E_bc,br + E_ac,br E_bc,ar) / 2
-    E = P[:, 2 ** np.arange(n.bit_length()), None]
-    ac, bc = a[:, None], b[:, None]
-    KT = E[..., ac, a] * E[..., bc, b] + E[..., ac, b] * E[..., bc, a]
-    KT *= 0.5 * weight
-    k = 1
-    for level in range(KT.shape[1]):
-        j = min(k, n + 1 - k)
-        np.matmul(built[:, :2, :j], KT[:, level], out=built[:, :2, k : k + j])
-        k += j
-    np.subtract(table[1, 1:], table[1, :-1], out=table[2, :-1])
-    return table[:, :n]
+    E = P[:, :-1].swapaxes(0, 1)  # (i, u, d, d)
+    G = np.stack([_margin_form(pair, 0), _margin_form(pair, 1)])
+    forms = E.swapaxes(-1, -2) @ np.stack([G @ E, E])  # (form, i, u, d, d)
+    table = forms.reshape(*forms.shape[:3], d * d).take(a * d + b, axis=-1)
+    table *= np.where(a == b, 1.0, 2.0)  # x^T F x = sum over a <= b of w F_ab x_a x_b
+    return table
 
 
 def _window_step(n_steps: int, dt: float, window: float) -> int:
@@ -331,25 +312,23 @@ def _window_step(n_steps: int, dt: float, window: float) -> int:
 def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
                       n_steps: int):
     """The greedy adversary from every row of the (m, d) array x, with the
-    step powers P of ``_step_powers``, as stretches (j, x, sq_norms, rises, u)
+    step powers P of ``_step_powers``, as stretches (j, x, sq_norms, u)
     over which no run switches.
 
-    ``x`` (m, d) holds the states at step j, ``sq_norms`` (s, m) the
-    squared norms N at steps j .. j+s-1, ``rises`` (s-1, m) the rises
-    N_{i+1} - N_i between them, read from their own forms, and ``u`` (m,)
-    each run's input on the steps from them, so the state at step j + i is
-    E_u^i x; ``sq_norms``, ``rises`` and ``u`` change in place when the
-    next stretch is asked for.  The last stretch holds only the state at
-    n_steps.
+    ``x`` (m, d) holds the states at step j, ``sq_norms`` (s, m) their
+    squared norms at steps j .. j+s-1 and ``u`` (m,) each run's input on
+    the steps from them, so the state at step j + i is E_u^i x;
+    ``sq_norms`` and ``u`` change in place when the next stretch is asked
+    for.  The last stretch holds only the state at n_steps.
 
     Each run picks its own u and keeps it on a tie to ``TIE_TOL``.  A single
-    step is one product x @ [S0 S1 I E0^T E1^T], which gives both
-    quadratic forms, the squared norms and both candidate next states.  A
-    block of L steps reads, from one product of the runs' packed x x^T with
-    their input's ``_form_tables`` columns, the rule margin, squared norm
-    and rise at each of its states.  Since |q| >= -q, a run that the exact
-    rule switches has a margin above ``TIE_TOL``: the block ends at the
-    first state where some run's margin is above it, or where some run's
+    step is one product x @ [S0 S1 I E0^T E1^T], which gives both quadratic
+    forms, the squared norms and both candidate next states.  A block of L
+    steps reads, from one product of the runs' packed x x^T with their
+    input's ``_form_tables`` columns, the two forms at each of its states:
+    the rule margin and the squared norm.  Since |q| >= -q, a run that the
+    exact rule switches has a margin above ``TIE_TOL``: the block ends at
+    the first state where some run's margin is above it, or where some run's
     squared norm fell below ``BLOCK_DECAY`` of its start's, and that state
     takes a single step.  So the switching sequence is the per-step rule's.
     Inputs change only in single steps, so whether every run holds one
@@ -361,8 +340,6 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
     n_steps.
     """
     m, d = x.shape
-    if d != pair.d:
-        raise BadSignalSpec(f"x0 has length {d}, system dimension is {pair.d}")
     cap = P.shape[1] - 1
     W = np.hstack([pair.S0.T, pair.S1.T, np.eye(d), P[0, 1].T, P[1, 1].T])
     Y = np.empty((m, 5 * d))
@@ -374,8 +351,7 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
     a, b = np.triu_indices(d)
     p = len(a)
     xx = np.empty((2, p, m))  # each run's x x^T in the half of its input
-    block = np.empty((3, cap, m))  # margins, squared norms and rises of a block
-    no_rises = block[2, :0]
+    block = np.empty((2, cap, m))  # margins and squared norms of a block
     L, wait, countdown = BLOCK_MIN, 1, 1  # a single step first
     j = 0
     while j < n_steps:
@@ -385,12 +361,12 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
             diff = q0 - q1
             strict = np.abs(diff) > TIE_TOL * (1.0 + np.abs(q0) + np.abs(q1))
             np.copyto(u, diff < 0.0, where=strict)
-            yield j, x, sq_norms[None], no_rises, u
+            yield j, x, sq_norms[None], u
             x = rows.take(after_u0 + u, axis=0)
             j += 1
         one = u[0] if u.min() == u.max() else None  # the input every run holds
         while j < n_steps:
-            # a block: margins, squared norms and rises at E_u^i x, i < L
+            # a block: margins and squared norms at E_u^i x, i < L
             L = min(L, n_steps - j)
             xt = x.T
             np.multiply(xt[a], xt[b], out=xx[1])
@@ -399,8 +375,8 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
             else:
                 np.multiply(xx[1], u == 0, out=xx[0])
                 xx[1] *= u
-                coefs, packed = table[:, :L].reshape(3, L, 2 * p), xx.reshape(2 * p, m)
-            margins, sq_norms, rises = np.matmul(coefs, packed, out=block[:, :L])
+                coefs, packed = table[:, :L].reshape(2, L, 2 * p), xx.reshape(2 * p, m)
+            margins, sq_norms = np.matmul(coefs, packed, out=block[:, :L])
             # norms do not grow, so a run that decays below BLOCK_DECAY in the
             # block does so by its last state
             floor = BLOCK_DECAY * sq_norms[0]
@@ -409,7 +385,7 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
                 cut = (margins > TIE_TOL).any(axis=1) | (sq_norms < floor).any(axis=1)
                 s = int(np.argmax(cut)) if cut.any() else L
             if s:  # accept the states j .. j+s-1 and their steps
-                yield j, x, sq_norms[:s], rises[: s - 1], u
+                yield j, x, sq_norms[:s], u
                 if one is None:
                     z = P[:, s] @ xt
                     x = np.where(u[:, None], z[1].T, z[0].T)
@@ -420,7 +396,7 @@ def _greedy_stretches(pair: NormalizedPair, P: np.ndarray, x: np.ndarray,
                 L, countdown, wait = max(BLOCK_MIN, L // 2), wait, 2 * wait
                 break
             L, wait = min(2 * L, cap), 1  # the next block follows at once
-    yield n_steps, x, np.einsum("id,id->i", x, x)[None], no_rises, u
+    yield n_steps, x, np.einsum("id,id->i", x, x)[None], u
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -435,10 +411,12 @@ def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Traje
     """
     n_steps = _n_steps(T, dt)
     x0 = np.asarray(x0, float).ravel()
+    if len(x0) != pair.d:
+        raise BadSignalSpec(f"x0 has length {len(x0)}, system dimension is {pair.d}")
     P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
-    states = np.empty((n_steps + 1, len(x0)))
+    states = np.empty((n_steps + 1, pair.d))
     inputs = np.empty(n_steps + 1)
-    for j, x, sq_norms, _, u in _greedy_stretches(pair, P, x0[None], n_steps):
+    for j, x, sq_norms, u in _greedy_stretches(pair, P, x0[None], n_steps):
         s = len(sq_norms)
         states[j : j + s] = x[0] if s == 1 else P[u[0], :s] @ x[0]
         inputs[j : j + s] = u[0]
@@ -491,7 +469,7 @@ def _held_runs(pair: NormalizedPair, x: np.ndarray, initial: np.ndarray,
     # product's rounding, |E_u| <= sqrt(d) in norm), hence the factor
     # (1 + n d^2 eps) in R.
     d, eps = pair.d, np.finfo(float).eps
-    G = TIE_TOL * (pair.S0 + pair.S1) + (2 * u - 1) * (pair.S0 - pair.S1)
+    G = _margin_form(pair, u)
     allowance = 4 * (d + 1) * eps * (np.linalg.norm(pair.S0) + np.linalg.norm(pair.S1))
     R2 = (initial.max() * growth * (1.0 + n_steps * d * d * eps)) ** 2
     if not (np.isfinite(R2)
@@ -520,31 +498,33 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     The certificate comes first.  Every run takes its step-0 input u by the
     engine's single-step rule.  When all hold one u, the engine switches a
     run at a state y only if y^T G_u y > TIE_TOL, with the margin form
-    G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1) of ``_form_tables``' row
-    0.  Norms do not grow, to the factor g = max(1, sigma_max(E_u))^n, so
-    if lambda_max(G_u) g^2 max_r ||x_r||^2 is below TIE_TOL, with a
-    rounding allowance, no state of any run reaches the switching margin
-    and the state at step j is E_u^j x.  This holds whenever S0 >= S1
-    (u = 0 throughout), whatever the A_i and C_i: every gallery ``torus``
-    and every pair with S0 = S1.  A pair with S1 >= S0 is not covered: its
-    starts in K tie at step 0 and keep u = 0, whose margin form is not
-    negative.  Nor are pairs that switch.  The window-start and final norms
-    are then ||E_u^w x|| and ||E_u^(n - w) E_u^w x||, w the window step,
-    from O(log n) d x d products by binary powering.  Every one-step norm
-    increase of run r is at most (sigma_max(E_u) - 1)_+ g ||x_r||; when
-    that is within the run's ``_exact_step_bound`` the norm check holds at
-    every step.  A mixed or refused input, a bound over its limit or a
-    number that is not finite falls back to the block engine, whose norm
-    check raises StepTooLarge as before.
+    G_u = TIE_TOL (S0 + S1) + (2u - 1)(S0 - S1) of ``_margin_form``, the
+    one the engine's tables hold.  Norms do not grow, to the factor
+    g = max(1, sigma_max(E_u))^n, so if lambda_max(G_u) g^2 max_r ||x_r||^2
+    is below TIE_TOL, with a rounding allowance, no state of any run
+    reaches the switching margin and the state at step j is E_u^j x.  This
+    holds whenever S0 >= S1 (u = 0 throughout), whatever the A_i and C_i:
+    every gallery ``torus`` and every pair with S0 = S1.  A pair with
+    S1 >= S0 can hold when every start takes u = 1, as the swapped torus's
+    starts off K do, but its starts in K tie at step 0 and keep u = 0,
+    whose margin form is not negative.  Pairs that switch fail it.  The
+    window-start and final norms are then ||E_u^w x|| and
+    ||E_u^(n - w) E_u^w x||, w the window step, from O(log n) d x d
+    products by binary powering.  Every one-step norm increase of run r is
+    at most (sigma_max(E_u) - 1)_+ g ||x_r||; when that is within the
+    run's ``_exact_step_bound`` the norm check holds at every step.  A
+    mixed or refused input, a bound over its limit or a number that is not
+    finite falls back to the block engine, whose norm check raises
+    StepTooLarge as before.
 
     The engine keeps no per-step data beyond the current block, O(m L)
     numbers with L at most ``BLOCK_CAP``.  Each run's largest one-step
     norm increase is checked against a bound from its own initial norm.  A
     norm is taken, by a square root, only at a stretch's first and last
-    state and at the window start, unless some rise in a block is positive
-    or not finite: then every norm of that block is, and the increases are
-    their differences.  Heuristic evidence only, never a certificate of
-    GUAS.
+    state and at the window start, unless a block's squared norms are not
+    non-increasing (a NaN among them counts): then every norm of that block
+    is, and the increases are their differences.  Heuristic evidence only,
+    never a certificate of GUAS.
     """
     n_steps = _n_steps(T, dt)
     x = np.array(starts, float, ndmin=2)
@@ -559,14 +539,14 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
         return (initial, *held)
     P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
     worst = np.zeros(len(x))
-    for j, _, sq_norms, rises, _ in _greedy_stretches(pair, P, x, n_steps):
+    for j, _, sq_norms, _ in _greedy_stretches(pair, P, x, n_steps):
         s = len(sq_norms)
         first = np.sqrt(sq_norms[0])
         if j:  # the step into state j
             np.maximum(worst, first - last, out=worst)
         last = first
         if s > 1:
-            if not rises.max() <= 0.0:  # np.max, unlike np.fmax, keeps a NaN
+            if not (sq_norms[1:] <= sq_norms[:-1]).all():  # a NaN fails too
                 norms = np.sqrt(sq_norms)
                 np.maximum(worst, np.diff(norms, axis=0).max(axis=0), out=worst)
             last = np.sqrt(sq_norms[-1])

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ class TestIntegrate:
                 integrate(system, signal, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
 
     def test_worst_case_x0_of_wrong_length_raises(self, mason_pair):
+        with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
+            worst_case_switching(mason_pair, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
+
+    def test_worst_case_x0_is_checked_before_the_powers(self, mason_pair, monkeypatch):
+        """The length of x0 is checked before the step powers and the state
+        array, whose size at MAX_STEPS is hundreds of MB, are built."""
+        monkeypatch.setattr(simulator, "_step_powers", mock.Mock(side_effect=AssertionError))
         with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
             worst_case_switching(mason_pair, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
 
@@ -433,7 +441,7 @@ class TestWorstCaseRuns:
             assert final[i] == pytest.approx(traj.norms[-1], rel=1e-13)
         # the steps of blocks, not single steps, in which both inputs are held
         P = simulator._step_powers(npair, dt, simulator.BLOCK_CAP)
-        mixed = sum(len(sq_norms) for _, _, sq_norms, _, u
+        mixed = sum(len(sq_norms) for _, _, sq_norms, u
                     in simulator._greedy_stretches(npair, P, starts, round(T / dt))
                     if len(sq_norms) > 1 and u.min() != u.max())
         assert mixed >= 900
@@ -451,7 +459,7 @@ class TestWorstCaseRuns:
         starts = np.array([Q[:, 0] + 1e-6 * Q[:, 1], Q[:, 1]])
         n_steps, dt = 600, 1e-2
         P = simulator._step_powers(npair, dt, simulator.BLOCK_CAP)
-        for j, x, sq_norms, _, u in simulator._greedy_stretches(npair, P, starts, n_steps):
+        for j, x, sq_norms, u in simulator._greedy_stretches(npair, P, starts, n_steps):
             states = np.einsum("iab,rb->ira", P[u[0], : len(sq_norms)], x)
             np.testing.assert_allclose(sq_norms, (states**2).sum(axis=2), rtol=1e-13)
 
@@ -510,22 +518,20 @@ class TestWorstCaseRuns:
             worst_case_runs(npair, starts, 20.0, 5e-3)
 
     def test_nan_rise_inside_a_block_is_not_finite(self, monkeypatch):
-        """A squared norm that is NaN inside every block, with the two rises
-        next to it NaN as the tables' subtraction makes them, raises "not
-        finite" though each block's end norms are finite: the rises are
-        tested with a reduction that keeps a NaN, so the block's norms are
+        """A squared norm that is NaN inside every block raises "not finite"
+        though each block's end norms are finite: the squared norms are
+        tested for a non-increase that a NaN fails, so the block's norms are
         taken and their NaN differences read."""
         build = simulator._form_tables
 
         def nan_inside(pair, P):
             table = build(pair, P)
             table[1, 2] = np.nan  # the squared norm at E_u^2 x
-            table[2, 1:3] = np.nan  # the rises into and out of it
             return table
 
         monkeypatch.setattr(simulator, "_form_tables", nan_inside)
         npair = swapped_torus()
-        # off K every rise is negative: only the NaN ones call for the norms;
+        # off K the squared norms fall: only the NaN calls for the norms;
         # the start in K, which ties at step 0 and keeps u = 0 while the other
         # switches to 1, keeps the runs on the block engine
         starts = np.vstack([np.ones(npair.d), common_kernel(npair).K_basis[:, 0]])
@@ -556,6 +562,29 @@ class TestWorstCaseRuns:
             count = len(built)
             worst_case_runs(pair, starts, 2.0, 1e-2)
             assert built[count:] == [pair]
+
+    def test_held_runs_with_input_one(self, monkeypatch):
+        """The swapped torus has S1 >= S0: starts off K switch to u = 1 at
+        step 0 and hold it, which the certificate proves with the margin
+        form G_1, so no tables are built and the norms are the per-step
+        rule's."""
+        build = simulator._form_tables
+        built = []
+        monkeypatch.setattr(simulator, "_form_tables",
+                            lambda pair, P: built.append(pair) or build(pair, P))
+        npair = swapped_torus()
+        starts = np.random.default_rng(5).standard_normal((8, npair.d))
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        T, dt = 20.0, 5e-3
+        initial, window_start, final = worst_case_runs(npair, starts, T, dt)
+        assert built == []
+        for i, x0 in enumerate(starts):
+            ref = greedy_reference(npair, x0, T, dt)
+            assert ref.applied_lambda.all()
+            tail = ref.norms[ref.times >= ref.T - T / 4.0]
+            assert initial[i] == ref.norms[0]
+            assert window_start[i] == pytest.approx(tail[0], rel=1e-13)
+            assert final[i] == pytest.approx(ref.norms[-1], rel=1e-13)
 
     def test_inflated_step_on_the_torus_raises_the_engines_message(self, monkeypatch):
         """A step inflated by 1 + 1e-9 breaks the certificate's rise bound,
@@ -593,17 +622,17 @@ class TestWorstCaseRuns:
 
 class TestFormTables:
     def test_tables_give_forms_at_stepped_states(self, monkeypatch):
-        """Row i of the packed tables gives the rule margin, the squared
-        norm at E_u^i x and its rise over the next step, x stepped one at a
-        time, for i < BLOCK_CAP; the powers reach E_u^BLOCK_CAP.  A loose
-        TIE_TOL makes its term of the margin visible."""
+        """Row i of the packed tables gives the rule margin and the squared
+        norm at E_u^i x, x stepped one at a time, for i < BLOCK_CAP; the
+        powers reach E_u^BLOCK_CAP.  A loose TIE_TOL makes its term of the
+        margin visible."""
         monkeypatch.setattr(simulator, "TIE_TOL", 1e-3)
         npair = normalize(switching_pair())
         d, dt, cap = npair.d, 1e-2, simulator.BLOCK_CAP
         P = simulator._step_powers(npair, dt, cap)
         table = simulator._form_tables(npair, P)
         a, b = np.triu_indices(d)
-        assert table.shape == (3, cap, 2, len(a))
+        assert table.shape == (2, cap, 2, len(a))
         x = np.random.default_rng(4).standard_normal(d)
         x /= np.linalg.norm(x)
         xx = x[a] * x[b]
@@ -616,8 +645,6 @@ class TestFormTables:
                 margin = (2 * u - 1) * (q0 - q1) + 1e-3 * (q0 + q1)
                 assert abs(xx @ table[0, i, u] - margin) <= 1e-12, (u, i)
                 assert abs(xx @ table[1, i, u] - y @ y) <= 1e-12, (u, i)
-                rise = (E @ y) @ (E @ y) - y @ y
-                assert abs(xx @ table[2, i, u] - rise) <= 1e-12, (u, i)
                 y = E @ y
             np.testing.assert_allclose(P[u, cap] @ x, y, rtol=0, atol=1e-12)
 
