@@ -62,7 +62,6 @@ class AnalyzerOptions:
     tol: float = 1e-9
     n_grid: int = 257
     scan_resolution: int = 64  # read by nothing; perfbench/workloads.py still sets it
-    evidence_runs: int = 32
     evidence_T: float = 100.0
     evidence_dt: float = 1e-3
     seed: int = 0
@@ -194,18 +193,18 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     infinite entry, and NotHurwitz / NoCommonWeakLyapunov (from normalize)
     when the standing hypotheses fail, and ValueError, before any stage
     runs, on options out of range: a tol that is not finite and positive;
-    an n_grid, evidence_runs or seed that is not an integer in
-    [2, MAX_GRID], >= 1 or >= 0; or an evidence_T and evidence_dt that the
-    simulator's horizon rule rejects (not finite and positive, a step
-    longer than the horizon, or a step count T / dt that overflows).
-    Otherwise always returns a Verdict.
+    an n_grid or seed that is not an integer in [2, MAX_GRID] or >= 0; or
+    an evidence_T and evidence_dt that the simulator's horizon rule rejects
+    (not finite and positive, a step longer than the horizon, or a step
+    count T / dt that overflows).  Otherwise always returns a Verdict; the
+    evidence, when attached, is ``empirical_evidence``'s default 32 random
+    runs plus the K directions.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    for name, low, high in (("n_grid", 2, MAX_GRID), ("evidence_runs", 1, np.inf),
-                            ("seed", 0, np.inf)):
+    for name, low, high in (("n_grid", 2, MAX_GRID), ("seed", 0, np.inf)):
         value = getattr(opt, name)
         if not (isinstance(value, (int, np.integer)) and low <= value <= high):
             raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value}")
@@ -236,8 +235,8 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
             want = verdict.conclusion == "INCONCLUSIVE"
         if want:
             verdict.evidence = empirical_evidence(
-                npair, opt.evidence_runs, opt.evidence_T, opt.evidence_dt,
-                opt.seed, decomp.K_basis,
+                npair, T=opt.evidence_T, dt=opt.evidence_dt, seed=opt.seed,
+                K_basis=decomp.K_basis,
             )
             if verdict.guas and verdict.evidence.non_decaying_runs:
                 raise InternalInconsistency(

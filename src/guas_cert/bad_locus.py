@@ -165,30 +165,21 @@ def in_G(blocks: BlockFamily, x, tol: float = 1e-9):
     """Membership in the tangency set G for unit vectors x (..., k).
 
     Returns (member, residual, lam_used).  For x in F \\ N the residual is
-    evaluated at the unique lambda_of(x).  For x in N the expression is
-    affine in lambda, and existence of a zero on [0, 1] reduces to the same
-    colinear-and-opposed test applied to its endpoint values.  A 1-D x gives
-    (bool, float, float | None); a batch gives arrays over the leading axes,
-    with NaN for None.
+    evaluated at the unique lambda_of(x).  Every wedge term of g has a
+    factor C_i x, so g is zero on N at every lambda: points of F ∩ N are
+    members, with lam_used 0 and the residual evaluated there.  A 1-D x
+    gives (bool, float, float | None); a batch gives arrays over the
+    leading axes, with NaN for None.
     """
     x = np.asarray(x, float)
     loc = _locus(blocks, x, tol)
-    # NaN off F \ N and where a loose tol admits a point whose killing lambda
-    # leaves [0, 1]; with k' = 1 the wedge is empty and its norm would read 0
-    w, scale = _g_expression(blocks, x, loc.lam)
-    resid, lam = np.where(np.isnan(loc.lam), np.nan, _norm(w)), loc.lam
-    member = resid <= tol * scale
     on_N = loc.F & loc.N
-    if np.any(on_N):
-        w, _ = _g_expression(blocks, x[..., None, :], [0.0, 1.0])
-        w0, w1 = w[..., 0, :], w[..., 1, :]
-        n0, n1 = _norm(w0), _norm(w1)
-        opposed = on_N & _colinear_opposed(w0, w1, n0, n1, tol)
-        t = n0 / np.where(n0 + n1 > 0, n0 + n1, 1.0)
-        r = _norm((1.0 - t)[..., None] * w0 + t[..., None] * w1)
-        member = np.where(on_N, opposed & (r <= tol * (1.0 + n0 + n1)), member)
-        resid = np.where(opposed, r, np.where(on_N, np.minimum(n0, n1), resid))
-        lam = np.where(opposed, t, lam)
+    # NaN off F and where a loose tol admits a point whose killing lambda
+    # leaves [0, 1]; with k' = 1 the wedge is empty and its norm would read 0
+    lam = np.where(on_N, 0.0, loc.lam)
+    w, scale = _g_expression(blocks, x, lam)
+    resid = np.where(np.isnan(lam), np.nan, _norm(w))
+    member = on_N | (resid <= tol * scale)
     if x.ndim == 1:
         return bool(member), float(resid), None if np.isnan(lam) else float(lam)
     return member, resid, lam

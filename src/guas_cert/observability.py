@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import BlockFamily, block_form, common_kernel, numerical_rank
+from .decomposition import _fix_column_signs
 from .errors import DimensionMismatch
 from .matrix_core import MatrixPair, NormalizedPair, check_weak_lyapunov, is_hurwitz
 
@@ -204,7 +205,7 @@ class SweepScale:
     """
 
     grid: np.ndarray  # the partition of [0, 1] a bisection may evaluate
-    tol: float  # the caller's tolerance: the witness's rank rule and scan_G's
+    tol: float  # the caller's tolerance: scan_G's rank rule and margins
     floor: float
     cert_threshold: float
     n_evals: int  # lambdas evaluated to set floor: 3, none when k = 0
@@ -245,7 +246,8 @@ class ObservabilityReport:
     verdict: str  # observable_for_all_lambda | fails_at | inconclusive
     margin: float  # proved lower bound if observable, else the smallest sigma_k
     lambda_star: Optional[float] = None
-    witness: Optional[np.ndarray] = None  # orthonormal unobservable basis
+    # (k, 1): the unit right singular vector of sigma_k(O(lambda_star))
+    witness: Optional[np.ndarray] = None
 
 
 def sigma_C_bisection(blocks: BlockFamily, j: int, scale: SweepScale) -> Bisection:
@@ -309,13 +311,12 @@ def sweep_lambda(
 def _refuted(
     blocks: BlockFamily, scale: SweepScale, lam: float, value: float, n_evals: int
 ) -> ObservabilityReport:
-    """The fails_at report at lam, with the witness from the rank rule."""
-    rank = numerical_rank(kalman_matrix(blocks.C(lam), blocks.A(lam)), scale.tol)
-    # sigma_k can be tiny but above the rank threshold; the witness is then
-    # the closest-to-null direction
+    """The fails_at report at lam.  The witness is the unit right singular
+    vector of sigma_k(O(lam)), the value below the floor that refuted, with
+    the sign rule of ``numerical_rank``'s bases."""
+    Vh = np.linalg.svd(kalman_matrix(blocks.C(lam), blocks.A(lam)))[2]
     return ObservabilityReport(
-        scale, n_evals, "fails_at", value, lam,
-        rank.basis if rank.basis.shape[1] else rank.complement[:, -1:],
+        scale, n_evals, "fails_at", value, lam, _fix_column_signs(Vh[-1:].T)
     )
 
 

@@ -178,6 +178,17 @@ def _check_full_norms(worst_increase, bound) -> None:
         )
 
 
+def _starts(x0, dim: int) -> np.ndarray:
+    """x0 as an (m, dim) float array of m >= 1 starts; BadSignalSpec for
+    starts of another length or an empty set."""
+    x = np.array(x0, float, ndmin=2)
+    if x.shape[1] != dim:
+        raise BadSignalSpec(f"x0 has length {x.shape[1]}, system dimension is {dim}")
+    if not len(x):
+        raise BadSignalSpec("a run needs at least one start")
+    return x
+
+
 def _checked_run(states, dt: float, reduced: bool, outputs=None,
                  applied_lambda=None) -> Trajectory:
     """The Trajectory of the states at steps 0..n of a run, once its norms
@@ -218,11 +229,9 @@ def integrate(
     a non-finite norm fails it.
     """
     n_steps = _n_steps(T, dt)
-    x0 = np.asarray(x0, float).ravel()
     reduced = isinstance(system, BlockFamily)
     dim = system.k if reduced else system.d
-    if len(x0) != dim:
-        raise BadSignalSpec(f"x0 has length {len(x0)}, system dimension is {dim}")
+    x0 = _starts(np.ravel(x0), dim)[0]
     states = np.empty((n_steps + 1, dim))
     states[0] = x0
 
@@ -410,9 +419,7 @@ def worst_case_switching(pair: NormalizedPair, x0, T: float, dt: float) -> Traje
     evidence only, never a certificate.
     """
     n_steps = _n_steps(T, dt)
-    x0 = np.asarray(x0, float).ravel()
-    if len(x0) != pair.d:
-        raise BadSignalSpec(f"x0 has length {len(x0)}, system dimension is {pair.d}")
+    x0 = _starts(np.ravel(x0), pair.d)[0]
     P = _step_powers(pair, dt, min(BLOCK_CAP, n_steps))
     states = np.empty((n_steps + 1, pair.d))
     inputs = np.empty(n_steps + 1)
@@ -527,11 +534,7 @@ def worst_case_runs(pair: NormalizedPair, starts, T: float, dt: float):
     never a certificate of GUAS.
     """
     n_steps = _n_steps(T, dt)
-    x = np.array(starts, float, ndmin=2)
-    if x.shape[1] != pair.d:
-        raise BadSignalSpec(f"x0 has length {x.shape[1]}, system dimension is {pair.d}")
-    if not len(x):
-        raise BadSignalSpec("worst_case_runs needs at least one start")
+    x = _starts(starts, pair.d)
     window_step = _window_step(n_steps, dt, T / 4.0)
     initial = np.linalg.norm(x, axis=1)
     held = _held_runs(pair, x, initial, n_steps, dt, window_step)
@@ -578,10 +581,11 @@ def bad_feedback_trajectory(
     The output C_{lambda(x)} x vanishes along the run by construction.  The
     run stops at the first step where membership in F fails (exit_time), or
     when the state reaches N where lambda is ambiguous; the norm check
-    covers the steps taken.
+    covers the steps taken.  Raises BadSignalSpec for an x0 of the wrong
+    length and NotInF for an x0 outside F.
     """
     n_steps = _n_steps(T, dt)
-    x0 = np.asarray(x0, float).ravel()
+    x0 = _starts(np.ravel(x0), blocks.k)[0]
     if not in_F(blocks, x0, tol):
         raise NotInF("bad_feedback_trajectory requires x0 in F")
     states, lam_used, outputs = [x0.copy()], [], []

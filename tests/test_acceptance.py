@@ -40,8 +40,7 @@ from conftest import corpus_pairs, kdeux_blocks, skew, stable_block
 
 S2 = np.sqrt(2.0)
 
-FAST_EVIDENCE = AnalyzerOptions(evidence_runs=8, evidence_T=50.0,
-                                evidence_dt=1e-2)
+FAST_EVIDENCE = AnalyzerOptions(evidence_T=50.0, evidence_dt=1e-2)
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
 from guas_cert.observability import sigma_C_bisection
 from guas_cert.gallery import kdeux, mason, shared_output, torus
 
-FAST = AnalyzerOptions(evidence_runs=4, evidence_T=20.0, evidence_dt=1e-2)
+FAST = AnalyzerOptions(evidence_T=20.0, evidence_dt=1e-2)
 
 
 def frozen_k3():
@@ -313,13 +313,9 @@ class TestOptionChecks:
     @pytest.mark.parametrize("option, message", [
         ({"seed": -1}, "seed must be an integer in [0, inf], got -1"),
         ({"seed": 1.5}, "seed must be an integer in [0, inf], got 1.5"),
-        ({"evidence_runs": 0, "with_evidence": True},
-         "evidence_runs must be an integer in [1, inf], got 0"),
-        ({"evidence_runs": 2.5}, "evidence_runs must be an integer in [1, inf], got 2.5"),
         ({"n_grid": 257.0}, "n_grid must be an integer in [2, 65537], got 257.0"),
         ({"n_grid": 1}, "n_grid must be an integer in [2, 65537], got 1"),
-    ], ids=["negative-seed", "float-seed", "zero-runs", "float-runs", "float-grid",
-            "grid-1"])
+    ], ids=["negative-seed", "float-seed", "float-grid", "grid-1"])
     def test_refused_before_any_stage(self, option, message, monkeypatch):
         def no_stage(*args, **kwargs):
             raise AssertionError("a stage ran before the options were checked")
@@ -331,13 +327,12 @@ class TestOptionChecks:
         assert str(info.value) == message
 
     def test_integer_numpy_options_accepted(self):
-        opts = AnalyzerOptions(n_grid=np.int64(65), seed=np.uint8(3),
-                               evidence_runs=np.int32(2), evidence_T=1.0,
+        opts = AnalyzerOptions(n_grid=np.int64(65), seed=np.uint8(3), evidence_T=1.0,
                                evidence_dt=0.1, with_evidence=True)
         v = analyze(MatrixPair(-np.eye(2), -2.0 * np.eye(2)), options=opts)
         assert v.conclusion == "GUAS_trivial_kernel"
         assert v.grid["n_grid"] == 65
-        assert v.evidence.n_runs == 2  # K = {0} adds no basis starts
+        assert v.evidence.n_runs == 32  # K = {0} adds no basis starts
 
 
 class TestDeterminism:

@@ -177,6 +177,33 @@ class TestInG:
         ok, residual, lam = in_G(blocks, np.array([1.0, 1.0]) / np.sqrt(2.0))
         assert not ok and np.isnan(residual) and lam is None
 
+    @pytest.mark.parametrize("k_prime", [1, 2])
+    def test_points_near_a_null_line_are_members(self, k_prime):
+        """Every wedge term of g has a factor C_i x, so g is zero on
+        N = ker C0 ∩ ker C1 at every lambda.  Unit points 1e-13 to 1e-9 off
+        a null line, with ||A|| and ||C|| up to 100, that in_N and in_F
+        accept are members of G at lam 0, however rounding leaves g."""
+        rng = np.random.default_rng([30, k_prime])
+        accepted = 0
+        for a, c in [(1.0, 1.0), (100.0, 1.0), (1.0, 100.0), (100.0, 100.0)]:
+            n = unit(rng.standard_normal(3))
+            off_n = np.eye(3) - np.outer(n, n)
+            C0, C1 = (rng.standard_normal((k_prime, 3)) @ off_n for _ in range(2))
+            A0, A1 = skew(rng, 3), skew(rng, 3)
+            blocks = BlockFamily(
+                A0=a * A0 / np.linalg.norm(A0, 2), A1=a * A1 / np.linalg.norm(A1, 2),
+                C0=c * C0 / np.linalg.norm(C0, 2), C1=c * C1 / np.linalg.norm(C1, 2),
+            )
+            offsets = np.logspace(-13, -9, 9)[:, None, None]
+            X = unit(n + offsets * unit(rng.standard_normal((9, 20, 3)))).reshape(-1, 3)
+            X = np.vstack([X, -X])
+            on_N = in_N(blocks, X) & in_F(blocks, X)
+            member, _, lam = in_G(blocks, X)
+            assert np.all(member[on_N])
+            assert np.all(lam[on_N] == 0.0)
+            accepted += int(on_N.sum())
+        assert accepted > 720  # over half of the 1,440 points are in N
+
 
 def unit(X):
     X = np.asarray(X, float)

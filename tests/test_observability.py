@@ -95,6 +95,24 @@ class TestSweepLambda:
         M = kalman_matrix(blocks.C(report.lambda_star), blocks.A(report.lambda_star))
         assert np.linalg.norm(M @ x) < 1e-6
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert x.shape == (2, 1) and x[np.argmax(np.abs(x)), 0] > 0
+
+    def test_witness_is_one_column_where_O_vanishes(self):
+        """A0 = -A1 = J and C0 = -C1 = e1^T: at lam = 1/2 both C_lam and
+        A_lam are exactly 0, so O(1/2) = 0 and every direction is
+        unobservable there.  The witness is still one unit column, the right
+        singular vector of the sigma_k that refuted, not a null-space basis."""
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        C = np.array([[1.0, 0.0]])
+        blocks = BlockFamily(A0=J, A1=-J, C0=C, C1=-C)
+        report = sweep_lambda(blocks, sweep_scale(blocks))
+        assert report.verdict == "fails_at" and report.lambda_star == 0.5
+        x = report.witness
+        assert x.shape == (2, 1)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+        O = kalman_matrix(blocks.C(0.5), blocks.A(0.5))
+        assert not np.any(O)
+        assert np.linalg.norm(O @ x) <= report.scale.floor
 
     def test_failure_location_tracks_root(self):
         # (1-lam) * 1 + lam * -3 = 0 at lam = 1/4

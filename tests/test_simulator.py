@@ -118,6 +118,9 @@ class TestIntegrate:
         for system in (mason_pair, kdeux_reduced):
             with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
                 integrate(system, signal, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
+        # the output-silencing run too, before in_F reads x0
+        with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
+            bad_feedback_trajectory(kdeux_reduced, [1.0, 0.0, 0.0], T=1.0, dt=1e-2)
 
     def test_worst_case_x0_of_wrong_length_raises(self, mason_pair):
         with pytest.raises(BadSignalSpec, match="x0 has length 3, system dimension is 2"):
