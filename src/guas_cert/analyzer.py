@@ -114,11 +114,11 @@ class Verdict:
     def to_dict(self) -> dict:
         def clean(v):
             if isinstance(v, np.ndarray):
-                return v.tolist()
+                return clean(v.tolist())
             if isinstance(v, (np.floating, np.integer)):
-                return v.item()
+                v = v.item()
             if isinstance(v, float) and not np.isfinite(v):
-                return repr(v)
+                return repr(v)  # JSON has no Infinity or NaN
             if isinstance(v, dict):
                 return {k: clean(x) for k, x in v.items()}
             if isinstance(v, (list, tuple)):
@@ -296,6 +296,8 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         "observability_margin": sweep.margin,
         "rank_margin": decomp.rank_margin,
     }
+    if sweep.test == "hautus":  # the margin bounds the Hautus test, not sigma_k(O)
+        margins["observability_test"] = "hautus"
 
     if sweep.verdict == "fails_at":
         x_star = sweep.witness[:, 0]

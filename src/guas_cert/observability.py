@@ -1,4 +1,4 @@
-"""Kalman-rank observability of the reduced pairs (C_lam, A_lam).
+"""Kalman-rank and Hautus observability of the reduced pairs (C_lam, A_lam).
 
 Observability is measured through the smallest singular value of the Kalman
 matrix rather than an integer rank, so every verdict carries a quantitative
@@ -29,6 +29,24 @@ the sigma_j(C_lam) bisection and the G-scan all take it.  With k' >= k,
 every lam where (C_lam, A_lam) is unobservable is a zero of sigma_k(C_lam),
 so the analyzer runs that bisection first and hands its lam* to the sweep
 as ``lam_hat``: one value there below the floor refutes without a bisection.
+
+A family with one drift, ||A1 - A0||_2 <= cert_threshold, is certified
+before the bisection by the Hautus (PBH) test instead (``_hautus_bound``).
+(C_lam, A_lam) is observable exactly when sigma_min([A_lam - i w I; C_lam])
+> 0 for every real w, since the skew A_lam has only imaginary eigenvalues.
+For the skew A_(1/2) one ``eigh`` gives its eigenvalues and eigenvectors;
+a window around each eigenvalue, half the gap to its nearest neighbour,
+and the det / trace bound of a 2 x 2 form bound that sigma_min below in
+closed form, and -|lam - 1/2| ||A1 - A0||_2 covers the drift's motion.
+Each term is a ratio of two quadratics in lam, so its minimum on [0, 1]
+is at an end or at a root of one quadratic: no grid, no Lipschitz
+constant, no power of A.  The Kalman sigma_k needs A^(k-1), and its
+Lipschitz bound grows like ||A||^(k-1).  When the bound does not clear
+the threshold, the bisection runs as before.  Refutation stays on the
+Kalman matrix: a computed sigma_k below the floor comes with a real unit
+witness x* of K that O(lam*) sends within the floor of 0, which the
+constant input lam* keeps silent; a lower bound that fails to clear shows
+no such direction.
 """
 
 from __future__ import annotations
@@ -239,15 +257,20 @@ def sweep_scale(
 
 @dataclass
 class ObservabilityReport:
-    """Result of the lambda sweep over the Kalman matrices of (C_lam, A_lam)."""
+    """Result of the lambda sweep of (C_lam, A_lam): the Hautus bound or the
+    Kalman matrices."""
 
     scale: SweepScale  # the grid and thresholds the sweep ran on
-    n_evals: int  # lambdas the sweep evaluated: lam_hat and the bisection's
+    n_evals: int  # lambdas the sweep evaluated: lam_hat, the Hautus bound's, the bisection's
     verdict: str  # observable_for_all_lambda | fails_at | inconclusive
-    margin: float  # proved lower bound if observable, else the smallest sigma_k
+    # proved lower bound if observable (of sigma_k(O), or of the Hautus
+    # sigma_min by ``test``), else the smallest sigma_k
+    margin: float
     lambda_star: Optional[float] = None
     # (k, 1): the unit right singular vector of sigma_k(O(lambda_star))
     witness: Optional[np.ndarray] = None
+    # what decided: kalman (sigma_k of O(lam)) | hautus (_hautus_bound)
+    test: str = "kalman"
 
 
 def sigma_C_bisection(blocks: BlockFamily, j: int, scale: SweepScale) -> Bisection:
@@ -267,6 +290,76 @@ def sigma_C_bisection(blocks: BlockFamily, j: int, scale: SweepScale) -> Bisecti
     )
 
 
+def _hautus_bound(blocks: BlockFamily, threshold: float):
+    """A lower bound of f(lam, w) = sigma_min([A_lam - i w I; C_lam]) over
+    lam in [0, 1] and real w, for a family whose drift barely moves, and
+    the number of lambdas it evaluated.  It returns (0.0, 0) at once when
+    some half-gap d_j (below) is at most ``threshold``: the bound is at
+    most every d_j, so it could not clear the threshold.
+
+    A_lam = A_h + (lam - 1/2) dA with A_h = A_(1/2) skew, and sigma_min
+    moves at most ||dA||_2 per unit of lam, so f >= f_h - ||dA||_2 / 2,
+    where f_h has A_h for A_lam.  One ``eigh`` of i A_h gives real theta_j
+    and orthonormal v_j, with A_h v_j = -i theta_j v_j, and d_j, half the
+    distance from theta_j to the nearest other theta (infinite when k = 1).
+    At a w in no window |w + theta_j| < d_j, every |w + theta_l| >= d_l,
+    so f_h >= min_l d_l.  Inside window j, write a unit x = a v_j + y with
+    y orthogonal to v_j, s = ||y||, t = |a|: every other |w + theta_l| >
+    d_j, so ||(A_h - i w) x|| >= d_j s, and ||C_lam x|| >= t c - r s with
+    c = ||C_lam v_j|| and r the norm of C_lam on the complement of v_j, so
+    c^2 + r^2 <= ||C_lam||_F^2.  Where t c >= r s, f_h^2 is at least the
+    smaller eigenvalue of the 2 x 2 form [[c^2, -c r], [-c r, r^2 + d_j^2]]
+    at (t, s), which is at least det / trace = c^2 d_j^2 / (c^2 + r^2 +
+    d_j^2); where t c < r s, s^2 > c^2 / (c^2 + r^2) and d_j^2 s^2 is
+    larger still.  That bound is at most d_j^2, so
+
+        f >= min_j d_j ||C_lam v_j|| / sqrt(||C_lam||_F^2 + d_j^2) - ||dA||_2 / 2.
+
+    For each j the square of the j-th term is a ratio N/D of two quadratics
+    in lam with D > 0, so its minimum on [0, 1] lies at lam = 0, lam = 1 or
+    a root of the quadratic N'D - ND' (whose cubic terms cancel).  The
+    terms are evaluated at those candidates from C_lam V itself, one
+    batched product; the quadratics only place the candidates.  A_lam is
+    skew, so its eigenvalues are imaginary and f > 0 for every lam is the
+    Hautus test: (C_lam, A_lam) is observable on all of [0, 1].
+    """
+    theta, V = np.linalg.eigh(0.5j * (blocks.A0 + blocks.A1))
+    t = theta.tolist()
+    gaps = [math.inf] + [b - a for a, b in zip(t, t[1:])] + [math.inf]
+    half = [0.5 * min(left, right) for left, right in zip(gaps, gaps[1:])]
+    if min(half) <= threshold:
+        return 0.0, 0
+    inv = np.array(half) ** -2.0  # 1 / d_j^2, 0 when k = 1
+    C0, dC = blocks.C0, blocks.C1 - blocks.C0
+    ends = np.stack([C0, dC])
+    S = ends.reshape(2, -1)
+    (f0, f1), (_, f2) = (S @ S.T).tolist()  # ||C_lam||_F^2 = f0 + 2 f1 lam + f2 lam^2
+    W = V.view(float)  # Re v_j, Im v_j as columns 2j, 2j + 1
+    # the 2 x 2 Gram of C0 w and dC w for each column w, summed over v_j's two
+    E = (ends @ W).transpose(2, 0, 1)
+    n = (E @ E.transpose(0, 2, 1)).reshape(-1, 2, 2, 2).sum(1).tolist()
+    candidates = {0.0, 1.0}
+    for e, ((n0, n1), (_, n2)) in zip(inv.tolist(), n):
+        # ||C_lam v_j||^2 = n0 + 2 n1 lam + n2 lam^2 over D = e ||C_lam||_F^2 + 1:
+        # N'D - ND' = 2 (a lam^2 + 2 b lam + c)
+        d0, d1, d2 = e * f0 + 1.0, e * f1, e * f2
+        a, b, c = n2 * d1 - n1 * d2, 0.5 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1
+        disc = b * b - a * c
+        if disc < 0.0:
+            continue
+        q = -(b + math.copysign(math.sqrt(disc), b))
+        for root in (q / a if a else 0.0, c / q if q else 0.0):
+            if 0.0 < root < 1.0:
+                candidates.add(root)
+    lams = np.array(sorted(candidates))
+    C = C0 + lams[:, None, None] * dC
+    X = C @ W
+    X *= X
+    cv = X.sum(1).reshape(len(lams), -1, 2).sum(-1)  # ||C_lam v_j||^2
+    terms = cv / (inv * (C * C).sum((1, 2))[:, None] + 1.0)
+    return math.sqrt(terms.min()) - 0.5 * blocks.norms.dA, len(lams)
+
+
 def sweep_lambda(
     blocks: BlockFamily, scale: SweepScale, lam_hat: Optional[float] = None
 ) -> ObservabilityReport:
@@ -277,8 +370,11 @@ def sweep_lambda(
     below scale.floor; observable_for_all_lambda: every interval bound of
     the cover above scale.cert_threshold; inconclusive: neither.  A
     ``lam_hat`` is evaluated first, and a value there below the floor
-    refutes at once; otherwise the bisection runs as without it.
-    ``n_evals`` counts lam_hat and the bisection, not the scale's lambdas.
+    refutes at once.  Then, for one drift (||A1 - A0||_2 <= cert_threshold),
+    ``_hautus_bound`` above cert_threshold certifies with that bound as the
+    margin and ``test`` "hautus"; otherwise the bisection runs as without
+    either.  ``n_evals`` counts lam_hat, the lambdas of the Hautus bound and
+    those of the bisection, not the scale's.
     """
     k = blocks.k
     if k == 0:
@@ -289,6 +385,13 @@ def sweep_lambda(
         value = float(_kalman_sigmas(blocks, np.array([lam_hat]))[0, k - 1])
         if value < scale.floor:
             return _refuted(blocks, scale, lam_hat, value, n_evals)
+    if blocks.norms.dA <= scale.cert_threshold:  # one drift: the Hautus bound
+        bound, evals = _hautus_bound(blocks, scale.cert_threshold)
+        n_evals += evals
+        if bound > scale.cert_threshold:
+            return ObservabilityReport(
+                scale, n_evals, "observable_for_all_lambda", bound, test="hautus"
+            )
     # d/dlam C A^j has norm at most ||dC|| a^j + j c a^(j-1) ||dA||, with
     # a = max ||A_i||_2 and c = max ||C_i||_2; the blocks add in quadrature
     norms = blocks.norms

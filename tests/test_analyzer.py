@@ -100,7 +100,7 @@ class TestBranches:
         (shared_output, np.eye(4), "GUAS_C_injective", 20),
         (lambda: kdeux(1.0, 2.0), None, "GUAS_dimK_le2", 20),
         (lambda: kdeux(1.0, -1.0), None, "NOT_GUAS_constant_input", 20),
-        (frozen_k3, None, "GUAS_G_discrete", 48),
+        (frozen_k3, None, "GUAS_G_discrete", 36),
     ], ids=["C_injective", "dimK_le2", "constant_input", "G_discrete"])
     def test_grid_counts_lambda_evals(self, make, P, conclusion, total):
         """lambda_evals counts the three lambdas of the family's scale once,
@@ -251,13 +251,15 @@ class TestDispatchCounts:
 
     def test_torus_without_evidence(self, monkeypatch):
         # k = 4 > 3: scan_G refuses before it computes N = ker C0 ∩ ker C1,
-        # so no SVD of [C0; C1] is made
+        # so no SVD of [C0; C1] is made.  One drift: the Hautus bound's one
+        # eigh certifies observability, and no Kalman SVD follows the scale's
         opts = AnalyzerOptions(with_evidence=False)
         v, counts = linalg_calls(monkeypatch, lambda: analyze(torus(), options=opts))
         assert v.conclusion == "INCONCLUSIVE"
         assert v.notes.endswith("k = 4 > 3: discreteness of G undecided")
+        assert v.margins["observability_test"] == "hautus"
         assert {name: counts[name] for name in LINALG} == {
-            "svd": 5, "eig": 0, "eigvals": 1, "eigh": 0, "eigvalsh": 2,
+            "svd": 4, "eig": 0, "eigvals": 1, "eigh": 1, "eigvalsh": 2,
         }
 
     def test_kdeux_k2_labels_the_case(self, monkeypatch):
@@ -369,16 +371,33 @@ class TestRefutationIsConsistent:
                          T=50.0, dt=1e-3)
         assert traj.final_ratio() > 1.0 - 1e-6
 
+    def test_slowed_torus_is_certified_before_the_kalman_floor(self):
+        """torus() * 2^-8 only rescales time, so it stays GUAS.  Its one
+        drift lets the Hautus bound prove observability for every lambda
+        (about 4e-4 against a threshold near 1e-7) before the Kalman sweep,
+        whose floor tol (1 + max ||O||) would refute it."""
+        pair = torus()
+        scaled = MatrixPair(2.0**-8 * pair.B0, 2.0**-8 * pair.B1)
+        v = analyze(scaled, options=AnalyzerOptions(with_evidence=False))
+        assert v.conclusion == "INCONCLUSIVE"
+        assert v.certificate["sweep_verdict"] == "observable_for_all_lambda"
+        assert v.margins["observability_test"] == "hautus"
+        assert v.margins["observability_margin"] == pytest.approx(4.0e-4, rel=0.05)
+
     @pytest.mark.xfail(strict=True, reason=(
         "the refutation floor tol (1 + max ||O||) does not scale with "
-        "O(lam) = [C; CA; ...], whose rows carry different powers of the scale"))
-    def test_time_rescaling_refutes_no_guas_pair(self):
+        "O(lam) = [C; CA; ...], whose rows carry different powers of the scale; "
+        "the Hautus bound does not apply: at 2^9 the threshold from ||O|| is "
+        "above it, and kdeux(1, 2) has no common drift"))
+    @pytest.mark.parametrize("make, j", [(torus, 9), (lambda: kdeux(1.0, 2.0), -15)],
+                             ids=["torus-2^9", "kdeux-2^-15"])
+    def test_time_rescaling_refutes_no_guas_pair(self, make, j):
         """B -> 2^j B only rescales time, so torus() and kdeux(1, 2), both
         GUAS, must not be refuted at any scale."""
-        for pair, j in ((torus(), 9), (torus(), -8), (kdeux(1.0, 2.0), -15)):
-            scaled = MatrixPair(2.0**j * pair.B0, 2.0**j * pair.B1)
-            v = analyze(scaled, options=AnalyzerOptions(with_evidence=False))
-            assert not v.conclusion.startswith("NOT_GUAS"), (j, v.conclusion)
+        pair = make()
+        scaled = MatrixPair(2.0**j * pair.B0, 2.0**j * pair.B1)
+        v = analyze(scaled, options=AnalyzerOptions(with_evidence=False))
+        assert not v.conclusion.startswith("NOT_GUAS"), (j, v.conclusion)
 
 
 class TestVerdictSerialization:
@@ -388,6 +407,22 @@ class TestVerdictSerialization:
         assert d["conclusion"] == "NOT_GUAS_constant_input"
         assert isinstance(d["margins"], dict)
         assert isinstance(d["certificate"]["witness"], list)
+
+    def test_non_finite_numbers_are_strings(self):
+        """A non-finite float becomes its repr, numpy's (alone or in an
+        array) as Python's: JSON has no Infinity or NaN, so a strict parser
+        must read every report."""
+        def no_constant(name):
+            raise ValueError(f"{name} in a report")
+
+        v = analyzer.Verdict("INCONCLUSIVE", "x", margins={
+            "numpy_inf": np.float64(np.inf), "numpy_nan": np.float32(np.nan),
+            "inf": -np.inf, "count": np.int64(3), "finite": np.float64(0.25),
+        }, certificate={"roots": np.array([np.inf, 0.5])})
+        d = json.loads(v.to_json(), parse_constant=no_constant)
+        assert d["margins"] == {"numpy_inf": "inf", "numpy_nan": "nan", "inf": "-inf",
+                                "count": 3, "finite": 0.25}
+        assert d["certificate"] == {"roots": ["inf", 0.5]}
 
     def test_schema_validation(self):
         jsonschema = pytest.importorskip("jsonschema")

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from guas_cert import (
+    AnalyzerOptions,
+    MatrixPair,
+    analyze,
+    block_form,
     common_kernel,
     hurwitz_observability_crosscheck,
     kalman_matrix,
@@ -13,7 +17,7 @@ from guas_cert import (
 from guas_cert.decomposition import BlockFamily
 from guas_cert.gallery import assemble, kdeux, shared_output, torus
 from guas_cert.observability import (
-    MAX_GRID, sigma_C_bisection, sweep_scale, weyl_bisection,
+    MAX_GRID, _hautus_bound, sigma_C_bisection, sweep_scale, weyl_bisection,
 )
 
 from conftest import block_pair, full_grid_bisection, kdeux_blocks, skew, stable_block
@@ -191,6 +195,97 @@ class TestSweepLambda:
         blocks_sh = __import__("guas_cert").block_form(npair, common_kernel(npair))
         report = sweep_lambda(blocks_sh, sweep_scale(blocks_sh))
         assert report.verdict == "observable_for_all_lambda"
+
+
+def _drifting(eps):
+    """k = 2, k' = 1: A0 = J, A1 = (1 + eps) J, C0 = e1^T, C1 = e2^T, so
+    ||A1 - A0||_2 = |eps| and theta = +-(1 + eps / 2)."""
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return BlockFamily(A0=J, A1=(1.0 + eps) * J,
+                       C0=np.array([[1.0, 0.0]]), C1=np.array([[0.0, 1.0]]))
+
+
+class TestHautusBound:
+    def test_one_dimension_bound_is_the_smallest_output(self):
+        """k = 1: A = 0, theta = 0 alone, no window limit, so the bound is
+        min |C_lam| over [0, 1], here 1 at lam = 0, from lam = 0 and 1 alone
+        (the one critical point, lam = -1, is outside)."""
+        blocks = BlockFamily(A0=np.zeros((1, 1)), A1=np.zeros((1, 1)),
+                             C0=np.array([[1.0]]), C1=np.array([[2.0]]))
+        scale = sweep_scale(blocks)
+        assert _hautus_bound(blocks, scale.cert_threshold) == (1.0, 2)
+        report = sweep_lambda(blocks, scale)
+        assert (report.verdict, report.test) == ("observable_for_all_lambda", "hautus")
+        assert (report.margin, report.n_evals) == (1.0, 2)
+
+    def test_repeated_rotation_rate_declines(self):
+        """A repeated theta has half-gap 0, and the bound is at most every
+        half-gap: the Hautus bound declines and the Kalman sweep decides.
+        The torus with equal rates is unobservable through one output and
+        is refuted; shared_output's zero drift is observable through its
+        injective C_lam and is certified."""
+        A = torus(2, rates=(1.0, 1.0)).B0[:4, :4]
+        torus_blocks = BlockFamily(A0=A, A1=A, C0=np.array([[1.0, 0.0, 1.0, 0.0]]),
+                                   C1=np.array([[0.0, 1.0, 0.0, 1.0]]))
+        npair = normalize(shared_output())
+        shared_blocks = block_form(npair, common_kernel(npair))
+        for blocks, verdict in ((torus_blocks, "fails_at"),
+                                (shared_blocks, "observable_for_all_lambda")):
+            scale = sweep_scale(blocks)
+            assert blocks.norms.dA == 0.0
+            assert _hautus_bound(blocks, scale.cert_threshold) == (0.0, 0)
+            report = sweep_lambda(blocks, scale)
+            assert (report.verdict, report.test) == (verdict, "kalman")
+
+    @pytest.mark.parametrize("ratio, eigh_calls, test", [
+        (2.0, 0, "kalman"), (0.5, 1, "hautus"),
+    ], ids=["above", "below"])
+    def test_drift_above_the_threshold_makes_no_eigh_call(
+        self, monkeypatch, ratio, eigh_calls, test
+    ):
+        """The bound runs only when ||A1 - A0||_2 <= cert_threshold, and its
+        one eigh is its first step: a drift that moves by twice the
+        threshold makes no eigh call, one that moves by half of it makes
+        one and certifies."""
+        threshold = sweep_scale(_drifting(0.0)).cert_threshold
+        blocks = _drifting(ratio * threshold)
+        scale = sweep_scale(blocks)
+        assert (blocks.norms.dA > scale.cert_threshold) == (ratio > 1.0)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
+        report = sweep_lambda(blocks, scale)
+        assert (report.verdict, report.test) == ("observable_for_all_lambda", test)
+        assert len(calls) == eigh_calls
+
+    def test_margin_is_the_closed_form_less_half_the_drift(self):
+        """_drifting(eps): theta = +-(1 + eps / 2), so d = 1 + eps / 2, and
+        ||C_lam v||^2 = F / 2 with F = ||C_lam||_F^2 = (1 - lam)^2 + lam^2,
+        smallest (1/2) at lam = 1/2, a root of the quadratic: the bound is
+        d sqrt(F / 2 / (F + d^2)) there, less ||dA||_2 / 2 = eps / 2."""
+        eps = 0.5 * sweep_scale(_drifting(0.0)).cert_threshold
+        blocks = _drifting(eps)
+        report = sweep_lambda(blocks, sweep_scale(blocks))
+        d = 1.0 + eps / 2
+        assert report.test == "hautus"
+        assert report.margin == pytest.approx(d * np.sqrt(0.25 / (0.5 + d * d)) - eps / 2,
+                                              rel=1e-12)
+
+    def test_vanishing_plane_off_the_grid_is_refuted(self):
+        """torus(2) with C0 = [1, 0, 1, 0] and C1 = [0, 1, -0.63/0.37, 0]:
+        at lam* = 0.37, between grid points, C_lam sees nothing of the
+        second rotation plane.  The Hautus bound stays below the threshold,
+        and the Kalman sweep refutes near lam*."""
+        A = torus().B0[:4, :4]
+        C0 = np.array([[1.0, 0.0, 1.0, 0.0]])
+        C1 = np.array([[0.0, 1.0, -0.63 / 0.37, 0.0]])
+        pair = MatrixPair(assemble(A, C0, [[-1.0]]), assemble(A, C1, [[-2.0]]))
+        v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
+        assert v.conclusion == "NOT_GUAS_constant_input"
+        assert v.certificate["lambda_star"] == pytest.approx(0.37, abs=1e-6)
+        assert "observability_test" not in v.margins
+        blocks = BlockFamily(A0=A, A1=A, C0=C0, C1=C1)
+        scale = sweep_scale(blocks)
+        assert _hautus_bound(blocks, scale.cert_threshold)[0] < scale.cert_threshold
 
 
 #: (sigma, Lipschitz constant, threshold, floor) of one bisection each

@@ -57,7 +57,8 @@ def test_sweep_stages_take_the_family_scale():
     sweep report holds the scale, not copies of its fields, and the sweep
     and the scan take it in place of a grid size and a tolerance."""
     fields = [f.name for f in dataclasses.fields(guas_cert.ObservabilityReport)]
-    assert fields == ["scale", "n_evals", "verdict", "margin", "lambda_star", "witness"]
+    assert fields == ["scale", "n_evals", "verdict", "margin", "lambda_star", "witness",
+                      "test"]
     parameters = {
         function.__name__: list(inspect.signature(function).parameters)
         for function in (guas_cert.sweep_lambda, guas_cert.scan_G)

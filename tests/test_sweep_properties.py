@@ -12,7 +12,11 @@ On every family, the bisection from its first pass must reach the
 verdicts of the one from every grid point, and refute only where the value
 is below the floor.  With k' >= k, analyze decides C-injectivity before the
 Kalman sweep; it must reach the conclusions of the sweep-first order, or
-prove GUAS_C_injective where that order was inconclusive.
+prove GUAS_C_injective where that order was inconclusive.  On families
+with one drift, a Hautus bound that certifies must lie below
+sigma_min([A_lam - i w I; C_lam]) on a dense (lam, w) grid, and the
+Kalman sweep must not refute; an output that misses an invariant plane or
+line at an off-grid lam* is never certified, and the sweep refutes it.
 """
 
 from unittest import mock
@@ -43,6 +47,7 @@ from guas_cert.errors import NotHurwitz  # noqa: E402
 from guas_cert.gallery import assemble  # noqa: E402
 from guas_cert.observability import (  # noqa: E402
     CERT_FACTOR,
+    _hautus_bound,
     sigma_C_bisection,
     sweep_scale,
 )
@@ -324,3 +329,83 @@ def test_vanishing_output_refutes_at_the_injectivity_lambda(c):
     assert run.verdict != "certified"
     assert v.certificate["lambda_star"] == run.lambda_star
     assert v.grid["lambda_evals"] == run.n_evals + scale.n_evals + 1
+
+
+def one_drift(k, k_prime, seed, nudge):
+    """A family whose drift moves by ``nudge`` in the spectral norm (0: one
+    drift exactly), with random outputs."""
+    rng = np.random.default_rng(seed)
+    A0, dA = skew(rng, k), skew(rng, k)
+    if k > 1:
+        dA *= nudge / np.linalg.norm(dA, 2)
+    C0 = rng.standard_normal((k_prime, k))
+    C1 = rng.standard_normal((k_prime, k))
+    return BlockFamily(A0=A0, A1=A0 + dA, C0=C0, C1=C1)
+
+
+def vanishing_subspace(k, k_prime, seed, lam_star, line):
+    """One drift A = Q R Q^T, R rotation blocks at distinct random rates
+    (and a zero for odd k), whose output misses one invariant subspace U
+    at lam*: C1 = C0 - C0 U U^T / lam*, so C_lam* U = 0.  U is the first
+    rotation plane, or with ``line`` (or k = 1) the kernel line of A."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    R = np.zeros((k, k))
+    for j, rate in enumerate(np.sort(rng.uniform(0.5, 3.0, k // 2)) + np.arange(k // 2)):
+        R[2 * j, 2 * j + 1], R[2 * j + 1, 2 * j] = -rate, rate
+    U = Q[:, -1:] if (line and k % 2) or k == 1 else Q[:, :2]
+    A = Q @ R @ Q.T
+    A = 0.5 * (A - A.T)
+    C0 = rng.standard_normal((k_prime, k))
+    return BlockFamily(A0=A, A1=A, C0=C0, C1=C0 - (C0 @ U) @ U.T / lam_star)
+
+
+@given(
+    k=st.integers(1, 6),
+    k_prime=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    nudge=st.sampled_from([0.0, 1e-15, 1e-10]),
+)
+def test_hautus_bound_holds_between_its_candidates(k, k_prime, seed, nudge):
+    """A one-drift family (k' < k and k' >= k) that the Hautus bound
+    certifies has its bound at most sigma_min([A_lam - i w I; C_lam]) on a
+    dense (lam, w) grid that holds every theta_j of i A_(1/2), and the
+    Kalman sweep at unit scale does not refute it."""
+    blocks = one_drift(k, k_prime, seed, nudge)
+    scale = sweep_scale(blocks)
+    report = sweep_lambda(blocks, scale)
+    if report.test != "hautus":
+        return
+    assert report.verdict == "observable_for_all_lambda"
+    assert report.margin > scale.cert_threshold
+    theta = np.linalg.eigvalsh(0.5j * (blocks.A0 + blocks.A1))
+    top = np.abs(theta).max() + 1.0
+    omega = np.concatenate([np.linspace(-top, top, 65), theta, -theta])
+    lam = np.linspace(0.0, 1.0, 25)[:, None, None, None]
+    shifted = blocks.A(lam) - 1j * omega[:, None, None] * np.eye(k)
+    C = np.broadcast_to(blocks.C(lam), (25, len(omega), k_prime, k))
+    pbh = np.linalg.svd(np.concatenate([shifted, C], axis=-2), compute_uv=False)
+    assert report.margin <= pbh[..., -1].min() + 1e-12  # rounding of the SVD
+    with mock.patch.object(observability, "_hautus_bound", lambda b, t: (0.0, 0)):
+        kalman = sweep_lambda(blocks, scale)
+    assert kalman.test == "kalman" and kalman.verdict != "fails_at"
+
+
+@given(
+    k=st.integers(1, 6),
+    k_prime=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    lam_star=st.floats(0.05, 0.95),
+    line=st.booleans(),
+)
+def test_vanishing_subspace_is_never_certified(k, k_prime, seed, lam_star, line):
+    """One drift whose output misses an invariant plane or line at an
+    off-grid lam*: the Hautus bound stays at or below the threshold, and
+    the Kalman sweep refutes with a witness below the floor."""
+    blocks = vanishing_subspace(k, k_prime, seed, lam_star, line)
+    scale = sweep_scale(blocks)
+    assert _hautus_bound(blocks, scale.cert_threshold)[0] <= scale.cert_threshold
+    report = sweep_lambda(blocks, scale)
+    assert (report.verdict, report.test) == ("fails_at", "kalman")
+    O = kalman_matrix(blocks.C(report.lambda_star), blocks.A(report.lambda_star))
+    assert np.linalg.norm(O @ report.witness[:, 0]) <= scale.floor

@@ -2,8 +2,8 @@
 
 For each workload of ``perfbench/workloads.py`` the test sums, over the
 instances of seeds 1-3, the lambdas each ``analyze`` call evaluated
-(``grid.lambda_evals``), its ``numpy.linalg.svd`` calls and its
-``simulator.expm`` calls.  The counts are deterministic per seed, unlike
+(``grid.lambda_evals``), its ``numpy.linalg.svd`` and ``numpy.linalg.eigh``
+calls and its ``simulator.expm`` calls.  The counts are deterministic per seed, unlike
 wall times, so a change that makes a call do more work fails here even
 when the host is too noisy to time it.  The instances are built before the
 counters go in, so only the analyzer's own work is counted.
@@ -37,13 +37,13 @@ finally:
 
 
 def work_counts() -> dict:
-    """{workload: {"lambda_evals": ..., "svd": ..., "expm": ...}}, each
-    summed over the instances of SEEDS."""
-    svd, expm = np.linalg.svd, simulator.expm
+    """{workload: {"lambda_evals": ..., "svd": ..., "eigh": ..., "expm": ...}},
+    each summed over the instances of SEEDS."""
+    svd, eigh, expm = np.linalg.svd, np.linalg.eigh, simulator.expm
     out = {}
     for name in workloads.WORKLOADS:
         instances = [i for seed in SEEDS for i in workloads.build(name, seed)]
-        calls = out[name] = {"lambda_evals": 0, "svd": 0, "expm": 0}
+        calls = out[name] = {"lambda_evals": 0, "svd": 0, "eigh": 0, "expm": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -51,7 +51,8 @@ def work_counts() -> dict:
                 return fn(*args, **kwargs)
             return wrapper
 
-        np.linalg.svd, simulator.expm = counted("svd", svd), counted("expm", expm)
+        np.linalg.svd, np.linalg.eigh = counted("svd", svd), counted("eigh", eigh)
+        simulator.expm = counted("expm", expm)
         try:
             for inst in instances:
                 try:
@@ -60,7 +61,7 @@ def work_counts() -> dict:
                     continue  # refused; its work up to the refusal counts
                 calls["lambda_evals"] += verdict.grid["lambda_evals"]
         finally:
-            np.linalg.svd, simulator.expm = svd, expm
+            np.linalg.svd, np.linalg.eigh, simulator.expm = svd, eigh, expm
     return out
 
 
