@@ -211,7 +211,7 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     _n_steps(opt.evidence_T, opt.evidence_dt)  # the evidence runs' horizon rule
     require_finite(pair)
 
-    hz = is_hurwitz(np.stack([pair.B0, pair.B1]), tol)
+    hz = is_hurwitz(np.array([pair.B0, pair.B1]), tol)
     for name, hurwitz, marginal, abscissa in zip(
         ("B0", "B1"), hz.hurwitz, hz.marginal, hz.abscissa
     ):

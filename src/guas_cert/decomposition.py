@@ -13,21 +13,22 @@ uniform observability is equivalent to GUAS of the switched pair, and a
 ``BlockFamily`` holds exactly them; D_lam is checked and then dropped.
 
 Each decision here is one batched LAPACK call: one SVD of [S0; S1] for the
-kernel, one ``eigvalsh`` over D_lam^T + D_lam at lam = 0, 1/2, 1 for the
-block structure, and, on first use, one SVD per block shape for the
-spectral norms (``BlockFamily.norms``) that the lambda-sweep's Lipschitz
-constants read.
+kernel (singular values and V only; its 2d x 2d U is never formed), one
+``eigvalsh`` over D_lam^T + D_lam at lam = 0, 1/2, 1 for the block
+structure, which ``block_form`` reads off both endpoints at once, and, for
+the spectral norms (``BlockFamily.norms``) that the lambda-sweep's
+Lipschitz constants read, one SVD per block shape on the first read of a
+norm of that shape (one for all six when k' = k).  A block form whose
+scale 1 + ||B_i||_F overflows is refused with NonFiniteInput.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import StructureViolation
+from .errors import NonFiniteInput, StructureViolation
 from .matrix_core import NormalizedPair
 
 #: Ratio (smallest kept singular value) / (largest discarded one) below which
@@ -36,13 +37,10 @@ RANK_MARGIN_FLOOR = 1e3
 
 
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive."""
-    if V.size == 0:
-        return V
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
+    """Make the largest-magnitude entry of each column positive (a zero
+    column is left as it is)."""
+    top = V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])]
+    return V * np.where(top < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -75,18 +73,14 @@ def numerical_rank(M: np.ndarray, tol: float = 1e-9) -> NumericalRank:
     n = M.shape[1]
     if M.shape[0] == 0 or not np.any(M):
         return NumericalRank(np.eye(n), np.zeros((n, 0)), np.zeros(n), 0.0, np.inf)
-    _, s, Vh = np.linalg.svd(M)
+    # a full V only where M has fewer rows than columns; U is never read
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < n)
     s, threshold = rank_threshold(s, n, tol)
-    null = s <= threshold
-    kept, discarded = s[~null], s[null]
-    if kept.size and discarded.size and discarded.max() > 0:
-        margin = float(kept.min() / discarded.max())
-    else:
-        margin = np.inf
-    return NumericalRank(
-        _fix_column_signs(Vh[null].T), _fix_column_signs(Vh[~null].T),
-        s, threshold, margin,
-    )
+    rank = int(np.count_nonzero(s > threshold))
+    kept, discarded = s[rank - 1] if rank else 0.0, s[rank] if rank < n else 0.0
+    margin = float(kept / discarded) if rank and discarded > 0 else np.inf
+    V = _fix_column_signs(Vh.T)
+    return NumericalRank(V[:, rank:], V[:, :rank], s, threshold, margin)
 
 
 @dataclass(frozen=True)
@@ -122,16 +116,35 @@ def common_kernel(pair: NormalizedPair, tol: float = 1e-9) -> KernelDecompositio
     )
 
 
-class SpectralNorms(NamedTuple):
-    """The spectral norms of a block family's endpoint blocks and their
-    differences, which bound how fast its lambda-dependent quantities move."""
+#: The names of ``SpectralNorms``, by block shape.
+_NORMS = {"A": ("A0", "A1", "dA"), "C": ("C0", "C1", "dC")}
 
-    A0: float
-    A1: float
-    dA: float  # ||A1 - A0||_2
-    C0: float
-    C1: float
-    dC: float  # ||C1 - C0||_2
+
+class SpectralNorms:
+    """The spectral norms of a block family's endpoint blocks and their
+    differences, which bound how fast its lambda-dependent quantities move:
+    A0, A1, dA = ||A1 - A0||_2, C0, C1, dC = ||C1 - C0||_2, iterated in that
+    order.  The three of a block shape come from one batched SVD, made when
+    one of them is first read (one SVD makes all six when k' = k), and are
+    kept.  An empty block has norm 0."""
+
+    def __init__(self, blocks: "BlockFamily"):
+        self._blocks = blocks
+
+    def __getattr__(self, name):  # only called for a value not yet computed
+        if name not in _NORMS["A"] + _NORMS["C"]:
+            raise AttributeError(name)
+        b = self._blocks
+        stacks = {"A": [b.A0, b.A1, b.A1 - b.A0], "C": [b.C0, b.C1, b.C1 - b.C0]}
+        if b.A0.shape != b.C0.shape:
+            stacks = {shape: stacks[shape] for shape, names in _NORMS.items() if name in names}
+        S = np.array(sum(stacks.values(), []))
+        top = np.linalg.svd(S, compute_uv=False)[:, 0] if S.size else np.zeros(len(S))
+        vars(self).update(zip(sum((_NORMS[shape] for shape in stacks), ()), top.tolist()))
+        return vars(self)[name]
+
+    def __iter__(self):
+        return (getattr(self, name) for names in _NORMS.values() for name in names)
 
 
 @dataclass(frozen=True)
@@ -166,17 +179,8 @@ class BlockFamily:
     @cached_property
     def norms(self) -> SpectralNorms:
         """||A0||, ||A1||, ||A1 - A0||, ||C0||, ||C1||, ||C1 - C0|| (spectral),
-        computed once: one batched SVD per shape, one in all when k' = k.
-        An empty block has norm 0."""
-        stacks = [np.stack([self.A0, self.A1, self.A1 - self.A0]),
-                  np.stack([self.C0, self.C1, self.C1 - self.C0])]
-        if stacks[0].shape == stacks[1].shape:
-            stacks = [np.concatenate(stacks)]
-        norms = [
-            np.linalg.svd(S, compute_uv=False)[:, 0] if S.size else np.zeros(len(S))
-            for S in stacks
-        ]
-        return SpectralNorms(*np.concatenate(norms).tolist())
+        each shape's computed on its first read (see ``SpectralNorms``)."""
+        return SpectralNorms(self)
 
 
 def block_form(
@@ -195,39 +199,40 @@ def block_form(
     batched ``eigvalsh`` covers all three.  Its largest eigenvalue f(lam) is
     convex in lam, so f(0), f(1) <= 0 and f(1/2) < 0 give f < 0 on (0, 1);
     further interior samples would only catch the rounding that the
-    endpoint bound allows.  The checks run in that order, each endpoint's A
-    and C checks before its D check, so the first violation is the one
-    raised.
+    endpoint bound allows.  Both endpoints are framed and checked as one
+    (2, d, d) stack, and one M + M^T of it holds all three residuals.  The
+    checks are then read in that order, each endpoint's A and C checks
+    before its D check, so the first violation is the one raised.  The
+    tolerance scale is 1 + ||B_i||_F; NonFiniteInput when it overflows.
     """
     k = decomp.k
     F = decomp.frame
-    framed = [F.T @ B @ F for B in (pair.B0n, pair.B1n)]
-    D0, D1 = (M[k:, k:] for M in framed)
-    D = np.stack([D0, D1, 0.5 * (D0 + D1)])
-    # largest eigenvalue of each D^T + D; -inf when k' = 0 leaves D empty
-    w_max = np.max(
-        np.linalg.eigvalsh(D + D.swapaxes(-1, -2)), axis=-1, initial=-np.inf
-    )
-    blocks = []
-    for i, (B, M) in enumerate(zip((pair.B0n, pair.B1n), framed)):
-        scale = 1.0 + np.linalg.norm(B, "fro")
-        limit = 10.0 * tol * scale
-        A = M[:k, :k]
-        topright = M[:k, k:]
-        C = M[k:, :k]
-        if np.max(np.abs(A + A.T), initial=0.0) > limit:
+    B = np.array([pair.B0n, pair.B1n])
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.sqrt((B * B).sum(axis=(1, 2)))
+    if not np.isfinite(scale).all():
+        raise NonFiniteInput("the norm of a normalized endpoint overflows")
+    limit = (10.0 * tol * scale).tolist()
+    M = F.T @ B @ F
+    # the top rows of M + M^T are [A + A^T, topright + C^T]; its bottom-right
+    # block is D^T + D
+    H = M + M.swapaxes(-1, -2)
+    G = np.abs(H[:, :k])
+    skew = G[:, :, :k].max(axis=(1, 2), initial=0.0).tolist()
+    coupling = G[:, :, k:].max(axis=(1, 2), initial=0.0).tolist()
+    S = H[:, k:, k:]
+    # largest eigenvalue of D^T + D at lam = 0, 1, 1/2; -inf when k' = 0 leaves D empty
+    w_max = np.linalg.eigvalsh(np.array([S[0], S[1], 0.5 * (S[0] + S[1])]))
+    w_max = w_max.max(axis=-1, initial=-np.inf).tolist()
+    for i in range(2):
+        if skew[i] > limit[i]:
             raise StructureViolation(
                 "top-left block is not skew-symmetric; pair not normalized?"
             )
-        if np.max(np.abs(topright + C.T), initial=0.0) > limit:
+        if coupling[i] > limit[i]:
             raise StructureViolation("top-right block does not equal -C^T")
-        A = 0.5 * (A - A.T)
-        A[np.abs(A) < tol * scale] = 0.0
-        C = C.copy()
-        C[np.abs(C) < tol * scale] = 0.0
-        blocks.append((A, C))
         # endpoint: non-strict negativity of D^T + D
-        if w_max[i] > limit:
+        if w_max[i] > limit[i]:
             raise StructureViolation(
                 f"D^T + D has positive eigenvalue {w_max[i]:.3e} at an endpoint"
             )
@@ -237,6 +242,9 @@ def block_form(
             f"D_lam^T + D_lam not negative definite at lam = 0.5 "
             f"(max eigenvalue {w_max[2]:.3e}); kernel rank may be ambiguous"
         )
-    return BlockFamily(
-        A0=blocks[0][0], A1=blocks[1][0], C0=blocks[0][1], C1=blocks[1][1]
-    )
+    floor = (tol * scale)[:, None, None]
+    A = 0.5 * (M[:, :k, :k] - M[:, :k, :k].swapaxes(-1, -2))
+    A[np.abs(A) < floor] = 0.0
+    C = M[:, k:, :k].copy()
+    C[np.abs(C) < floor] = 0.0
+    return BlockFamily(A0=A[0], A1=A[1], C0=C[0], C1=C[1])

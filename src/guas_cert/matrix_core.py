@@ -9,7 +9,10 @@ B_i^T + B_i <= 0, which is the form every downstream module assumes.
 
 Each check runs one batched decomposition over both matrices of the pair:
 one ``eigvals`` for Hurwitzness, one ``eigvalsh`` for the two Lyapunov
-forms, which ``_lyapunov_forms`` alone builds.  P enters only on the pair
+forms, which ``_lyapunov_forms`` alone builds.  With P = I the forms are the
+symmetric parts B_i^T + B_i, built once and kept as the normalized pair's
+S0 and S1.  A tolerance that is not finite (an entry that is not, or a norm
+that overflows) refuses with NonFiniteInput.  P enters only on the pair
 and is validated in one place, when a ``MatrixPair`` is built: the ``eigh``
 that checks it is kept with the pair and gives the square roots
 ``normalize`` takes.  P = I, the default, is neither validated nor
@@ -40,15 +43,23 @@ def _as_square(B, name="B") -> np.ndarray:
 
 
 def symmetric_part(B) -> np.ndarray:
-    """Return B^T + B, symmetrized exactly."""
-    B = _as_square(B)
-    S = B.T + B
-    return 0.5 * (S + S.T)
+    """Return B^T + B over the last two axes of B; floating-point addition
+    commutes, so the result is exactly symmetric."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
+        raise DimensionMismatch(f"B must be square, got shape {B.shape}")
+    return B + B.swapaxes(-1, -2)
 
 
 def default_semidef_tol(S: np.ndarray) -> float:
-    """Relative semidefiniteness tolerance: 1e-9 * (1 + ||S||_F)."""
-    return 1e-9 * (1.0 + np.linalg.norm(S, "fro"))
+    """Relative semidefiniteness tolerance: 1e-9 * (1 + ||S||_F).  Raises
+    NonFiniteInput when it is not finite: S has a non-finite entry, or its
+    norm overflows, and an infinite tolerance would pass any form."""
+    with np.errstate(over="ignore"):
+        tol = 1e-9 * (1.0 + np.linalg.norm(S, "fro"))
+    if not np.isfinite(tol):
+        raise NonFiniteInput(f"tolerance {tol}: an entry is not finite or the norm overflows")
+    return tol
 
 
 def _check_spd(P):
@@ -110,6 +121,7 @@ class SemidefVerdict:
     max_eigenvalue: float
     witness: Optional[np.ndarray] = None  # X with X^T S X > tol, iff not holds
     tol: float = 0.0
+    form: Optional[np.ndarray] = None  # the symmetric matrix checked
 
 
 @dataclass(frozen=True)
@@ -137,39 +149,42 @@ class NormalizedPair:
         return symmetric_part(self.B1n)
 
 
-def _lyapunov_forms(B: np.ndarray, P: np.ndarray):
+def _lyapunov_forms(B: np.ndarray, P: Optional[np.ndarray]) -> np.ndarray:
     """The symmetrized forms M = B^T P + P B over a (..., d, d) stack of B
-    (broadcast against P), and the largest eigenvalue of each from one
-    batched ``eigvalsh`` (-inf when d = 0)."""
+    (broadcast against P).  P = None stands for the identity: M is then
+    ``symmetric_part`` of B, with no products."""
+    if P is None:
+        return symmetric_part(B)
     M = B.swapaxes(-1, -2) @ P + P @ B
-    M = 0.5 * (M + M.swapaxes(-1, -2))
-    return M, np.max(np.linalg.eigvalsh(M), axis=-1, initial=-np.inf)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def check_weak_lyapunov(pair: MatrixPair):
     """Check that B_i^T P + P B_i is negative semidefinite for i = 0, 1.
 
     P is pair.P, or the identity when that is None.  Each form is held to
-    ``default_semidef_tol`` of itself, and a form that fails gets an
-    ``eigh`` of its own for the witness.  Returns a pair of SemidefVerdict.
+    ``default_semidef_tol`` of itself (NonFiniteInput when that is not
+    finite), and one batched ``eigvalsh`` gives the largest eigenvalue of
+    both; a form that fails gets an ``eigh`` of its own for the witness.
+    Returns a pair of SemidefVerdict, each carrying the form it checked.
     When a check fails, the verdict carries the eigenvector realizing the
     positive eigenvalue as witness.
     """
-    P = np.eye(pair.d) if pair.P is None else pair.P
-    M, w_max = _lyapunov_forms(np.stack([pair.B0, pair.B1]), P)
+    M = _lyapunov_forms(np.array([pair.B0, pair.B1]), pair.P)
+    tols = [default_semidef_tol(Mi) for Mi in M]
+    w_max = np.linalg.eigvalsh(M).max(axis=-1, initial=-np.inf).tolist()
     verdicts = []
-    for Mi, w in zip(M, w_max):
-        t = default_semidef_tol(Mi)
-        holds = w <= t
+    for Mi, w, t in zip(M, w_max, tols):
+        holds = bool(w <= t)
         witness = None if holds else np.linalg.eigh(Mi)[1][:, -1].copy()
-        verdicts.append(SemidefVerdict(bool(holds), float(w), witness, t))
+        verdicts.append(SemidefVerdict(holds, w, witness, t, Mi))
     return verdicts[0], verdicts[1]
 
 
 def require_finite(pair: MatrixPair) -> None:
     """Raise NonFiniteInput when B0 or B1 has a NaN or infinite entry."""
     for name, M in (("B0", pair.B0), ("B1", pair.B1)):
-        if not np.all(np.isfinite(M)):
+        if not np.isfinite(M).all():
             raise NonFiniteInput(f"{name} has a non-finite entry")
 
 
@@ -179,9 +194,10 @@ def normalize(pair: MatrixPair) -> NormalizedPair:
     The transform is a similarity, so spectra are preserved, and
     B'^T + B' = P^{-1/2} (B^T P + P B) P^{-1/2} <= 0.  P is pair.P, and both
     square roots come from the eigendecomposition the pair kept.  When it
-    is None, P = I: the pair is checked and copied, with no decomposition.
+    is None, P = I: the pair is checked and copied, with no decomposition,
+    and the forms the check built are the normalized pair's S0 and S1.
+    A non-finite entry fails the check's tolerance (NonFiniteInput).
     """
-    require_finite(pair)
     v0, v1 = check_weak_lyapunov(pair)
     if not (v0.holds and v1.holds):
         bad = [i for i, v in enumerate((v0, v1)) if not v.holds]
@@ -190,12 +206,13 @@ def normalize(pair: MatrixPair) -> NormalizedPair:
             f"(max eigenvalues {v0.max_eigenvalue:.3e}, {v1.max_eigenvalue:.3e})"
         )
     if pair.P is None:
-        identity = np.eye(pair.d)
-        return NormalizedPair(
+        npair = NormalizedPair(
             pair.B0.copy(),
             pair.B1.copy(),
-            provenance={"P": identity, "sqrt_P": identity, "inv_sqrt_P": identity},
+            provenance=dict.fromkeys(("P", "sqrt_P", "inv_sqrt_P"), np.eye(pair.d)),
         )
+        vars(npair).update(S0=v0.form, S1=v1.form)  # fills the cached properties
+        return npair
     w, U = pair._P_eigh
     root_w = np.sqrt(w)
     sqrt_P = (U * root_w) @ U.T
@@ -227,11 +244,11 @@ def is_hurwitz(B, tol: float = 1e-9) -> HurwitzResult:
     B = np.asarray(B, dtype=float)
     if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
         raise DimensionMismatch(f"B must be square, got shape {B.shape}")
-    abscissa = np.max(np.linalg.eigvals(B).real, axis=-1, initial=-np.inf)
-    hurwitz, marginal = abscissa < -tol, np.abs(abscissa) <= tol
+    abscissa = np.linalg.eigvals(B).real.max(axis=-1, initial=-np.inf)
     if B.ndim == 2:
-        return HurwitzResult(bool(hurwitz), float(abscissa), bool(marginal))
-    return HurwitzResult(hurwitz, abscissa, marginal)
+        abscissa = float(abscissa)
+        return HurwitzResult(bool(abscissa < -tol), abscissa, bool(abs(abscissa) <= tol))
+    return HurwitzResult(abscissa < -tol, abscissa, np.abs(abscissa) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +351,7 @@ def strict_lyapunov_2x2(pair: MatrixPair) -> StrictLyapunovSearch:
         if lo < hi:
             r = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * lo + 1.0
             P = np.array([[1.0, q], [q, r]])
-            if _lyapunov_forms(B, P)[1].max() < -default_semidef_tol(P):
+            if np.linalg.eigvalsh(_lyapunov_forms(B, P)).max() < -default_semidef_tol(P):
                 return StrictLyapunovSearch(
                     True, P, vertex_ordinates, "strict common quadratic Lyapunov matrix found"
                 )

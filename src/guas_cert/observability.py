@@ -53,13 +53,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .decomposition import BlockFamily, block_form, common_kernel, numerical_rank
 from .decomposition import _fix_column_signs
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .matrix_core import MatrixPair, NormalizedPair, check_weak_lyapunov, is_hurwitz
 
 #: Certified-observable requires sigma_min above this multiple of the tolerance.
@@ -182,7 +183,7 @@ def weyl_bisection(
     value, lam_star, settled, certifying = np.inf, 0.0, np.inf, True
     while True:
         bound = 0.5 * (s_lo + s_hi - lipschitz * (hi - lo))
-        i = int(np.argmin(new_vals))
+        i = new_vals.argmin()
         if new_vals[i] < value:
             value, lam_star = float(new_vals[i]), float(new_lams[i])
         lower = min(settled, float(bound.min()))
@@ -195,12 +196,12 @@ def weyl_bisection(
             split = np.zeros(len(bound), bool)
             split[lowest[bound[lowest] < floor]] = True
         settled = min(settled, float(bound[~split].min(initial=np.inf)))
-        if not np.any(split):
+        if not split.any():
             verdict = "certified" if certifying else "inconclusive"
             return Bisection(verdict, lower, value, lam_star, len(seen_lams))
         lo, hi, s_lo, s_hi = lo[split], hi[split], s_lo[split], s_hi[split]
         mid = 0.5 * (lo + hi)
-        if np.any((mid <= lo) | (mid >= hi)):
+        if ((mid <= lo) | (mid >= hi)).any():
             return Bisection("inconclusive", lower, value, lam_star, len(seen_lams))
         probe = _secant_probe(seen_lams, seen_vals, lam_star, value)
         new_lams = mid if probe is None else np.append(mid, probe)
@@ -244,15 +245,30 @@ def sweep_scale(
 ) -> SweepScale:
     """The n_grid partition of [0, 1] and the thresholds of a sweep on it,
     from one SVD of O(lam) at lam = 0, 1/2, 1; ValueError unless n_grid is
-    an integer (numpy integers count) in [2, MAX_GRID]."""
+    an integer (numpy integers count) in [2, MAX_GRID], and NonFiniteInput
+    when O overflows there.  The grid is built once per n_grid and shared,
+    read-only."""
     if not (isinstance(n_grid, (int, np.integer)) and 2 <= n_grid <= MAX_GRID):
         raise ValueError(f"n_grid must be an integer in [2, {MAX_GRID}], got {n_grid}")
-    grid = np.linspace(0.0, 1.0, n_grid)
+    grid = _grid(int(n_grid))
     if blocks.k == 0:
         return SweepScale(grid, tol, tol, 0.0, 0)
-    ends = _kalman_sigmas(blocks, np.array([0.0, 0.5, 1.0]))
-    floor = tol * (1.0 + float(np.max(ends[:, 0])))
-    return SweepScale(grid, tol, floor, CERT_FACTOR * floor, len(ends))
+    lam = np.array([0.0, 0.5, 1.0])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        O = kalman_matrix(blocks.C(lam), blocks.A(lam))
+    if not np.isfinite(O).all():
+        raise NonFiniteInput("the Kalman matrix O(lam) overflows at lam = 0, 1/2 or 1")
+    top = np.linalg.svd(O, compute_uv=False)[:, 0].max() if O.size else 0.0
+    floor = tol * (1.0 + float(top))
+    return SweepScale(grid, tol, floor, CERT_FACTOR * floor, len(lam))
+
+
+@lru_cache
+def _grid(n_grid: int) -> np.ndarray:
+    """The n_grid partition of [0, 1], read-only, built once per size."""
+    grid = np.linspace(0.0, 1.0, n_grid)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass

@@ -252,14 +252,16 @@ class TestDispatchCounts:
     def test_torus_without_evidence(self, monkeypatch):
         # k = 4 > 3: scan_G refuses before it computes N = ker C0 ∩ ker C1,
         # so no SVD of [C0; C1] is made.  One drift: the Hautus bound's one
-        # eigh certifies observability, and no Kalman SVD follows the scale's
+        # eigh certifies observability, and no Kalman SVD follows the scale's.
+        # The SVDs: the kernel's, the scale's and the A norms' (dA); k' != k
+        # and nothing reads a C norm, so the C stack gets none
         opts = AnalyzerOptions(with_evidence=False)
         v, counts = linalg_calls(monkeypatch, lambda: analyze(torus(), options=opts))
         assert v.conclusion == "INCONCLUSIVE"
         assert v.notes.endswith("k = 4 > 3: discreteness of G undecided")
         assert v.margins["observability_test"] == "hautus"
         assert {name: counts[name] for name in LINALG} == {
-            "svd": 4, "eig": 0, "eigvals": 1, "eigh": 1, "eigvalsh": 2,
+            "svd": 3, "eig": 0, "eigvals": 1, "eigh": 1, "eigvalsh": 2,
         }
 
     def test_kdeux_k2_labels_the_case(self, monkeypatch):
@@ -282,7 +284,8 @@ class TestDispatchCounts:
 
     def test_symmetric_parts_built_once(self, monkeypatch):
         # the torus call reads S0 and S1 in common_kernel and in the evidence
-        # runs' tables and stretches; NormalizedPair builds each once
+        # runs' tables and stretches; the weak-Lyapunov check builds both in
+        # one call on the stacked pair, and the normalized pair keeps them
         from guas_cert import matrix_core
 
         calls = []
@@ -295,7 +298,7 @@ class TestDispatchCounts:
         monkeypatch.setattr(matrix_core, "symmetric_part", counted)
         v = analyze(torus(), options=FAST)
         assert v.evidence is not None
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_frozen_k3_curve_rule(self, monkeypatch):
         # the curve rule fits with its cached operator (built by the first

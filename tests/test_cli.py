@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from guas_cert import MatrixPair, cli
+from guas_cert import MatrixPair, NormalizedPair, block_form, cli, common_kernel
 from guas_cert.cli import (
     EXIT_GUAS,
     EXIT_INCONCLUSIVE,
@@ -25,7 +25,7 @@ from guas_cert.errors import (
     NotHurwitz,
     StructureViolation,
 )
-from guas_cert.gallery import kdeux, mason, torus
+from guas_cert.gallery import assemble, kdeux, mason, torus
 from guas_cert.observability import MAX_GRID
 
 
@@ -420,3 +420,48 @@ class TestExampleCommand:
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["example", "does-not-exist"])
+
+
+#: A pair that is not GUAS at any time scale: expm(0.3 A1) expm(0.3 A0) has
+#: spectral radius 5.48, and no common weak Lyapunov P = I.
+DESTABILIZING = (
+    np.array([[-0.1, 1.0], [-10.0, -0.1]]),
+    np.array([[-0.1, 10.0], [-1.0, -0.1]]),
+)
+
+
+class TestOverflowRefusals:
+    """A tolerance or scale of the front end that overflows refuses the
+    input (exit 4); an infinite tolerance would pass any form."""
+
+    @pytest.mark.parametrize("s, code", [(1.0, EXIT_PRECONDITION), (1e150, EXIT_PRECONDITION),
+                                         (1e155, EXIT_IO)])
+    def test_destabilizing_pair_is_never_certified(self, tmp_path, s, code):
+        path = str(tmp_path / "pair.json")
+        save_problem(MatrixPair(s * DESTABILIZING[0], s * DESTABILIZING[1]), path)
+        assert main(["analyze", path]) == code
+
+    @pytest.mark.parametrize("s", [1e100, 1e150, 1e155])
+    def test_scaled_torus_is_refused(self, tmp_path, capsys, s):
+        pair = torus()
+        path = str(tmp_path / "torus.json")
+        save_problem(MatrixPair(s * pair.B0, s * pair.B1), path)
+        assert main(["analyze", path]) == EXIT_IO
+        assert "overflow" in capsys.readouterr().err
+
+    def test_huge_P_is_refused_as_non_finite(self):
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            MatrixPair(-np.eye(2), -np.eye(2), 1e300 * np.eye(2))
+
+    def test_block_form_refuses_an_overflowing_scale(self):
+        # a huge rotation on K with a modest symmetric part: the kernel is
+        # exact, and 1 + ||B||_F overflows
+        J = np.array([[0.0, 1e200], [-1e200, 0.0]])
+        npair = NormalizedPair(
+            assemble(J, np.array([[1.0, 0.0]]), np.array([[-1.0]])),
+            assemble(J, np.array([[0.0, 1.0]]), np.array([[-1.0]])),
+        )
+        decomp = common_kernel(npair)
+        assert decomp.k == 2
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            block_form(npair, decomp)

@@ -12,7 +12,7 @@ from guas_cert import (
     common_kernel,
     normalize,
 )
-from guas_cert.decomposition import numerical_rank
+from guas_cert.decomposition import BlockFamily, numerical_rank
 from guas_cert.errors import StructureViolation
 from guas_cert.gallery import assemble, kdeux, mason
 
@@ -298,7 +298,7 @@ class TestSpectralNorms:
 
     def test_computed_once_and_empty_C(self, monkeypatch):
         """k' = 0: C is 0 x k and its norms are 0; one SVD for the A stack,
-        none on a second read."""
+        made on the first read of an A norm, none on a second read."""
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         npair = NormalizedPair(B0n=A, B1n=2.0 * A)
         blocks = block_form(npair, common_kernel(npair))
@@ -313,9 +313,30 @@ class TestSpectralNorms:
         monkeypatch.setattr(np.linalg, "svd", counted)
         norms = blocks.norms
         assert blocks.norms is norms
-        assert len(calls) == 1
         assert norms.C0 == norms.C1 == norms.dC == 0.0
         assert norms.A0 == pytest.approx(1.0) and norms.dA == pytest.approx(1.0)
+        assert len(calls) == 1
+        assert list(blocks.norms) == list(norms)
+        assert len(calls) == 1
+
+    def test_each_shape_on_its_first_read(self, monkeypatch):
+        """k' != k: reading dC alone runs the C stack's SVD, not the A
+        stack's; k' = k: one SVD gives all six."""
+        calls = []
+        original = np.linalg.svd
+
+        def counted(M, *args, **kwargs):
+            calls.append(M.shape)
+            return original(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        unequal = BlockFamily(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((1, 2)), np.eye(1, 2))
+        assert unequal.norms.dC == pytest.approx(1.0)
+        assert calls == [(3, 1, 2)]
+        equal = BlockFamily(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), 2.0 * np.eye(2))
+        assert equal.norms.dC == pytest.approx(1.0)
+        assert list(equal.norms) == pytest.approx([0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
+        assert calls == [(3, 1, 2), (6, 2, 2)]
 
 
 class TestKernelLemma:

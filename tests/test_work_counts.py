@@ -2,8 +2,9 @@
 
 For each workload of ``perfbench/workloads.py`` the test sums, over the
 instances of seeds 1-3, the lambdas each ``analyze`` call evaluated
-(``grid.lambda_evals``), its ``numpy.linalg.svd`` and ``numpy.linalg.eigh``
-calls and its ``simulator.expm`` calls.  The counts are deterministic per seed, unlike
+(``grid.lambda_evals``), its ``numpy.linalg`` ``svd``, ``eigh``, ``eigvals``
+and ``eigvalsh`` calls (the last two hold the Hurwitz, weak-Lyapunov and D
+checks) and its ``simulator.expm`` calls.  The counts are deterministic per seed, unlike
 wall times, so a change that makes a call do more work fails here even
 when the host is too noisy to time it.  The instances are built before the
 counters go in, so only the analyzer's own work is counted.
@@ -28,6 +29,7 @@ BASELINE = Path(__file__).with_name("work_counts.json")
 #: Largest relative difference of a sum from its baseline.
 TOLERANCE = 0.02
 SEEDS = (1, 2, 3)
+LINALG = ("svd", "eigh", "eigvals", "eigvalsh")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 try:
@@ -36,14 +38,18 @@ finally:
     sys.path.remove(str(ROOT / "perfbench"))
 
 
+#: The counted functions: (module, name).
+COUNTED = tuple((np.linalg, name) for name in LINALG) + ((simulator, "expm"),)
+
+
 def work_counts() -> dict:
-    """{workload: {"lambda_evals": ..., "svd": ..., "eigh": ..., "expm": ...}},
-    each summed over the instances of SEEDS."""
-    svd, eigh, expm = np.linalg.svd, np.linalg.eigh, simulator.expm
+    """{workload: {"lambda_evals": ..., "svd": ..., ..., "expm": ...}}, each
+    summed over the instances of SEEDS."""
+    saved = [(module, name, getattr(module, name)) for module, name in COUNTED]
     out = {}
-    for name in workloads.WORKLOADS:
-        instances = [i for seed in SEEDS for i in workloads.build(name, seed)]
-        calls = out[name] = {"lambda_evals": 0, "svd": 0, "eigh": 0, "expm": 0}
+    for workload in workloads.WORKLOADS:
+        instances = [i for seed in SEEDS for i in workloads.build(workload, seed)]
+        calls = out[workload] = dict.fromkeys(("lambda_evals",) + LINALG + ("expm",), 0)
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -51,8 +57,8 @@ def work_counts() -> dict:
                 return fn(*args, **kwargs)
             return wrapper
 
-        np.linalg.svd, np.linalg.eigh = counted("svd", svd), counted("eigh", eigh)
-        simulator.expm = counted("expm", expm)
+        for module, name, fn in saved:
+            setattr(module, name, counted(name, fn))
         try:
             for inst in instances:
                 try:
@@ -61,7 +67,8 @@ def work_counts() -> dict:
                     continue  # refused; its work up to the refusal counts
                 calls["lambda_evals"] += verdict.grid["lambda_evals"]
         finally:
-            np.linalg.svd, np.linalg.eigh, simulator.expm = svd, eigh, expm
+            for module, name, fn in saved:
+                setattr(module, name, fn)
     return out
 
 
