@@ -1,24 +1,29 @@
 """The verdict pipeline: certificate, counterexample, or inconclusive.
 
 The pipeline certifies GUAS only through proved implications, cheapest
-proof first:
+proof first.  The branch order lives in one table, ``THEOREMS``, whose rows
+``analyze`` tries in turn until one applies:
 
+* kernel rank ambiguous: inconclusive, no rank decision is certified;
 * trivial common kernel K = {0};
-* C_lam injective for every lambda (tried first when k' >= k; no Kalman
+* C_lam injective for every lambda (tried only when k' >= k; no Kalman
   sweep runs when it holds, since O(lambda) holds C_lam as its top rows);
+* a constant input lambda* at which (C_lam, A_lam) is unobservable;
 * dim K <= 2 with (C_lam, A_lam) observable for all lambda;
-* G discrete with (C_lam, A_lam) observable for all lambda.
+* G discrete with (C_lam, A_lam) observable for all lambda;
+* otherwise inconclusive.
 
-All lambda stages (the injectivity bisection, the Kalman sweep and the
-G-scan) run on one SweepScale, built once per family right after the block
-form.  A constant-input observability failure at some lambda* refutes GUAS
-of the convexified system, which is equivalent to the binary one.  With
-k' >= k such a lambda* is a zero of sigma_k(C_lam), so the sweep first
-evaluates the lambda where the injectivity bisection found its smallest
-value.
-Everything else is reported inconclusive, with adversarial simulation
-evidence attached; in particular the open conjecture (observability for
-every constant input would suffice) is never used as a decision rule.
+Each row reads the stages it needs from one per-call record, which runs
+each stage at most once, on first read.  All lambda stages (the
+injectivity bisection, the Kalman sweep and the G-scan) run on one
+SweepScale, built once per family right after the block form.  A
+constant-input observability failure at some lambda* refutes GUAS of the
+convexified system, which is equivalent to the binary one.  With k' >= k
+such a lambda* is a zero of sigma_k(C_lam), so the sweep first evaluates
+the lambda where the injectivity bisection found its smallest value.
+Inconclusive verdicts get adversarial simulation evidence attached; in
+particular the open conjecture (observability for every constant input
+would suffice) is never used as a decision rule.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .errors import InternalInconsistency, NotHurwitz
 from .matrix_core import (
     MatrixPair,
     NormalizedPair,
-    check_weak_lyapunov,  # noqa: F401  (stage name looked up by perfbench/spans.py)
     is_hurwitz,
     normalize,
     require_finite,
@@ -47,14 +51,7 @@ from .matrix_core import (
 from .observability import MAX_GRID, sigma_C_bisection, sweep_lambda, sweep_scale
 from .simulator import _n_steps, plateau_rule, worst_case_runs
 
-CONCLUSIONS = (
-    "GUAS_trivial_kernel",
-    "GUAS_dimK_le2",
-    "GUAS_G_discrete",
-    "GUAS_C_injective",
-    "NOT_GUAS_constant_input",
-    "INCONCLUSIVE",
-)
+INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass
@@ -76,8 +73,6 @@ class EvidenceSummary:
     T: float
     dt: float
     max_final_ratio: float
-    final_ratios: list
-    plateaued: list
     non_decaying_runs: int
 
     def to_dict(self) -> dict:
@@ -171,18 +166,166 @@ def empirical_evidence(
         starts = np.vstack([starts, K_basis.T])
 
     initial, window_start, final = worst_case_runs(npair, starts, T, dt)
-    ratios = final / initial
     plateaued = plateau_rule(initial, window_start, final)
     non_decaying = plateaued & (final > 1e-6 * initial)
     return EvidenceSummary(
         n_runs=len(starts),
         T=T,
         dt=dt,
-        max_final_ratio=float(ratios.max()),
-        final_ratios=ratios.tolist(),
-        plateaued=plateaued.tolist(),
+        max_final_ratio=float((final / initial).max()),
         non_decaying_runs=int(non_decaying.sum()),
     )
+
+
+class _Stages:
+    """What the theorems of ``THEOREMS`` read, for one call.  ``npair``,
+    ``decomp`` and ``opt`` are given; ``blocks``, ``scale``, ``injectivity``
+    (the sigma_C bisection, None when k' < k), ``sweep`` and ``scan`` run
+    their stage (the method of that name with a leading underscore) on first
+    read, at most once, and are then plain attributes.  ``lambda_evals``
+    counts the lambdas at which those stages evaluated: each report's
+    ``n_evals``, and the scan's ``n_samples``."""
+
+    def __init__(self, npair: NormalizedPair, decomp, opt: AnalyzerOptions):
+        self.npair, self.decomp, self.opt = npair, decomp, opt
+        self.lambda_evals = 0
+
+    def __getattr__(self, name):  # only called for a stage not yet run
+        value = vars(self)[name] = getattr(type(self), "_" + name)(self)
+        self.lambda_evals += getattr(value, "n_evals", 0)
+        return value
+
+    def _blocks(self):
+        return block_form(self.npair, self.decomp, self.opt.tol)
+
+    def _scale(self):  # the one grid and thresholds every lambda stage runs on
+        return sweep_scale(self.blocks, self.opt.n_grid, self.opt.tol)
+
+    def _injectivity(self):
+        if self.blocks.k_prime >= self.blocks.k:
+            return sigma_C_bisection(self.blocks, self.blocks.k, self.scale)
+
+    def _sweep(self):
+        # when k' >= k every unobservable lam is a zero of sigma_k(C_lam), so
+        # the bisection's lam* is the sweep's first lambda
+        run = self.injectivity
+        return sweep_lambda(self.blocks, self.scale, None if run is None else run.lambda_star)
+
+    def _scan(self):
+        scan = scan_G(self.blocks, self.scale)
+        self.lambda_evals += scan.n_samples
+        return scan
+
+
+def _sweep_margins(s: _Stages, **extra) -> dict:
+    """The sweep's margins; the injectivity margin joins them once the sweep
+    proved observability for every lambda."""
+    margins = {"observability_margin": s.sweep.margin, "rank_margin": s.decomp.rank_margin}
+    if s.sweep.test == "hautus":  # the margin bounds the Hautus test, not sigma_k(O)
+        margins["observability_test"] = "hautus"
+    if s.sweep.verdict == "observable_for_all_lambda" and s.injectivity is not None:
+        margins["C_injectivity_margin"] = s.injectivity.margin
+    return {**margins, **extra}
+
+
+def _rank_ambiguous(s: _Stages):
+    if not s.decomp.certifiable_rank:
+        return dict(
+            margins={"rank_margin": s.decomp.rank_margin},
+            notes=(
+                f"singular values of [S0; S1] straddle the threshold "
+                f"(margin {s.decomp.rank_margin:.2e} < {RANK_MARGIN_FLOOR:.0e}); "
+                "no rank decision is certified"
+            ),
+        )
+
+
+def _trivial_kernel(s: _Stages):
+    if s.decomp.k == 0:
+        return dict(certificate={"k": 0, "rank_margin": s.decomp.rank_margin},
+                    margins={"rank_margin": s.decomp.rank_margin})
+
+
+def _C_injective(s: _Stages):
+    # O(lam) holds C_lam as its top rows, so sigma_k(O(lam)) >= sigma_k(C_lam)
+    # and the proved bound is an observability margin too
+    run = s.injectivity
+    if run is not None and run.verdict == "certified":
+        return dict(
+            certificate={"min_sigma_C_lower_bound": run.bound},
+            margins={"observability_margin": run.bound, "rank_margin": s.decomp.rank_margin,
+                     "C_injectivity_margin": run.margin},
+        )
+
+
+def _constant_input(s: _Stages):
+    if s.sweep.verdict == "fails_at":
+        x_star = s.sweep.witness[:, 0]
+        return dict(
+            certificate={"lambda_star": s.sweep.lambda_star,
+                         "witness": x_star / np.linalg.norm(x_star), "sigma_min": s.sweep.margin},
+            margins=_sweep_margins(s),
+        )
+
+
+def _dimK_le2(s: _Stages):
+    if s.sweep.verdict == "observable_for_all_lambda" and s.blocks.k <= 2:
+        return dict(certificate={"k": s.blocks.k, "case": kpetit_classify(s.blocks, s.opt.tol)},
+                    margins=_sweep_margins(s))
+
+
+def _G_discrete(s: _Stages):
+    if s.sweep.verdict == "observable_for_all_lambda" and s.scan.verdict == "discrete":
+        scan = s.scan
+        return dict(
+            certificate={
+                "rule": scan.rule, "degree": scan.degree, "g_margin": scan.margin,
+                "roots": scan.roots, "points": scan.points,
+                "sigma_C_lower_bound": scan.sigma_C_lower_bound,
+                "n_samples": scan.n_samples, "n_hits": scan.n_hits,
+            },
+            margins=_sweep_margins(s, scan_hits=scan.n_hits),
+        )
+
+
+def _undecided(s: _Stages):
+    certificate = {"sweep_verdict": s.sweep.verdict, "scan_verdict": "not_run", "k": s.blocks.k}
+    if s.sweep.verdict != "observable_for_all_lambda":
+        return dict(certificate=certificate, margins=_sweep_margins(s))
+    # k > 2 here, so the scan ran and did not decide
+    notes = (
+        "observable for every constant input, but no proved sufficient "
+        "condition applies; only the open conjecture would upgrade this "
+        "to GUAS, and it is never used as a decision rule"
+    )
+    return dict(
+        certificate={**certificate, "scan_verdict": s.scan.verdict},
+        margins=_sweep_margins(s, scan_hits=s.scan.n_hits),
+        notes=notes + "; " + s.scan.note if s.scan.note else notes,
+    )
+
+
+#: The theorems in the order they are tried, cheapest proof first: rows of
+#: (conclusion, branch, test).  ``test(stages)`` returns the verdict's
+#: fields (certificate, margins, notes), or None when its theorem does not
+#: apply; the last row always applies.
+THEOREMS = (
+    (INCONCLUSIVE, "kernel rank ambiguous", _rank_ambiguous),
+    ("GUAS_trivial_kernel", "common kernel K = {0} forces decay for every switching law",
+     _trivial_kernel),
+    ("GUAS_C_injective", "ker C_lambda = {0} for all lambda: no output can vanish",
+     _C_injective),
+    ("NOT_GUAS_constant_input",
+     "constant input lambda* makes (C,A) unobservable; the convexified system "
+     "(equivalent to the binary one) is not GUAS", _constant_input),
+    ("GUAS_dimK_le2", "dim K <= 2 and (C_lambda, A_lambda) observable for every lambda",
+     _dimK_le2),
+    ("GUAS_G_discrete",
+     "tangency set G is discrete and (C_lambda, A_lambda) is observable for every lambda",
+     _G_discrete),
+    (INCONCLUSIVE, "no theorem branch certifies or refutes GUAS", _undecided),
+)
+CONCLUSIONS = tuple(dict.fromkeys(conclusion for conclusion, _, _ in THEOREMS))
 
 
 def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None) -> Verdict:
@@ -196,9 +339,9 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
     an n_grid or seed that is not an integer in [2, MAX_GRID] or >= 0; or
     an evidence_T and evidence_dt that the simulator's horizon rule rejects
     (not finite and positive, a step longer than the horizon, or a step
-    count T / dt that overflows).  Otherwise always returns a Verdict; the
-    evidence, when attached, is ``empirical_evidence``'s default 32 random
-    runs plus the K directions.
+    count T / dt that overflows).  Otherwise always returns the Verdict of
+    the first row of ``THEOREMS`` that applies; the evidence, when attached,
+    is ``empirical_evidence``'s default 32 random runs plus the K directions.
     """
     opt = options or AnalyzerOptions()
     tol = opt.tol
@@ -225,146 +368,26 @@ def analyze(pair: MatrixPair, P=None, options: Optional[AnalyzerOptions] = None)
         pair = replace(pair, P=P)  # validates P
     npair = normalize(pair)
     decomp = common_kernel(npair, tol)
-    lambda_evals = 0  # lambdas at which the scale, injectivity, sweep and scan evaluated
-
-    def finish(verdict: Verdict) -> Verdict:
-        verdict.tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
-        verdict.grid = {"n_grid": opt.n_grid, "lambda_evals": lambda_evals}
-        want = opt.with_evidence
-        if want is None:
-            want = verdict.conclusion == "INCONCLUSIVE"
-        if want:
-            verdict.evidence = empirical_evidence(
-                npair, T=opt.evidence_T, dt=opt.evidence_dt, seed=opt.seed,
-                K_basis=decomp.K_basis,
-            )
-            if verdict.guas and verdict.evidence.non_decaying_runs:
-                raise InternalInconsistency(
-                    "a theorem-backed GUAS certificate coexists with a "
-                    "non-decaying adversarial run; tolerance settings are "
-                    "inconsistent"
-                )
-        return verdict
-
-    if not decomp.certifiable_rank:
-        return finish(Verdict(
-            "INCONCLUSIVE",
-            "kernel rank ambiguous",
-            margins={"rank_margin": decomp.rank_margin},
-            notes=(
-                f"singular values of [S0; S1] straddle the threshold "
-                f"(margin {decomp.rank_margin:.2e} < {RANK_MARGIN_FLOOR:.0e}); "
-                "no rank decision is certified"
-            ),
-        ))
-
-    if decomp.k == 0:
-        return finish(Verdict(
-            "GUAS_trivial_kernel",
-            "common kernel K = {0} forces decay for every switching law",
-            certificate={"k": 0, "rank_margin": decomp.rank_margin},
-            margins={"rank_margin": decomp.rank_margin},
-        ))
-
-    blocks = block_form(npair, decomp, tol)
-    # the one grid and pair of thresholds every lambda stage below runs on
-    scale = sweep_scale(blocks, opt.n_grid, tol)
-    lambda_evals += scale.n_evals
-    # ker C_lam = {0} for every lam proves GUAS without the Kalman sweep.
-    # O(lam) holds C_lam as its top rows, so sigma_k(O(lam)) >= sigma_k(C_lam)
-    # and the proved bound is an observability margin too.  Otherwise the
-    # bisection's lam* is the sweep's first lambda: when k' >= k, every
-    # unobservable lam is a zero of sigma_k(C_lam)
-    run = None
-    if blocks.k_prime >= blocks.k:
-        run = sigma_C_bisection(blocks, blocks.k, scale)
-        lambda_evals += run.n_evals
-        if run.verdict == "certified":
-            return finish(Verdict(
-                "GUAS_C_injective",
-                "ker C_lambda = {0} for all lambda: no output can vanish",
-                certificate={"min_sigma_C_lower_bound": run.bound},
-                margins={
-                    "observability_margin": run.bound,
-                    "rank_margin": decomp.rank_margin,
-                    "C_injectivity_margin": run.margin,
-                },
-            ))
-    sweep = sweep_lambda(blocks, scale, None if run is None else run.lambda_star)
-    lambda_evals += sweep.n_evals
-    margins = {
-        "observability_margin": sweep.margin,
-        "rank_margin": decomp.rank_margin,
-    }
-    if sweep.test == "hautus":  # the margin bounds the Hautus test, not sigma_k(O)
-        margins["observability_test"] = "hautus"
-
-    if sweep.verdict == "fails_at":
-        x_star = sweep.witness[:, 0]
-        x_star = x_star / np.linalg.norm(x_star)
-        return finish(Verdict(
-            "NOT_GUAS_constant_input",
-            "constant input lambda* makes (C,A) unobservable; the "
-            "convexified system (equivalent to the binary one) is not GUAS",
-            certificate={
-                "lambda_star": sweep.lambda_star,
-                "witness": x_star,
-                "sigma_min": sweep.margin,
-            },
-            margins=margins,
-        ))
-
-    scan = None
-    if sweep.verdict == "observable_for_all_lambda":
-        if run is not None:
-            margins["C_injectivity_margin"] = run.margin
-
-        if blocks.k <= 2:
-            return finish(Verdict(
-                "GUAS_dimK_le2",
-                "dim K <= 2 and (C_lambda, A_lambda) observable for every lambda",
-                certificate={"k": blocks.k, "case": kpetit_classify(blocks, tol)},
-                margins=margins,
-            ))
-
-        scan = scan_G(blocks, scale)
-        lambda_evals += scan.n_samples
-        margins["scan_hits"] = scan.n_hits
-        if scan.verdict == "discrete":
-            return finish(Verdict(
-                "GUAS_G_discrete",
-                "tangency set G is discrete and (C_lambda, A_lambda) is "
-                "observable for every lambda",
-                certificate={
-                    "rule": scan.rule,
-                    "degree": scan.degree,
-                    "g_margin": scan.margin,
-                    "roots": scan.roots,
-                    "points": scan.points,
-                    "sigma_C_lower_bound": scan.sigma_C_lower_bound,
-                    "n_samples": scan.n_samples,
-                    "n_hits": scan.n_hits,
-                },
-                margins=margins,
-            ))
-
-    notes = ""
-    if scan is not None:  # the sweep proved observability for every lambda
-        notes = (
-            "observable for every constant input, but no proved sufficient "
-            "condition applies; only the open conjecture would upgrade this "
-            "to GUAS, and it is never used as a decision rule"
+    stages = _Stages(npair, decomp, opt)
+    verdict = next(
+        Verdict(conclusion, branch, **fields)
+        for conclusion, branch, test in THEOREMS
+        if (fields := test(stages)) is not None
+    )
+    verdict.tolerances = {"tol": tol, "kernel_threshold": decomp.threshold}
+    verdict.grid = {"n_grid": opt.n_grid, "lambda_evals": stages.lambda_evals}
+    want = opt.with_evidence
+    if want is None:
+        want = verdict.conclusion == INCONCLUSIVE
+    if want:
+        verdict.evidence = empirical_evidence(
+            npair, T=opt.evidence_T, dt=opt.evidence_dt, seed=opt.seed,
+            K_basis=decomp.K_basis,
         )
-        if scan.note:
-            notes += "; " + scan.note
-    return finish(Verdict(
-        "INCONCLUSIVE",
-        "no theorem branch certifies or refutes GUAS",
-        certificate={
-            "sweep_verdict": sweep.verdict,
-            "scan_verdict": scan.verdict if scan is not None else "not_run",
-            "k": blocks.k,
-        },
-        margins=margins,
-        notes=notes,
-    ))
+        if verdict.guas and verdict.evidence.non_decaying_runs:
+            raise InternalInconsistency(
+                "a theorem-backed GUAS certificate coexists with a "
+                "non-decaying adversarial run; tolerance settings are "
+                "inconsistent"
+            )
+    return verdict

@@ -390,7 +390,8 @@ def sweep_lambda(
     ``_hautus_bound`` above cert_threshold certifies with that bound as the
     margin and ``test`` "hautus"; otherwise the bisection runs as without
     either.  ``n_evals`` counts lam_hat, the lambdas of the Hautus bound and
-    those of the bisection, not the scale's.
+    those of the bisection, not the scale's.  Raises NonFiniteInput when the
+    bisection's Lipschitz bound overflows.
     """
     k = blocks.k
     if k == 0:
@@ -413,9 +414,14 @@ def sweep_lambda(
     norms = blocks.norms
     a, c = max(norms.A0, norms.A1), max(norms.C0, norms.C1)
     dA, dC = norms.dA, norms.dC
-    lipschitz = np.sqrt(sum(
-        (dC * a**j + j * c * a ** max(j - 1, 0) * dA) ** 2 for j in range(k)
-    ))
+    try:
+        lipschitz = np.sqrt(sum(
+            (dC * a**j + j * c * a ** max(j - 1, 0) * dA) ** 2 for j in range(k)
+        ))
+    except OverflowError:  # a Python float power raises where a product gives inf
+        lipschitz = np.inf
+    if not np.isfinite(lipschitz):
+        raise NonFiniteInput("the Lipschitz bound of the Kalman sweep overflows")
     run = weyl_bisection(
         lambda lams: _kalman_sigmas(blocks, lams)[:, k - 1],
         lipschitz, scale.grid, scale.cert_threshold, scale.floor,

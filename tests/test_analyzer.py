@@ -23,7 +23,9 @@ from guas_cert import (
 from guas_cert import analyzer
 from guas_cert.errors import NoCommonWeakLyapunov, NonFiniteInput, NotHurwitz
 from guas_cert.observability import sigma_C_bisection
-from guas_cert.gallery import kdeux, mason, shared_output, torus
+from guas_cert.gallery import assemble, kdeux, mason, shared_output, torus
+
+from conftest import block_pair
 
 FAST = AnalyzerOptions(evidence_T=20.0, evidence_dt=1e-2)
 
@@ -46,6 +48,74 @@ def frozen_k3():
         [-0.5386928958466366, -0.04850094540107198, 0.11330898600330756],
     ])
     return MatrixPair(assemble(A, C0, -np.eye(2)), assemble(A, C1, -2.0 * np.eye(2)))
+
+
+def off_grid_singular_C():
+    """A k = k' = 3 pair whose C_lam is singular at lam* = 1/1.7391, between
+    the sweep's grid points."""
+    w = (0.3, -1.1, 0.8)
+    A = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return MatrixPair(assemble(A, np.eye(3), -np.eye(3)),
+                      assemble(A, np.diag([-0.7391, 1.0, 1.0]), -np.eye(3)))
+
+
+def rank_ambiguous():
+    """S0 = S1 = diag(-2, -2e-8, -2e-9): the smallest kept and the largest
+    discarded singular value of [S0; S1] are only a factor 10 apart."""
+    B = np.array([[-1.0, 1.0, 0.0], [-1.0, -1e-8, 1.0], [0.0, -1.0, -1e-9]])
+    return MatrixPair(B, B)
+
+
+def vanishing_output():
+    """k = k' = 1 with C_lam = 1 - 2 lam: the injectivity bisection runs and
+    does not certify, and the sweep refutes at lam* = 1/2."""
+    Z = np.zeros((1, 1))
+    return MatrixPair(assemble(Z, np.array([[1.0]]), -np.eye(1)),
+                      assemble(Z, np.array([[-1.0]]), -np.eye(1)))
+
+
+SWEEP = {"observability_margin", "rank_margin"}
+G_CERTIFICATE = {"rule", "degree", "g_margin", "roots", "points",
+                 "sigma_C_lower_bound", "n_samples", "n_hits"}
+UNDECIDED = {"sweep_verdict", "scan_verdict", "k"}
+
+
+class TestTheoremTable:
+    """One instance per row of THEOREMS: the row that decides it, and the
+    fields that row reports."""
+
+    @pytest.mark.parametrize("make, P, row, certificate, margins, notes", [
+        (rank_ambiguous, None, 0, set(), {"rank_margin"}, True),
+        (mason, mason().P, 1, {"k", "rank_margin"}, {"rank_margin"}, False),
+        (shared_output, np.eye(4), 2, {"min_sigma_C_lower_bound"},
+         SWEEP | {"C_injectivity_margin"}, False),
+        (lambda: kdeux(1.0, -1.0), np.eye(3), 3, {"lambda_star", "witness", "sigma_min"},
+         SWEEP, False),
+        (vanishing_output, None, 3, {"lambda_star", "witness", "sigma_min"}, SWEEP, False),
+        (lambda: kdeux(1.0, 2.0), None, 4, {"k", "case"}, SWEEP, False),
+        (frozen_k3, None, 5, G_CERTIFICATE, SWEEP | {"observability_test", "scan_hits"},
+         False),
+        (off_grid_singular_C, None, 5, G_CERTIFICATE,
+         SWEEP | {"observability_test", "scan_hits", "C_injectivity_margin"}, False),
+        (torus, None, 6, UNDECIDED, SWEEP | {"observability_test", "scan_hits"}, True),
+        (lambda: block_pair(np.random.default_rng(11), 4, 2), None, 6, UNDECIDED, SWEEP,
+         False),
+    ], ids=["rank_ambiguous", "trivial_kernel", "C_injective", "constant_input",
+            "constant_input_after_injectivity", "dimK_le2", "G_discrete",
+            "G_discrete_C_margin", "undecided_scan", "undecided_sweep"])
+    def test_row_and_fields(self, make, P, row, certificate, margins, notes):
+        v = analyze(make(), P, options=AnalyzerOptions(with_evidence=False))
+        conclusion, branch, _ = analyzer.THEOREMS[row]
+        assert (v.conclusion, v.branch) == (conclusion, branch)
+        assert set(v.certificate) == certificate
+        assert set(v.margins) == margins
+        assert bool(v.notes) == notes
+
+    def test_undecided_sweep_runs_no_scan(self):
+        pair = block_pair(np.random.default_rng(11), 4, 2)
+        v = analyze(pair, options=AnalyzerOptions(with_evidence=False))
+        assert v.certificate == {"sweep_verdict": "inconclusive", "scan_verdict": "not_run",
+                                 "k": 4}
 
 
 class TestBranches:
@@ -176,7 +246,6 @@ class TestBranches:
             analyze(MatrixPair(-np.eye(2), -np.eye(2)), np.diag([1.0, np.inf]))
 
     def test_weak_lyapunov_checked_once(self, monkeypatch):
-        import guas_cert.analyzer as analyzer_mod
         import guas_cert.matrix_core as matrix_core
 
         calls = []
@@ -187,7 +256,6 @@ class TestBranches:
 
         original = matrix_core.check_weak_lyapunov
         monkeypatch.setattr(matrix_core, "check_weak_lyapunov", counted)
-        monkeypatch.setattr(analyzer_mod, "check_weak_lyapunov", counted)
         analyze(mason(), mason().P, options=FAST)
         assert len(calls) == 1
 
@@ -439,3 +507,12 @@ class TestVerdictSerialization:
             v = analyze(pair, P, options=FAST)
             jsonschema.validate(json.loads(v.to_json()), schema)
 
+    def test_schema_lists_every_conclusion(self):
+        import importlib.resources as res
+
+        schema = json.loads(
+            res.files("guas_cert").joinpath("report_schema.json").read_text()
+        )
+        enum = schema["properties"]["conclusion"]["enum"]
+        assert len(enum) == len(set(enum))
+        assert set(enum) == set(analyzer.CONCLUSIONS)

@@ -367,9 +367,11 @@ class TestWorstCaseRuns:
             non_decaying += p and r > 1e-6 * traj.norms[0]
             switches += np.count_nonzero(np.diff(traj.applied_lambda))
 
+        initial, window_start, final = worst_case_runs(npair, starts, self.T, self.DT)
         assert ev.n_runs == len(starts)
-        np.testing.assert_allclose(ev.final_ratios, ratios, rtol=0, atol=1e-12)
-        assert ev.plateaued == plateaued
+        np.testing.assert_allclose(final / initial, ratios, rtol=0, atol=1e-12)
+        assert plateau_rule(initial, window_start, final).tolist() == plateaued
+        assert ev.max_final_ratio == max(final / initial)
         assert ev.non_decaying_runs == non_decaying >= min_non_decaying
         assert switches >= min_switches
 
